@@ -4,128 +4,23 @@ An inner GP-UCB loop optimizes a black-box task while an outer Thompson-sampling
 loop searches the space of GP models (length scales, or per-dimension
 monotonicity strictness enforced via virtual derivative observations), scoring
 each model by the regret-normalized gain it produced over a short window.
+The layers live in their own modules (gp, monotonic, acquisition, scoring,
+engine, tasks, bench); this package exports the run surface.
 """
 
-from hyperbo.acquisition import (
-    CandidateSet,
-    ExhaustedSearchSpaceError,
-    thompson_sample_argmax,
-    thompson_select,
-    ucb_beta,
-    ucb_select,
-)
-from hyperbo.engine import (
-    LedgerRecord,
-    ModelSpace,
-    ModelTheta,
-    RunConfig,
-    RunResult,
-    ScoreLedger,
-    build_model_space,
-    hyperbo_step,
-    rerun_with_best_theta,
-    run_framework,
-)
-from hyperbo.gp import (
-    FittedGP,
-    KernelParams,
-    ObservationSet,
-    PosteriorPrediction,
-    SingularGramError,
-    StandardizedGP,
-    gp_fit,
-    gp_predict,
-    se_kernel,
-    se_kernel_matrix,
-)
-from hyperbo.monotonic import (
-    FittedMonotonicGP,
-    StrictnessVector,
-    VirtualDerivativeSet,
-    cov_gradient_gradient,
-    cov_value_gradient,
-    fit_monotonic_gp,
-)
-from hyperbo.scoring import (
-    LENGTH_SCALE,
-    MONOTONICITY,
-    default_lambda,
-    length_scale_lambda,
-    monotonicity_lambda,
-    regret_normalizer,
-    score_model,
-)
-from hyperbo.tasks import (
-    ContinuousTask,
-    DatasetError,
-    DiscreteTask,
-    Task,
-    UndefinedCorrelationError,
-    goldstein_price,
-    goldstein_price_native,
-    latin_hypercube,
-    load_dataset,
-    make_goldstein_price_task,
-    make_gp_sample_task,
-    monotonicity_report,
-    pearson_correlation,
-    regret_trace,
-)
+from hyperbo.bench import ExperimentConfig, emit_reports, load_config, run_experiment
+from hyperbo.engine import ModelTheta, RunConfig, RunResult, rerun_with_best_theta, run_framework
 
 __all__ = [
-    "CandidateSet",
-    "ContinuousTask",
-    "DatasetError",
-    "DiscreteTask",
-    "ExhaustedSearchSpaceError",
-    "FittedGP",
-    "FittedMonotonicGP",
-    "KernelParams",
-    "LENGTH_SCALE",
-    "LedgerRecord",
-    "MONOTONICITY",
-    "ModelSpace",
+    "ExperimentConfig",
     "ModelTheta",
-    "ObservationSet",
-    "PosteriorPrediction",
     "RunConfig",
     "RunResult",
-    "ScoreLedger",
-    "SingularGramError",
-    "StandardizedGP",
-    "StrictnessVector",
-    "Task",
-    "UndefinedCorrelationError",
-    "VirtualDerivativeSet",
-    "build_model_space",
-    "cov_gradient_gradient",
-    "cov_value_gradient",
-    "default_lambda",
-    "fit_monotonic_gp",
-    "goldstein_price",
-    "goldstein_price_native",
-    "gp_fit",
-    "gp_predict",
-    "hyperbo_step",
-    "latin_hypercube",
-    "length_scale_lambda",
-    "load_dataset",
-    "make_goldstein_price_task",
-    "make_gp_sample_task",
-    "monotonicity_lambda",
-    "monotonicity_report",
-    "pearson_correlation",
-    "regret_normalizer",
-    "regret_trace",
+    "emit_reports",
+    "load_config",
     "rerun_with_best_theta",
+    "run_experiment",
     "run_framework",
-    "score_model",
-    "se_kernel",
-    "se_kernel_matrix",
-    "thompson_sample_argmax",
-    "thompson_select",
-    "ucb_beta",
-    "ucb_select",
 ]
 
 __version__ = "0.1.0"

@@ -51,10 +51,6 @@ _ENGINE_KEYS = (
     "noise_variance",
     "ucb_delta",
     "sample_count_mode",
-    "thompson_subsample",
-    "thompson_threshold",
-    "theta_gp_noise",
-    "theta_gp_ls_fraction",
 )
 
 

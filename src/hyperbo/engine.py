@@ -11,13 +11,12 @@ ledger.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from hyperbo.acquisition import CandidateSet, ExhaustedSearchSpaceError, thompson_select, ucb_beta, ucb_select
-from hyperbo.gp import KernelParams, ObservationSet, gp_fit
+from hyperbo.gp import KernelParams, gp_fit, standardize
 from hyperbo.monotonic import StrictnessVector, VirtualDerivativeSet, fit_monotonic_gp
 from hyperbo.scoring import LENGTH_SCALE, MODES, MONOTONICITY, default_lambda, score_model
 from hyperbo.tasks import Task, regret_trace
@@ -45,6 +44,15 @@ MONOTONICITY_LEVELS = tuple(float(v) for v in range(-6, 1))  # -6 .. 0
 MONOTONICITY_PAIRS = tuple(
     (a, b) for a in MONOTONICITY_LEVELS for b in MONOTONICITY_LEVELS if not (a == -6.0 and b == -6.0)
 )
+
+# Outer proposal: grids up to THOMPSON_THRESHOLD thetas compete whole, larger
+# ones through THOMPSON_SUBSAMPLE uniform draws plus the incumbent.  The GP over
+# scored thetas has this noise and a length scale of this fraction of the
+# unit cube per coordinate.
+THOMPSON_THRESHOLD = 2000
+THOMPSON_SUBSAMPLE = 500
+THETA_GP_NOISE = 1e-4
+THETA_GP_LS_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,11 @@ class ModelTheta:
 
 
 class ModelSpace:
-    """The discretized grid of candidate thetas, possibly too large to enumerate."""
+    """The discretized grid of candidate thetas, possibly too large to enumerate.
+
+    A grid point is a row of per-dimension option indices; a validated
+    ModelTheta is built only for the thetas a run actually scores.
+    """
 
     ENUMERATION_LIMIT = 200_000
 
@@ -91,15 +103,22 @@ class ModelSpace:
             raise ValueError("dimension must be >= 1")
         self.mode = mode
         self.dim = dim
-        self._per_dim = len(LENGTH_SCALE_GRID) if mode == LENGTH_SCALE else len(MONOTONICITY_PAIRS)
+        options = LENGTH_SCALE_GRID if mode == LENGTH_SCALE else MONOTONICITY_PAIRS
+        self._options = np.asarray(options, dtype=float).reshape(len(options), -1)  # (per_dim, coords)
+        self._unit = self.to_unit(self._options)
+        self._grid = None
+
+    @property
+    def per_dim(self) -> int:
+        return self._options.shape[0]
 
     @property
     def size(self) -> int:
-        return self._per_dim**self.dim
+        return self.per_dim**self.dim
 
     @property
     def theta_dim(self) -> int:
-        return self.dim if self.mode == LENGTH_SCALE else 2 * self.dim
+        return self.dim * self._options.shape[1]
 
     @property
     def coordinate_bounds(self) -> tuple[float, float]:
@@ -112,24 +131,26 @@ class ModelSpace:
         lo, hi = self.coordinate_bounds
         return (np.asarray(theta_array, dtype=float) - lo) / (hi - lo)
 
-    def _theta_from_choices(self, choices) -> ModelTheta:
-        if self.mode == LENGTH_SCALE:
-            return ModelTheta(self.mode, tuple(choices))
-        values = []
-        for pair in choices:
-            values.extend(pair)
-        return ModelTheta(self.mode, tuple(values))
-
-    def enumerate_all(self) -> list[ModelTheta]:
+    def grid_indices(self) -> np.ndarray:
+        """Every grid point as an index row, in lexicographic order (cached)."""
         if self.size > self.ENUMERATION_LIMIT:
             raise ValueError(f"model space of size {self.size} is too large to enumerate")
-        options = LENGTH_SCALE_GRID if self.mode == LENGTH_SCALE else MONOTONICITY_PAIRS
-        return [self._theta_from_choices(c) for c in itertools.product(options, repeat=self.dim)]
+        if self._grid is None:
+            self._grid = np.indices((self.per_dim,) * self.dim).reshape(self.dim, -1).T
+        return self._grid
+
+    def unit_points(self, indices: np.ndarray) -> np.ndarray:
+        """Unit-cube coordinates of index rows, one row per grid point."""
+        return self._unit[indices].reshape(len(indices), self.theta_dim)
+
+    def theta_at(self, index_row) -> ModelTheta:
+        return ModelTheta(self.mode, tuple(self._options[index_row].ravel()))
+
+    def enumerate_all(self) -> list[ModelTheta]:
+        return [self.theta_at(row) for row in self.grid_indices()]
 
     def sample(self, rng: np.random.Generator) -> ModelTheta:
-        options = LENGTH_SCALE_GRID if self.mode == LENGTH_SCALE else MONOTONICITY_PAIRS
-        picks = [options[int(rng.integers(0, len(options)))] for _ in range(self.dim)]
-        return self._theta_from_choices(picks)
+        return self.theta_at(rng.integers(0, self.per_dim, size=self.dim))
 
     def contains(self, theta: ModelTheta) -> bool:
         if theta.mode != self.mode or theta.dim != self.dim:
@@ -165,10 +186,6 @@ class RunConfig:
     noise_variance: float = 1e-6
     ucb_delta: float = 0.1
     sample_count_mode: str = "cumulative"  # or "outer_plus_inner"
-    thompson_subsample: int = 500
-    thompson_threshold: int = 2000
-    theta_gp_noise: float = 1e-4
-    theta_gp_ls_fraction: float = 0.2
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -233,7 +250,8 @@ class RunResult:
 
 @dataclass
 class _RunState:
-    data: ObservationSet
+    X: np.ndarray  # observed inputs, one row per sample
+    y: np.ndarray
     pool: np.ndarray
     observed: set
     rng: np.random.Generator
@@ -258,15 +276,6 @@ class _RunState:
         self.best_values.append(self.best_y)
 
 
-def _standardized_data(data: ObservationSet) -> ObservationSet:
-    y = data.y
-    scale = np.std(y)
-    scale = scale if scale > 1e-12 else 1.0
-    out = ObservationSet(data.dim)
-    out.extend(data.X, (y - np.mean(y)) / scale)
-    return out
-
-
 def _fit_window_model(state: _RunState, config: RunConfig, theta: ModelTheta | None):
     """Fit the inner surrogate on standardized outputs for the current theta.
 
@@ -274,18 +283,18 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: ModelTheta | N
     selection is invariant to the output standardization, so predictions are
     consumed in standardized units.
     """
-    std_data = _standardized_data(state.data)
+    z, _ = standardize(state.y)
     if theta is not None and theta.mode == LENGTH_SCALE:
         params = KernelParams(config.signal_variance, theta.values, config.noise_variance)
-        return gp_fit(std_data, params)
+        return gp_fit(state.X, z, params)
     params = KernelParams(
         config.signal_variance,
-        tuple([config.default_length_scale] * state.data.dim),
+        tuple([config.default_length_scale] * state.X.shape[1]),
         config.noise_variance,
     )
     if theta is None:
-        return gp_fit(std_data, params)
-    return fit_monotonic_gp(std_data, params, theta.strictness(), state.virtual)
+        return gp_fit(state.X, z, params)
+    return fit_monotonic_gp(state.X, z, params, theta.strictness(), state.virtual)
 
 
 def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: ModelTheta | None) -> bool:
@@ -301,7 +310,8 @@ def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: ModelThe
     except ExhaustedSearchSpaceError:
         return False
     y = task.observe(index, x)
-    state.data.append(x, y)
+    state.X = np.vstack((state.X, x))
+    state.y = np.append(state.y, y)
     state.observed.add(index)
     state.inner_t += 1
     state.record(x, y)
@@ -322,7 +332,7 @@ def model_score_window(
     exhausted before any step completed.
     """
     start_T = state.inner_t
-    y_plus = float(np.max(state.data.y))
+    y_plus = float(np.max(state.y))
     completed = 0
     exhausted = False
     for _ in range(config.K):
@@ -332,7 +342,7 @@ def model_score_window(
         completed += 1
     if completed == 0:
         return None, exhausted
-    f_plus = float(np.max(state.data.y))
+    f_plus = float(np.max(state.y))
     gain = (f_plus - y_plus) / state.trial_scale
     if config.sample_count_mode == "cumulative":
         T = state.inner_t
@@ -349,17 +359,6 @@ def model_score_window(
         outer_index=outer_index,
     )
     return record, exhausted
-
-
-def _thompson_candidates(space: ModelSpace, config: RunConfig, rng: np.random.Generator, incumbent: ModelTheta | None):
-    if space.size <= config.thompson_threshold:
-        thetas = space.enumerate_all()
-    else:
-        thetas = [space.sample(rng) for _ in range(config.thompson_subsample)]
-        if incumbent is not None:
-            thetas.append(incumbent)
-    points = space.to_unit(np.vstack([t.as_array() for t in thetas]))
-    return thetas, CandidateSet(points)
 
 
 def hyperbo_step(
@@ -379,25 +378,26 @@ def hyperbo_step(
     if len(ledger) < 1:
         raise ValueError("hyperbo_step needs at least one scored window")
     thetas = np.vstack([rec.theta.as_array() for rec in ledger.records])
-    scores = np.asarray([rec.score for rec in ledger.records], dtype=float)
-    std = np.std(scores)
-    z = (scores - np.mean(scores)) / std if std > 1e-12 else np.zeros_like(scores)
-    signal = max(float(np.var(z)), 1e-6)
+    z, _ = standardize([rec.score for rec in ledger.records])
     params = KernelParams(
-        signal,
-        tuple([config.theta_gp_ls_fraction] * space.theta_dim),
-        config.theta_gp_noise,
+        max(float(np.var(z)), 1e-6),
+        (THETA_GP_LS_FRACTION,) * space.theta_dim,
+        THETA_GP_NOISE,
     )
-    data = ObservationSet(space.theta_dim)
-    data.extend(space.to_unit(thetas), z)
-    model = gp_fit(data, params)
+    model = gp_fit(space.to_unit(thetas), z, params)
     if candidate_thetas is not None:
-        pool = list(candidate_thetas)
-        candidate_set = CandidateSet(space.to_unit(np.vstack([t.as_array() for t in pool])))
+        points = space.to_unit(np.vstack([t.as_array() for t in candidate_thetas]))
+        index, _ = thompson_select(model, CandidateSet(points), rng)
+        return candidate_thetas[index]
+    incumbent = ledger.best().theta
+    if space.size <= THOMPSON_THRESHOLD:
+        grid = space.grid_indices()
+        points = space.unit_points(grid)
     else:
-        pool, candidate_set = _thompson_candidates(space, config, rng, ledger.best().theta)
-    index, _ = thompson_select(model, candidate_set, rng)
-    return pool[index]
+        grid = rng.integers(0, space.per_dim, size=(THOMPSON_SUBSAMPLE, space.dim))
+        points = np.vstack([space.unit_points(grid), space.to_unit(incumbent.as_array())])
+    index, _ = thompson_select(model, CandidateSet(points), rng)
+    return incumbent if index == len(grid) else space.theta_at(grid[index])
 
 
 def _init_state(task: Task, config: RunConfig) -> _RunState:
@@ -406,22 +406,20 @@ def _init_state(task: Task, config: RunConfig) -> _RunState:
     init_rng = np.random.default_rng(init_child)
     indices, X0, y0 = task.initial_design(init_rng)
     pool = task.build_pool(init_rng)
-    data = ObservationSet(task.dim)
-    data.extend(X0, y0)
     # Initial-design entries that are pool members (dataset rows) are excluded
     # from re-sampling; synthetic designs live off-pool and flag nothing.
     observed = set(i for i in indices if i >= 0)
     virtual = None
     if config.mode == MONOTONICITY:
         virtual = VirtualDerivativeSet.sample(task.dim, np.random.default_rng(virtual_child))
-    scale = float(np.std(y0))
     state = _RunState(
-        data=data,
+        X=np.array(X0, dtype=float),
+        y=np.array(y0, dtype=float),
         pool=pool,
         observed=observed,
         rng=np.random.default_rng(run_child),
         virtual=virtual,
-        trial_scale=scale if scale > 1e-12 else 1.0,
+        trial_scale=standardize(y0)[1],
     )
     best_idx = int(np.argmax(y0))
     state.best_y = float(y0[best_idx])

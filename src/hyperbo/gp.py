@@ -1,8 +1,9 @@
 """Exact Gaussian-process regression with an anisotropic squared-exponential kernel.
 
-Inputs are assumed to live in the unit hypercube (one coordinate per search
-dimension); outputs are arbitrary scalars.  Fitting factorizes the Gram matrix
-once via Cholesky; fitted models are immutable and cheap to query.
+Inputs are (t, d) arrays in the unit hypercube (one coordinate per search
+dimension; tasks check the range); outputs are arbitrary scalars, usually
+z-scored with `standardize`.  Fitting factorizes the Gram matrix once via
+Cholesky; fitted models are immutable and cheap to query.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 __all__ = [
     "KernelParams",
-    "ObservationSet",
     "PosteriorPrediction",
     "FittedGP",
-    "StandardizedGP",
     "SingularGramError",
-    "se_kernel",
     "se_kernel_matrix",
+    "standardize",
+    "as_observations",
     "gp_fit",
-    "gp_predict",
 ]
 
 # Jitter escalation used when the Gram matrix fails to factorize.
@@ -71,68 +70,6 @@ class PosteriorPrediction:
 
     mean: float
     variance: float
-
-
-class ObservationSet:
-    """Mutable collection of (input, output) pairs with inputs in [0, 1]^d."""
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = dim
-        self._inputs: list[np.ndarray] = []
-        self._outputs: list[float] = []
-
-    def append(self, x, y: float) -> None:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise ValueError(f"input has dimension {x.shape[0]}, expected {self.dim}")
-        if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-            raise ValueError(f"input coordinates must lie in [0, 1], got {x}")
-        self._inputs.append(np.clip(x, 0.0, 1.0))
-        self._outputs.append(float(y))
-
-    def extend(self, X, y) -> None:
-        for xi, yi in zip(np.atleast_2d(np.asarray(X, dtype=float)), np.asarray(y, dtype=float).reshape(-1)):
-            self.append(xi, yi)
-
-    @property
-    def count(self) -> int:
-        return len(self._outputs)
-
-    def __len__(self) -> int:
-        return self.count
-
-    @property
-    def X(self) -> np.ndarray:
-        if not self._inputs:
-            return np.empty((0, self.dim))
-        return np.vstack(self._inputs)
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.asarray(self._outputs, dtype=float)
-
-    def copy(self) -> "ObservationSet":
-        out = ObservationSet(self.dim)
-        out._inputs = [x.copy() for x in self._inputs]
-        out._outputs = list(self._outputs)
-        return out
-
-
-def se_kernel(x_i, x_j, params: KernelParams) -> float:
-    """Squared-exponential covariance between two points.
-
-    k(x, x') = signal_variance * exp(-0.5 * sum_d (x_d - x'_d)^2 / l_d^2)
-    """
-    x_i = np.asarray(x_i, dtype=float).reshape(-1)
-    x_j = np.asarray(x_j, dtype=float).reshape(-1)
-    if x_i.shape[0] != params.dim or x_j.shape[0] != params.dim:
-        raise ValueError(
-            f"point dimensions ({x_i.shape[0]}, {x_j.shape[0]}) do not match kernel dimension {params.dim}"
-        )
-    scaled = (x_i - x_j) / params.scales_array()
-    return float(params.signal_variance * np.exp(-0.5 * np.dot(scaled, scaled)))
 
 
 def se_kernel_matrix(X, Z, params: KernelParams) -> np.ndarray:
@@ -195,7 +132,31 @@ class FittedGP:
         return means, cov
 
 
-def gp_fit(data: ObservationSet, params: KernelParams) -> FittedGP:
+def standardize(y) -> tuple[np.ndarray, float]:
+    """Z-scores of y and the standard deviation they were divided by.
+
+    Outputs whose spread is at most 1e-12 carry no signal: they map to zeros
+    with scale 1.0.
+    """
+    y = np.asarray(y, dtype=float)
+    scale = float(np.std(y))
+    if scale <= 1e-12:
+        return np.zeros_like(y), 1.0
+    return (y - np.mean(y)) / scale, scale
+
+
+def as_observations(X, y, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of X as a (t, dim) matrix and y as a length-t vector, t >= 1."""
+    X = np.array(X, dtype=float, ndmin=2)
+    y = np.array(y, dtype=float).reshape(-1)
+    if y.shape[0] < 1:
+        raise ValueError("at least one observation is required")
+    if X.shape != (y.shape[0], dim):
+        raise ValueError(f"inputs of shape {X.shape} do not match {y.shape[0]} outputs in dimension {dim}")
+    return X, y
+
+
+def gp_fit(X, y, params: KernelParams) -> FittedGP:
     """Factorize the regularized Gram matrix and cache the weight vector.
 
     Jitter policy: on Cholesky failure, add jitter starting at 1e-10 *
@@ -204,11 +165,7 @@ def gp_fit(data: ObservationSet, params: KernelParams) -> FittedGP:
     are rejected outright: the Gram matrix is rank-deficient by construction
     and jitter would only mask the ill-posed interpolation problem.
     """
-    if data.count < 1:
-        raise ValueError("gp_fit requires at least one observation")
-    if params.dim != data.dim:
-        raise ValueError(f"kernel dimension {params.dim} does not match data dimension {data.dim}")
-    X, y = data.X, data.y
+    X, y = as_observations(X, y, params.dim)
     if params.noise_variance == 0.0 and _has_duplicate_rows(X):
         raise SingularGramError(
             "Gram matrix is rank-deficient: duplicate inputs with zero noise variance",
@@ -233,38 +190,4 @@ def gp_fit(data: ObservationSet, params: KernelParams) -> FittedGP:
                     jitter=jitter,
                 ) from None
     weights = cho_solve((chol, True), y)
-    return FittedGP(X=X.copy(), y=y.copy(), params=params, chol=chol, weights=weights, jitter=jitter)
-
-
-def gp_predict(model: FittedGP, x) -> PosteriorPrediction:
-    """Posterior mean/variance at a single point (functional form of model.predict)."""
-    return model.predict(x)
-
-
-class StandardizedGP:
-    """GP fit on zero-mean/unit-variance outputs, reporting predictions in raw units.
-
-    The shift and scale are estimated from the training outputs; predictions
-    are mapped back with mean -> mean * scale + shift and variance ->
-    variance * scale^2.
-    """
-
-    def __init__(self, data: ObservationSet, params: KernelParams):
-        y = data.y
-        self.shift = float(np.mean(y))
-        scale = float(np.std(y))
-        self.scale = scale if scale > 1e-12 else 1.0
-        std_data = ObservationSet(data.dim)
-        std_data.extend(data.X, (y - self.shift) / self.scale)
-        self.model = gp_fit(std_data, params)
-
-    def predict(self, x) -> PosteriorPrediction:
-        inner = self.model.predict(x)
-        return PosteriorPrediction(
-            mean=inner.mean * self.scale + self.shift,
-            variance=inner.variance * self.scale**2,
-        )
-
-    def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        means, variances = self.model.predict_batch(X)
-        return means * self.scale + self.shift, variances * self.scale**2
+    return FittedGP(X=X, y=y, params=params, chol=chol, weights=weights, jitter=jitter)

@@ -17,14 +17,12 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import log_ndtr
 
-from hyperbo.gp import KernelParams, ObservationSet, PosteriorPrediction, se_kernel_matrix
+from hyperbo.gp import KernelParams, PosteriorPrediction, as_observations, se_kernel_matrix
 
 __all__ = [
     "StrictnessVector",
     "VirtualDerivativeSet",
     "FittedMonotonicGP",
-    "cov_value_gradient",
-    "cov_gradient_gradient",
     "value_gradient_cross_matrix",
     "gradient_gram_matrix",
     "fit_monotonic_gp",
@@ -112,25 +110,6 @@ class VirtualDerivativeSet:
     @property
     def n_derivatives(self) -> int:
         return self.n_locations * self.dim
-
-
-def cov_value_gradient(x, x_prime, g: int, params: KernelParams) -> float:
-    """cov(f(x), df(x')/dx'_g) for the SE kernel: k(x,x') * (x_g - x'_g) / l_g^2."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    x_prime = np.asarray(x_prime, dtype=float).reshape(-1)
-    k = se_kernel_matrix(x[None, :], x_prime[None, :], params)[0, 0]
-    return float(k * (x[g] - x_prime[g]) / params.length_scales[g] ** 2)
-
-
-def cov_gradient_gradient(x, x_prime, g: int, h: int, params: KernelParams) -> float:
-    """cov(df(x)/dx_g, df(x')/dx'_h) for the SE kernel."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    x_prime = np.asarray(x_prime, dtype=float).reshape(-1)
-    k = se_kernel_matrix(x[None, :], x_prime[None, :], params)[0, 0]
-    lg2 = params.length_scales[g] ** 2
-    lh2 = params.length_scales[h] ** 2
-    delta = 1.0 / lg2 if g == h else 0.0
-    return float(k * (delta - (x[g] - x_prime[g]) * (x[h] - x_prime[h]) / (lg2 * lh2)))
 
 
 def value_gradient_cross_matrix(X, Z, params: KernelParams) -> np.ndarray:
@@ -273,7 +252,8 @@ def _build_sites(t: int, virtual: VirtualDerivativeSet, strictness: StrictnessVe
 
 
 def fit_monotonic_gp(
-    data: ObservationSet,
+    X,
+    y,
     params: KernelParams,
     strictness: StrictnessVector,
     virtual: VirtualDerivativeSet,
@@ -286,13 +266,11 @@ def fit_monotonic_gp(
     Non-convergence within max_sweeps is not fatal: the last damped iterate is
     returned with converged=False.
     """
-    if data.count < 1:
-        raise ValueError("fit_monotonic_gp requires at least one observation")
-    if params.dim != data.dim or strictness.dim != data.dim or virtual.dim != data.dim:
-        raise ValueError("data, kernel, strictness and virtual-set dimensions must agree")
+    X, y = as_observations(X, y, params.dim)
+    if strictness.dim != params.dim or virtual.dim != params.dim:
+        raise ValueError("kernel, strictness and virtual-set dimensions must agree")
 
-    X, y = data.X, data.y
-    t = data.count
+    t = X.shape[0]
     n_latent = t + virtual.n_derivatives
     K = _joint_prior(X, virtual, params)
 
@@ -375,8 +353,8 @@ def fit_monotonic_gp(
     mean_weights = nu_lat - z
 
     return FittedMonotonicGP(
-        X=X.copy(),
-        y=y.copy(),
+        X=X,
+        y=y,
         params=params,
         strictness=strictness,
         virtual=virtual,

@@ -25,6 +25,7 @@ __all__ = [
     "ContinuousTask",
     "goldstein_price_native",
     "goldstein_price",
+    "GOLDSTEIN_PRICE_MAXIMUM",
     "make_goldstein_price_task",
     "make_gp_sample_task",
     "load_dataset",
@@ -93,6 +94,8 @@ class DiscreteTask(Task):
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("row/target count mismatch")
+        if np.any(self.X < 0.0) or np.any(self.X > 1.0):
+            raise ValueError("task rows must lie in the unit hypercube")
         if self.column_mins is None:
             self.column_mins = np.zeros(self.dim)
         if self.column_ranges is None:
@@ -169,27 +172,9 @@ def goldstein_price(x01) -> float:
     return goldstein_price_native(4.0 * x01 - 2.0)
 
 
-def _goldstein_price_maximum(grid_per_dim: int = 401) -> float:
-    """Global maximum over [-2, 2]^2: dense grid scan polished by local ascent."""
-    from scipy.optimize import minimize
-
-    axis = np.linspace(-2.0, 2.0, grid_per_dim)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    a = 1.0 + (xx + yy + 1.0) ** 2 * (19 - 14 * xx + 3 * xx**2 - 14 * yy + 6 * xx * yy + 3 * yy**2)
-    b = 30.0 + (2 * xx - 3 * yy) ** 2 * (18 - 32 * xx + 12 * xx**2 + 48 * yy - 36 * xx * yy + 27 * yy**2)
-    values = a * b
-    best = float(values.max())
-    flat_top = np.argsort(values.ravel())[-5:]
-    for k in flat_top:
-        i, j = np.unravel_index(k, values.shape)
-        res = minimize(
-            lambda z: -goldstein_price_native(z),
-            x0=np.array([axis[i], axis[j]]),
-            bounds=[(-2.0, 2.0), (-2.0, 2.0)],
-            method="L-BFGS-B",
-        )
-        best = max(best, float(-res.fun))
-    return best
+# Global maximum over [-2, 2]^2, from a dense grid scan polished by L-BFGS
+# (tests/test_tasks.py recomputes it).
+GOLDSTEIN_PRICE_MAXIMUM = 1015690.271798059
 
 
 def make_goldstein_price_task(pool_size: int = 500) -> ContinuousTask:
@@ -197,7 +182,7 @@ def make_goldstein_price_task(pool_size: int = 500) -> ContinuousTask:
     return ContinuousTask(
         name="goldstein_price",
         dim=2,
-        optimum=_goldstein_price_maximum(),
+        optimum=GOLDSTEIN_PRICE_MAXIMUM,
         fn=goldstein_price,
         pool_size=pool_size,
     )

@@ -12,16 +12,14 @@ def rng():
 
 
 def random_gp_instance(rng, d, t, noise=1e-4):
-    """Random kernel params plus a t-point observation set in [0,1]^d."""
-    from hyperbo.gp import KernelParams, ObservationSet
+    """Random kernel params plus t observations (X in [0,1]^d, y standard normal)."""
+    from hyperbo.gp import KernelParams
 
     params = KernelParams(
         signal_variance=float(rng.uniform(0.5, 3.0)),
         length_scales=tuple(rng.uniform(0.15, 0.8, size=d)),
         noise_variance=noise,
     )
-    data = ObservationSet(d)
     X = rng.uniform(0, 1, size=(t, d))
     y = rng.normal(size=t)
-    data.extend(X, y)
-    return params, data
+    return params, X, y

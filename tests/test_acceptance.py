@@ -15,27 +15,32 @@ import pytest
 
 from hyperbo.acquisition import thompson_sample_argmax
 from hyperbo.engine import ModelTheta, RunConfig, rerun_with_best_theta, run_framework
-from hyperbo.gp import KernelParams, ObservationSet, gp_fit, se_kernel
+from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
     StrictnessVector,
     VirtualDerivativeSet,
-    cov_gradient_gradient,
-    cov_value_gradient,
     fit_monotonic_gp,
+    gradient_gram_matrix,
+    value_gradient_cross_matrix,
 )
 from hyperbo.scoring import length_scale_lambda, monotonicity_lambda, regret_normalizer, score_model
 from hyperbo.tasks import make_goldstein_price_task, make_gp_sample_task, monotonicity_report
 
-COLLECTED_TRACES = []  # criterion 10 checks every trace produced by 5-7
+from kernel_oracles import cov_gradient_gradient, cov_value_gradient, se_kernel
 
 
 def report(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS — {detail}")
 
 
-def collect(result):
-    COLLECTED_TRACES.append(result.regrets)
-    return result
+def check_regret_traces(traces) -> int:
+    """The regret-trace invariant of criterion 10: every trace is non-negative
+    and non-increasing.  Criteria 5-7 and 9 apply it to the traces they produce."""
+    assert traces, "no regret traces to check"
+    for trace in traces:
+        assert np.all(trace >= 0)
+        assert np.all(np.diff(trace) <= 1e-12)
+    return len(traces)
 
 
 def test_criterion_01_gp_oracle_equivalence():
@@ -51,13 +56,11 @@ def test_criterion_01_gp_oracle_equivalence():
             tuple(rng.uniform(0.15, 0.9, size=d)),
             float(rng.uniform(1e-6, 1e-3)),
         )
-        data = ObservationSet(d)
         X = rng.uniform(0, 1, size=(t, d))
         y = rng.normal(size=t)
-        data.extend(X, y)
         K = np.array([[se_kernel(a, b, params) for b in X] for a in X])
         A = np.linalg.inv(K + params.noise_variance * np.eye(t))
-        model = gp_fit(data, params)
+        model = gp_fit(X, y, params)
         for x_star in rng.uniform(0, 1, size=(3, d)):
             k_star = np.array([se_kernel(a, x_star, params) for a in X])
             mean = float(k_star @ A @ y)
@@ -71,7 +74,8 @@ def test_criterion_01_gp_oracle_equivalence():
 
 
 def test_criterion_02_derivative_kernel_correctness():
-    """Value-gradient and gradient-gradient covariances match finite differences."""
+    """Value-gradient and gradient-gradient covariances match finite differences,
+    both the scalar reference forms and the matrices the monotonic GP uses."""
     start = time.time()
     rng = np.random.default_rng(202)
     params = KernelParams(1.3, (0.35, 0.5), noise_variance=0.0)
@@ -83,6 +87,7 @@ def test_criterion_02_derivative_kernel_correctness():
         e[g] = step
         fd1 = (se_kernel(x, xp + e, params) - se_kernel(x, xp - e, params)) / (2 * step)
         assert cov_value_gradient(x, xp, g, params) == pytest.approx(fd1, abs=1e-6)
+        assert value_gradient_cross_matrix(x[None], xp[None], params)[0, g] == pytest.approx(fd1, abs=1e-6)
         step2 = 1e-4
         eg = np.zeros(2)
         eg[g] = step2
@@ -95,6 +100,8 @@ def test_criterion_02_derivative_kernel_correctness():
             + se_kernel(x - eg, xp - eh, params)
         ) / (4 * step2 * step2)
         assert cov_gradient_gradient(x, xp, g, h, params) == pytest.approx(fd2, abs=1e-4)
+        # Location-major layout: row g is d/dx_g at x, column 2 + h is d/dx'_h at x'.
+        assert gradient_gram_matrix(np.vstack([x, xp]), params)[g, 2 + h] == pytest.approx(fd2, abs=1e-4)
     elapsed = time.time() - start
     assert elapsed < 5.0
     report(2, f"20 point pairs within 1e-6 / 1e-4, {elapsed:.1f}s")
@@ -107,20 +114,19 @@ def test_criterion_03_monotonic_gp_sanity():
     params = KernelParams(1.0, (0.3,), noise_variance=1e-6)
     xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     ys = (xs - xs.mean()) / xs.std()
-    data = ObservationSet(1)
-    data.extend(xs.reshape(-1, 1), ys)
+    X = xs.reshape(-1, 1)
     virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
 
-    increasing = fit_monotonic_gp(data, params, StrictnessVector((0.0, -6.0)), virtual)
+    increasing = fit_monotonic_gp(X, ys, params, StrictnessVector((0.0, -6.0)), virtual)
     grid = np.linspace(0, 1, 50).reshape(-1, 1)
     means, _ = increasing.predict_batch(grid)
     min_slope = float(np.min(np.diff(means) / np.diff(grid[:, 0])))
     assert min_slope >= -1e-3
 
-    reversed_fit = fit_monotonic_gp(data, params, StrictnessVector((-6.0, 0.0)), virtual)
-    plain = gp_fit(data, params)
-    rmse_reversed = float(np.sqrt(np.mean((reversed_fit.predict_batch(data.X)[0] - ys) ** 2)))
-    rmse_plain = float(np.sqrt(np.mean((plain.predict_batch(data.X)[0] - ys) ** 2)))
+    reversed_fit = fit_monotonic_gp(X, ys, params, StrictnessVector((-6.0, 0.0)), virtual)
+    plain = gp_fit(X, ys, params)
+    rmse_reversed = float(np.sqrt(np.mean((reversed_fit.predict_batch(X)[0] - ys) ** 2)))
+    rmse_plain = float(np.sqrt(np.mean((plain.predict_batch(X)[0] - ys) ** 2)))
     assert rmse_reversed > rmse_plain
 
     elapsed = time.time() - start
@@ -156,11 +162,13 @@ def test_criterion_05_goldstein_price_sign_recovery():
     """
     start = time.time()
     task = make_goldstein_price_task(pool_size=500)
-    best = []
+    best, traces = [], []
     for trial in range(50):
         config = RunConfig(mode="monotonicity", m=5, K=1, R=50, seed=7000 + trial)
-        result = collect(run_framework(task, config))
+        result = run_framework(task, config)
         best.append(result.best_theta.values)
+        traces.append(result.regrets)
+    check_regret_traces(traces)
     rows = monotonicity_report(best)
     nets = [row.net for row in rows]
     elapsed = time.time() - start
@@ -179,13 +187,18 @@ def test_criterion_06_case2_trend():
     budget = 30
     task = make_goldstein_price_task(pool_size=5000)
     gold_theta = ModelTheta("monotonicity", (-6.0, 0.0, 0.0, -6.0))
-    standard, gold, best = [], [], []
+    standard, gold, best, traces = [], [], [], []
     for seed in range(20):
         config = RunConfig(mode="monotonicity", m=5, K=1, R=50, seed=seed)
-        discovery = collect(run_framework(task, config))
-        standard.append(collect(rerun_with_best_theta(task, None, budget, config)).regrets[-1])
-        gold.append(collect(rerun_with_best_theta(task, gold_theta, budget, config)).regrets[-1])
-        best.append(collect(rerun_with_best_theta(task, discovery.best_theta, budget, config)).regrets[-1])
+        discovery = run_framework(task, config)
+        runs = [
+            rerun_with_best_theta(task, theta, budget, config)
+            for theta in (None, gold_theta, discovery.best_theta)
+        ]
+        for finals, run in zip((standard, gold, best), runs):
+            finals.append(run.regrets[-1])
+        traces += [discovery.regrets] + [run.regrets for run in runs]
+    check_regret_traces(traces)
     mean_std, mean_gold, mean_best = np.mean(standard), np.mean(gold), np.mean(best)
     elapsed = time.time() - start
     assert mean_gold <= mean_std
@@ -205,10 +218,13 @@ def test_criterion_07_length_scale_recovery():
     dimension: |mean theta_d - 0.2| < 0.15."""
     start = time.time()
     task = make_gp_sample_task(2, 0.2, n_points=300, seed=42)
-    best = []
+    best, traces = [], []
     for trial in range(100):
         config = RunConfig(mode="length_scale", m=5, K=1, R=50, seed=9000 + trial, ucb_delta=5.0)
-        best.append(collect(run_framework(task, config)).best_theta.values)
+        result = run_framework(task, config)
+        best.append(result.best_theta.values)
+        traces.append(result.regrets)
+    check_regret_traces(traces)
     arr = np.vstack(best)
     mean_theta = arr.mean(axis=0)
     distances = np.abs(mean_theta - 0.2)
@@ -277,21 +293,32 @@ def test_criterion_09_run_determinism(tmp_path):
     assert names, "no CSVs emitted"
     for name in names:
         assert (Path(out_a) / name).read_bytes() == (Path(out_b) / name).read_bytes()
-    # Emitted per-trial traces also feed the regret-trace invariant (criterion 10).
-    import csv as csv_mod
-
-    for trace_path in sorted(Path(out_a).glob("trace_*.csv")):
-        with open(trace_path, newline="") as fh:
-            reader = csv_mod.reader(fh)
-            next(reader)
-            COLLECTED_TRACES.append(np.array([float(row[2]) for row in reader]))
+    # Emitted per-trial traces also satisfy the regret-trace invariant (criterion 10).
+    trace_paths = sorted(Path(out_a).glob("trace_*.csv"))
+    traces = [np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 2] for path in trace_paths]
+    check_regret_traces(traces)
     report(9, f"{len(names)} CSV artifacts byte-identical across reruns")
 
 
 def test_criterion_10_regret_trace_invariant():
-    """Every regret trace produced by the acceptance runs is non-negative and non-increasing."""
-    assert COLLECTED_TRACES, "acceptance runs collected no traces (run criteria 5-7 first)"
-    for trace in COLLECTED_TRACES:
-        assert np.all(trace >= 0)
-        assert np.all(np.diff(trace) <= 1e-12)
-    report(10, f"{len(COLLECTED_TRACES)} traces non-negative and non-increasing")
+    """Regret traces of every strategy, in both modes, are non-negative and non-increasing.
+
+    Runs its own short trials; criteria 5-7 and 9 check the same invariant on
+    the traces they produce.
+    """
+    start = time.time()
+    goldstein = make_goldstein_price_task(pool_size=200)
+    gp_draw = make_gp_sample_task(2, 0.2, n_points=100, seed=42)
+    gold_theta = ModelTheta("monotonicity", (-6.0, 0.0, 0.0, -6.0))
+    traces = []
+    for seed in range(2):
+        config = RunConfig(mode="monotonicity", m=2, K=1, R=4, seed=seed)
+        discovery = run_framework(goldstein, config)
+        traces.append(discovery.regrets)
+        for theta in (None, gold_theta, discovery.best_theta):
+            traces.append(rerun_with_best_theta(goldstein, theta, 4, config).regrets)
+        config = RunConfig(mode="length_scale", m=2, K=2, R=5, seed=seed, ucb_delta=5.0)
+        traces.append(run_framework(gp_draw, config).regrets)
+    count = check_regret_traces(traces)
+    elapsed = time.time() - start
+    report(10, f"{count} traces non-negative and non-increasing, {elapsed:.1f}s")

@@ -13,7 +13,7 @@ from hyperbo.acquisition import (
     ucb_beta,
     ucb_select,
 )
-from hyperbo.gp import KernelParams, ObservationSet, gp_fit
+from hyperbo.gp import KernelParams, gp_fit
 
 
 class StubModel:
@@ -176,9 +176,7 @@ class TestThompson:
     def test_works_with_real_gp(self, rng):
         # End-to-end smoke: Thompson over a fitted GP posterior on scored points.
         params = KernelParams(1.0, (0.2,), noise_variance=1e-4)
-        data = ObservationSet(1)
-        data.extend([[0.1], [0.9]], [0.0, 1.0])
-        model = gp_fit(data, params)
+        model = gp_fit([[0.1], [0.9]], [0.0, 1.0], params)
         candidates = CandidateSet(np.linspace(0, 1, 20).reshape(-1, 1))
         counts = np.zeros(20)
         for _ in range(200):

@@ -62,8 +62,10 @@ class TestConfigValidation:
             ls_config(tmp_path, strategies=("something",))
 
     def test_unknown_engine_key(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown engine overrides"):
-            ls_config(tmp_path, engine={"bogus": 1})
+        # thompson_subsample was an engine override once; it is a module constant now.
+        for engine in ({"bogus": 1}, {"thompson_subsample": 500}):
+            with pytest.raises(ConfigError, match="unknown engine overrides"):
+                ls_config(tmp_path, engine=engine)
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Model grid, scoring windows, outer proposals, and full-run contracts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,22 @@ class TestModelSpace:
                 theta = space.sample(rng)
                 assert space.contains(theta)
 
+    def test_index_rows_match_per_theta_construction(self):
+        # Outer pools are index arrays drawn in one call: they must equal one
+        # scalar draw per coordinate (same values, same generator state after)
+        # and map to the unit coordinates of the validated thetas they stand for.
+        for mode, options in ((LENGTH_SCALE, LENGTH_SCALE_GRID), (MONOTONICITY, MONOTONICITY_PAIRS)):
+            space = build_model_space(mode, 2)
+            batch, scalar = np.random.default_rng(3), np.random.default_rng(3)
+            indices = batch.integers(0, space.per_dim, size=(25, 2))
+            one_by_one = [[int(scalar.integers(0, len(options))) for _ in range(2)] for _ in range(25)]
+            np.testing.assert_array_equal(indices, one_by_one)
+            assert batch.bit_generator.state == scalar.bit_generator.state
+            thetas = np.vstack([space.theta_at(row).as_array() for row in indices])
+            np.testing.assert_array_equal(space.unit_points(indices), space.to_unit(thetas))
+        grid = build_model_space(LENGTH_SCALE, 2).grid_indices()
+        assert [tuple(row) for row in grid] == list(itertools.product(range(11), repeat=2))
+
     def test_unit_mapping(self):
         ls = build_model_space(LENGTH_SCALE, 1)
         np.testing.assert_allclose(ls.to_unit(np.array([0.1, 0.6])), [0.0, 1.0])
@@ -128,7 +146,7 @@ class TestModelScoreWindow:
         state = _init_state(task, config)
         theta = ModelTheta(LENGTH_SCALE, (0.3,))
         record, exhausted = model_score_window(task, state, config, theta, 1, lam=0.0)
-        assert state.data.count == 5
+        assert len(state.y) == 5
         assert state.inner_t == 3
         assert record is not None and not exhausted
 
@@ -138,7 +156,7 @@ class TestModelScoreWindow:
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=1, R=1, seed=1)
         state = _init_state(task, config)
         # Seeded design must contain the max; find a seed where it does.
-        assert state.data.y.max() == 5.0
+        assert state.y.max() == 5.0
         record, _ = model_score_window(task, state, config, ModelTheta(LENGTH_SCALE, (0.3,)), 1, lam=0.0)
         assert record.window_gain == 0.0
         assert record.score == 0.0
@@ -149,7 +167,7 @@ class TestModelScoreWindow:
         state = _init_state(task, config)
         record, exhausted = model_score_window(task, state, config, ModelTheta(LENGTH_SCALE, (0.3,)), 1, lam=0.0)
         assert exhausted
-        assert state.data.count == 4  # only 2 rows were left to sample
+        assert len(state.y) == 4  # only 2 rows were left to sample
         assert record is not None
 
     def test_outer_plus_inner_count_mode(self):
@@ -266,7 +284,7 @@ class TestRunFramework:
     def test_manual_trace_oracle(self):
         """Replay the documented operation order step by step and compare everything."""
         from hyperbo.acquisition import ucb_beta as beta_fn, ucb_select
-        from hyperbo.gp import KernelParams, ObservationSet, gp_fit
+        from hyperbo.gp import KernelParams, gp_fit
         from hyperbo.scoring import score_model
 
         values = np.array([0.0, 3.0, 1.0, 5.0, 2.0, 4.0])
@@ -304,10 +322,8 @@ class TestRunFramework:
             thetas.append(theta)
             y_plus = max(ys)
             for _ in range(2):
-                data = ObservationSet(1)
                 z = (np.array(ys) - np.mean(ys)) / (np.std(ys) if np.std(ys) > 1e-12 else 1.0)
-                data.extend(np.vstack(xs), z)
-                model = gp_fit(data, KernelParams(1.0, theta.values, 1e-6))
+                model = gp_fit(np.vstack(xs), z, KernelParams(1.0, theta.values, 1e-6))
                 mask = np.zeros(6, dtype=bool)
                 mask[obs_idx] = True
                 from hyperbo.acquisition import CandidateSet

@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperbo.gp import (
-    KernelParams,
-    ObservationSet,
-    SingularGramError,
-    StandardizedGP,
-    gp_fit,
-    gp_predict,
-    se_kernel,
-    se_kernel_matrix,
-)
+from hyperbo.gp import KernelParams, SingularGramError, gp_fit, se_kernel_matrix, standardize
 
 from conftest import random_gp_instance
+from kernel_oracles import se_kernel
 
 
 def dense_posterior_oracle(X, y, params, x_star):
@@ -78,105 +70,68 @@ class TestSeKernel:
         assert np.array_equal(K, K.T)
 
 
-class TestObservationSet:
-    def test_counts_track_insertions(self):
-        data = ObservationSet(2)
-        assert data.count == 0
-        data.append([0.1, 0.2], 3.0)
-        data.append([0.5, 0.5], -1.0)
-        assert data.count == 2
-        assert data.X.shape == (2, 2)
-        assert list(data.y) == [3.0, -1.0]
-
-    def test_rejects_out_of_range_inputs(self):
-        data = ObservationSet(2)
-        with pytest.raises(ValueError):
-            data.append([1.5, 0.0], 0.0)
-        with pytest.raises(ValueError):
-            data.append([-0.2, 0.0], 0.0)
-
-    def test_copy_is_independent(self):
-        data = ObservationSet(1)
-        data.append([0.5], 1.0)
-        other = data.copy()
-        other.append([0.6], 2.0)
-        assert data.count == 1 and other.count == 2
-
-
 class TestGpFit:
     def test_single_observation_weights(self):
         # 1x1 system: Gram = [signal_variance], weights = [y / signal_variance].
         params = KernelParams(2.5, (0.3,), noise_variance=0.0)
-        data = ObservationSet(1)
-        data.append([0.4], 5.0)
-        model = gp_fit(data, params)
+        model = gp_fit([[0.4]], [5.0], params)
         assert model.chol[0, 0] == pytest.approx(np.sqrt(2.5), abs=1e-12)
         assert model.weights[0] == pytest.approx(5.0 / 2.5, abs=1e-12)
 
     def test_duplicate_inputs_zero_noise_rejected(self):
         params = KernelParams(1.0, (0.3, 0.3), noise_variance=0.0)
-        data = ObservationSet(2)
-        for _ in range(3):
-            data.append([0.5, 0.5], 1.0)
         with pytest.raises(SingularGramError):
-            gp_fit(data, params)
+            gp_fit([[0.5, 0.5]] * 3, [1.0] * 3, params)
 
     def test_duplicate_inputs_with_noise_accepted(self):
         params = KernelParams(1.0, (0.3, 0.3), noise_variance=1e-4)
-        data = ObservationSet(2)
-        for v in (1.0, 1.1, 0.9):
-            data.append([0.5, 0.5], v)
-        model = gp_fit(data, params)
+        model = gp_fit([[0.5, 0.5]] * 3, [1.0, 1.1, 0.9], params)
         assert model.predict([0.5, 0.5]).mean == pytest.approx(1.0, abs=1e-3)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            gp_fit(ObservationSet(1), KernelParams(1.0, (0.3,)))
+            gp_fit(np.empty((0, 1)), np.empty(0), KernelParams(1.0, (0.3,)))
 
     def test_weights_match_dense_inverse(self, rng):
-        params, data = random_gp_instance(rng, d=3, t=10, noise=1e-4)
-        model = gp_fit(data, params)
-        K = se_kernel_matrix(data.X, data.X, params) + params.noise_variance * np.eye(10)
-        expected = np.linalg.inv(K) @ data.y
+        params, X, y = random_gp_instance(rng, d=3, t=10, noise=1e-4)
+        model = gp_fit(X, y, params)
+        K = se_kernel_matrix(X, X, params) + params.noise_variance * np.eye(10)
+        expected = np.linalg.inv(K) @ y
         np.testing.assert_allclose(model.weights, expected, atol=1e-8)
 
 
 class TestGpPredict:
     def test_noise_free_interpolation(self):
         params = KernelParams(1.0, (0.3,), noise_variance=0.0)
-        data = ObservationSet(1)
-        data.append([0.4], 2.0)
-        pred = gp_predict(gp_fit(data, params), [0.4])
+        pred = gp_fit([[0.4]], [2.0], params).predict([0.4])
         assert pred.mean == pytest.approx(2.0, abs=1e-10)
         assert pred.variance == pytest.approx(0.0, abs=1e-10)
 
     def test_prior_recovery_far_from_data(self):
         # With a short length scale, the opposite corner is effectively infinitely far.
         params = KernelParams(1.8, (0.02,), noise_variance=0.0)
-        data = ObservationSet(1)
-        data.append([0.0], 4.0)
-        pred = gp_predict(gp_fit(data, params), [1.0])
+        pred = gp_fit([[0.0]], [4.0], params).predict([1.0])
         assert abs(pred.mean) < 1e-9
         assert pred.variance == pytest.approx(1.8, abs=1e-9)
 
     def test_matches_dense_oracle(self, rng):
-        params, data = random_gp_instance(rng, d=3, t=20, noise=1e-4)
-        model = gp_fit(data, params)
+        params, X, y = random_gp_instance(rng, d=3, t=20, noise=1e-4)
+        model = gp_fit(X, y, params)
         for x_star in rng.uniform(0, 1, size=(5, 3)):
-            mean, var = dense_posterior_oracle(data.X, data.y, params, x_star)
+            mean, var = dense_posterior_oracle(X, y, params, x_star)
             pred = model.predict(x_star)
             assert pred.mean == pytest.approx(mean, abs=1e-8)
             assert pred.variance == pytest.approx(max(var, 0.0), abs=1e-8)
 
     def test_training_variance_tiny_when_noiseless(self, rng):
-        params, data = random_gp_instance(rng, d=2, t=8, noise=0.0)
-        model = gp_fit(data, params)
-        _, variances = model.predict_batch(data.X)
+        params, X, y = random_gp_instance(rng, d=2, t=8, noise=0.0)
+        model = gp_fit(X, y, params)
+        _, variances = model.predict_batch(X)
         assert np.all(variances <= 1e-8)
 
     def test_variance_clamped_to_signal_range(self, rng):
-        params, data = random_gp_instance(rng, d=2, t=15, noise=1e-6)
-        model = gp_fit(data, params)
+        params, X, y = random_gp_instance(rng, d=2, t=15, noise=1e-6)
+        model = gp_fit(X, y, params)
         _, variances = model.predict_batch(rng.uniform(0, 1, size=(50, 2)))
         assert np.all(variances >= 0.0)
         assert np.all(variances <= params.signal_variance)
@@ -185,18 +140,16 @@ class TestGpPredict:
     def test_information_monotonicity(self, seed):
         # Conditioning on one more point cannot raise posterior variance.
         rng = np.random.default_rng(seed)
-        params, data = random_gp_instance(rng, d=2, t=6, noise=1e-4)
+        params, X, y = random_gp_instance(rng, d=2, t=6, noise=1e-4)
         x_new, y_new = rng.uniform(0, 1, size=2), rng.normal()
-        grown = data.copy()
-        grown.append(x_new, y_new)
         x_test = rng.uniform(0, 1, size=(10, 2))
-        _, var_before = gp_fit(data, params).predict_batch(x_test)
-        _, var_after = gp_fit(grown, params).predict_batch(x_test)
+        _, var_before = gp_fit(X, y, params).predict_batch(x_test)
+        _, var_after = gp_fit(np.vstack([X, x_new]), np.append(y, y_new), params).predict_batch(x_test)
         assert np.all(var_after <= var_before + 1e-9)
 
     def test_joint_prediction_consistent_with_marginals(self, rng):
-        params, data = random_gp_instance(rng, d=2, t=12, noise=1e-4)
-        model = gp_fit(data, params)
+        params, X, y = random_gp_instance(rng, d=2, t=12, noise=1e-4)
+        model = gp_fit(X, y, params)
         X_star = rng.uniform(0, 1, size=(6, 2))
         means_b, vars_b = model.predict_batch(X_star)
         means_j, cov_j = model.predict_joint(X_star)
@@ -204,23 +157,24 @@ class TestGpPredict:
         np.testing.assert_allclose(np.diag(cov_j), vars_b, atol=1e-9)
 
 
-class TestStandardizedGP:
+class TestStandardize:
     def test_roundtrip_matches_raw_fit_selection_scale(self, rng):
-        # Standardized predictions are an affine map of the standardized-space ones
-        # and must reproduce the training targets on an easy interpolation problem.
+        # A fit on the z-scores, mapped back with mean -> mean * scale + shift,
+        # must reproduce the training targets on an easy interpolation problem.
         params = KernelParams(1.0, (0.3, 0.3), noise_variance=1e-8)
-        data = ObservationSet(2)
         X = rng.uniform(0, 1, size=(8, 2))
         y = 1000.0 + 50.0 * rng.normal(size=8)  # far from zero mean, large scale
-        data.extend(X, y)
-        model = StandardizedGP(data, params)
-        means, variances = model.predict_batch(X)
-        np.testing.assert_allclose(means, y, atol=1e-4)
+        z, scale = standardize(y)
+        assert scale == pytest.approx(np.std(y), rel=1e-12)
+        means, variances = gp_fit(X, z, params).predict_batch(X)
+        np.testing.assert_allclose(means * scale + np.mean(y), y, atol=1e-4)
         assert np.all(variances >= 0)
 
     def test_constant_outputs_do_not_crash(self):
         params = KernelParams(1.0, (0.3,), noise_variance=1e-6)
-        data = ObservationSet(1)
-        data.extend([[0.1], [0.5], [0.9]], [7.0, 7.0, 7.0])
-        model = StandardizedGP(data, params)
-        assert model.predict([0.5]).mean == pytest.approx(7.0, abs=1e-3)
+        y = np.array([7.0, 7.0, 7.0])
+        z, scale = standardize(y)
+        assert scale == 1.0
+        np.testing.assert_array_equal(z, np.zeros(3))
+        model = gp_fit([[0.1], [0.5], [0.9]], z, params)
+        assert model.predict([0.5]).mean * scale + 7.0 == pytest.approx(7.0, abs=1e-3)

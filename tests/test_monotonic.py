@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from hyperbo.gp import KernelParams, ObservationSet, gp_fit, se_kernel
+from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
     FittedMonotonicGP,
     StrictnessVector,
     VirtualDerivativeSet,
-    cov_gradient_gradient,
-    cov_value_gradient,
     fit_monotonic_gp,
     gradient_gram_matrix,
     value_gradient_cross_matrix,
 )
+
+from kernel_oracles import cov_gradient_gradient, cov_value_gradient, se_kernel
 
 PARAMS_2D = KernelParams(1.0, (0.3, 0.45), noise_variance=1e-6)
 
@@ -133,9 +133,7 @@ class TestDerivativeKernels:
 
 
 def make_1d_data(xs, ys):
-    data = ObservationSet(1)
-    data.extend(np.asarray(xs, dtype=float).reshape(-1, 1), ys)
-    return data
+    return np.asarray(xs, dtype=float).reshape(-1, 1), np.asarray(ys, dtype=float)
 
 
 def standardize(y):
@@ -149,9 +147,9 @@ PARAMS_1D = KernelParams(1.0, (0.3,), noise_variance=1e-6)
 class TestMonotonicFit:
     def test_increasing_constraint_yields_nondecreasing_mean(self):
         xs = [0.0, 0.25, 0.5, 0.75, 1.0]
-        data = make_1d_data(xs, standardize(xs))
+        X, y = make_1d_data(xs, standardize(xs))
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
-        model = fit_monotonic_gp(data, PARAMS_1D, StrictnessVector((0.0, -6.0)), virtual)
+        model = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((0.0, -6.0)), virtual)
         grid = np.linspace(0, 1, 50).reshape(-1, 1)
         means, _ = model.predict_batch(grid)
         slopes = np.diff(means) / np.diff(grid[:, 0])
@@ -160,12 +158,11 @@ class TestMonotonicFit:
     def test_reversed_constraint_degrades_fit(self):
         xs = [0.0, 0.25, 0.5, 0.75, 1.0]
         ys = standardize(xs)
-        data = make_1d_data(xs, ys)
+        X, y = make_1d_data(xs, ys)
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
         # Strict *decreasing* constraint against increasing data.
-        wrong = fit_monotonic_gp(data, PARAMS_1D, StrictnessVector((-6.0, 0.0)), virtual)
-        plain = gp_fit(data, PARAMS_1D)
-        X = data.X
+        wrong = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((-6.0, 0.0)), virtual)
+        plain = gp_fit(X, y, PARAMS_1D)
         rmse_wrong = np.sqrt(np.mean((wrong.predict_batch(X)[0] - ys) ** 2))
         rmse_plain = np.sqrt(np.mean((plain.predict_batch(X)[0] - ys) ** 2))
         assert rmse_wrong > rmse_plain
@@ -174,10 +171,10 @@ class TestMonotonicFit:
         # Equal weak pull in both directions roughly cancels at the symmetry point.
         xs = [0.1, 0.3, 0.5, 0.7, 0.9]
         ys = standardize([-2.0, -0.7, 0.0, 0.7, 2.0])
-        data = make_1d_data(xs, ys)
+        X, y = make_1d_data(xs, ys)
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(3))
-        mono = fit_monotonic_gp(data, PARAMS_1D, StrictnessVector((0.0, 0.0)), virtual)
-        plain = gp_fit(data, PARAMS_1D)
+        mono = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((0.0, 0.0)), virtual)
+        plain = gp_fit(X, y, PARAMS_1D)
         assert abs(mono.predict([0.5]).mean - plain.predict([0.5]).mean) < 0.05
 
     def test_weak_constraint_limit_close_to_unconstrained(self):
@@ -185,29 +182,29 @@ class TestMonotonicFit:
             r = np.random.default_rng(seed)
             xs = np.sort(r.uniform(0, 1, size=8))
             ys = standardize(np.sin(2.2 * xs + r.uniform(0, 1)))
-            data = make_1d_data(xs, ys)
+            X, y = make_1d_data(xs, ys)
             virtual = VirtualDerivativeSet.sample(1, r)
-            mono = fit_monotonic_gp(data, PARAMS_1D, StrictnessVector((0.0, 0.0)), virtual)
-            plain = gp_fit(data, PARAMS_1D)
+            mono = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((0.0, 0.0)), virtual)
+            plain = gp_fit(X, y, PARAMS_1D)
             x_test = r.uniform(0, 1, size=(20, 1))
             delta = mono.predict_batch(x_test)[0] - plain.predict_batch(x_test)[0]
             assert np.max(np.abs(delta)) < 0.1
 
     def test_derivative_means_respect_imposed_sign(self):
         xs = np.linspace(0, 1, 6)
-        data = make_1d_data(xs, standardize(xs))
+        X, y = make_1d_data(xs, standardize(xs))
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(11))
-        model = fit_monotonic_gp(data, PARAMS_1D, StrictnessVector((0.0, -6.0)), virtual)
+        model = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((0.0, -6.0)), virtual)
         frac_positive = np.mean(model.derivative_means >= 0)
         assert frac_positive >= 0.9
 
     def test_deterministic_given_virtual_points(self):
         xs = [0.0, 0.4, 0.8]
-        data = make_1d_data(xs, standardize([0.0, 1.0, 0.5]))
+        X, y = make_1d_data(xs, standardize([0.0, 1.0, 0.5]))
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(5))
         sv = StrictnessVector((-2.0, -1.0))
-        a = fit_monotonic_gp(data, PARAMS_1D, sv, virtual)
-        b = fit_monotonic_gp(data, PARAMS_1D, sv, virtual)
+        a = fit_monotonic_gp(X, y, PARAMS_1D, sv, virtual)
+        b = fit_monotonic_gp(X, y, PARAMS_1D, sv, virtual)
         grid = np.linspace(0, 1, 17).reshape(-1, 1)
         np.testing.assert_array_equal(a.predict_batch(grid)[0], b.predict_batch(grid)[0])
         np.testing.assert_array_equal(a.predict_batch(grid)[1], b.predict_batch(grid)[1])
@@ -216,21 +213,20 @@ class TestMonotonicFit:
         # Strict decreasing against strongly increasing data: EP may not converge,
         # but the fit must come back flagged rather than raise.
         xs = np.linspace(0, 1, 8)
-        data = make_1d_data(xs, standardize(xs**2))
+        X, y = make_1d_data(xs, standardize(xs**2))
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(2))
-        model = fit_monotonic_gp(data, PARAMS_1D, StrictnessVector((-6.0, 0.0)), virtual)
+        model = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((-6.0, 0.0)), virtual)
         assert isinstance(model, FittedMonotonicGP)
         assert model.sweeps <= 100
         means, variances = model.predict_batch(np.linspace(0, 1, 9).reshape(-1, 1))
         assert np.all(np.isfinite(means)) and np.all(variances >= 0)
 
     def test_2d_fit_predict_shapes(self, rng):
-        data = ObservationSet(2)
         X = rng.uniform(0, 1, size=(6, 2))
-        data.extend(X, standardize(X[:, 0] - X[:, 1]))
+        y = standardize(X[:, 0] - X[:, 1])
         virtual = VirtualDerivativeSet.sample(2, rng)
         sv = StrictnessVector((0.0, -3.0, -3.0, 0.0))
-        model = fit_monotonic_gp(data, PARAMS_2D, sv, virtual)
+        model = fit_monotonic_gp(X, y, PARAMS_2D, sv, virtual)
         means, variances = model.predict_batch(rng.uniform(0, 1, size=(7, 2)))
         assert means.shape == (7,) and variances.shape == (7,)
         assert np.all(variances >= 0) and np.all(variances <= PARAMS_2D.signal_variance)

@@ -7,7 +7,9 @@ import pytest
 
 from hyperbo.monotonic import StrictnessVector
 from hyperbo.tasks import (
+    GOLDSTEIN_PRICE_MAXIMUM,
     DatasetError,
+    DiscreteTask,
     UndefinedCorrelationError,
     goldstein_price,
     goldstein_price_native,
@@ -71,6 +73,34 @@ class TestGoldsteinPrice:
     def test_rejects_out_of_square(self):
         with pytest.raises(ValueError):
             goldstein_price((1.2, 0.0))
+
+    def test_hard_coded_maximum_matches_scan(self):
+        # Dense grid scan over [-2, 2]^2, then L-BFGS from the five best grid points.
+        from scipy.optimize import minimize
+
+        axis = np.linspace(-2.0, 2.0, 401)
+        xx, yy = np.meshgrid(axis, axis, indexing="ij")
+        values = goldstein_price_oracle(xx, yy)
+        best = float(values.max())
+        for k in np.argsort(values.ravel())[-5:]:
+            i, j = np.unravel_index(k, values.shape)
+            res = minimize(
+                lambda z: -goldstein_price_native(z),
+                x0=np.array([axis[i], axis[j]]),
+                bounds=[(-2.0, 2.0), (-2.0, 2.0)],
+                method="L-BFGS-B",
+            )
+            best = max(best, float(-res.fun))
+        assert GOLDSTEIN_PRICE_MAXIMUM == pytest.approx(best, rel=1e-12)
+        assert make_goldstein_price_task().optimum == GOLDSTEIN_PRICE_MAXIMUM
+
+
+class TestDiscreteTask:
+    def test_rejects_out_of_range_inputs(self):
+        for bad in (1.5, -0.2):
+            with pytest.raises(ValueError, match="unit hypercube"):
+                DiscreteTask(name="t", dim=2, optimum=1.0, X=[[bad, 0.0], [0.5, 0.5]], y=[0.0, 1.0])
+        DiscreteTask(name="t", dim=2, optimum=1.0, X=[[0.0, 1.0], [0.5, 0.5]], y=[0.0, 1.0])
 
 
 class TestLatinHypercube:
