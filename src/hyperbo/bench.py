@@ -194,6 +194,9 @@ def _run_trial(task: Task, config: ExperimentConfig, trial: int) -> dict:
             "best_y": float(result.best_y),
             "exhausted": bool(result.exhausted),
             "best_theta": list(result.best_theta.values) if result.best_theta else None,
+            "ep_fits": result.ep_fits,
+            "ep_sweeps": result.ep_sweeps,
+            "ep_nonconverged": result.ep_nonconverged,
             "best_values": [float(v) for v in result.best_values],
             "regrets": [float(v) for v in result.regrets],
         }

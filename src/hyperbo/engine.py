@@ -17,7 +17,7 @@ import numpy as np
 
 from hyperbo.acquisition import CandidateSet, ExhaustedSearchSpaceError, thompson_select, ucb_beta, ucb_select
 from hyperbo.gp import KernelParams, gp_fit, standardize
-from hyperbo.monotonic import StrictnessVector, VirtualDerivativeSet, fit_monotonic_gp
+from hyperbo.monotonic import FittedMonotonicGP, StrictnessVector, VirtualDerivativeSet, fit_monotonic_gp
 from hyperbo.scoring import LENGTH_SCALE, MODES, MONOTONICITY, default_lambda, score_model
 from hyperbo.tasks import Task, regret_trace
 
@@ -236,7 +236,11 @@ class ScoreLedger:
 
 @dataclass
 class RunResult:
-    """Outcome of a run: best observation, best model, ledger, and regret trace."""
+    """Outcome of a run: best observation, best model, ledger, regret trace and EP health.
+
+    ep_fits counts the monotonic EP fits of the inner steps, ep_sweeps their
+    EP sweeps in total, ep_nonconverged those that stopped at max_sweeps.
+    """
 
     best_x: np.ndarray
     best_y: float
@@ -246,6 +250,9 @@ class RunResult:
     regrets: np.ndarray
     exhausted: bool
     n_samples: int
+    ep_fits: int
+    ep_sweeps: int
+    ep_nonconverged: int
 
 
 @dataclass
@@ -262,6 +269,9 @@ class _RunState:
     best_values: list = field(default_factory=list)
     best_x: np.ndarray = None
     best_y: float = -np.inf
+    ep_fits: int = 0
+    ep_sweeps: int = 0
+    ep_nonconverged: int = 0
 
     def candidate_set(self) -> CandidateSet:
         mask = np.zeros(self.pool.shape[0], dtype=bool)
@@ -304,6 +314,10 @@ def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: ModelThe
     if n_active == 0:
         return False
     model = _fit_window_model(state, config, theta)
+    if isinstance(model, FittedMonotonicGP):
+        state.ep_fits += 1
+        state.ep_sweeps += model.sweeps
+        state.ep_nonconverged += not model.converged
     beta = ucb_beta(state.inner_t + 1, n_active, config.ucb_delta)
     try:
         index, x = ucb_select(model, candidates, beta)
@@ -439,6 +453,9 @@ def _result_from_state(task: Task, state: _RunState, best_theta, ledger, exhaust
         regrets=regret_trace(best_values, task.optimum),
         exhausted=exhausted,
         n_samples=state.inner_t,
+        ep_fits=state.ep_fits,
+        ep_sweeps=state.ep_sweeps,
+        ep_nonconverged=state.ep_nonconverged,
     )
 
 

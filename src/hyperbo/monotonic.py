@@ -6,7 +6,9 @@ derivative carries two probit factors, one per direction: Phi(+df / nu_plus)
 rewards positive slope, Phi(-df / nu_minus) rewards negative slope, and the
 strictness nu = 10^theta interpolates between a near-hard sign constraint
 (theta = -6) and a weak preference (theta = 0).  The non-Gaussian posterior is
-approximated with expectation propagation using damped site updates.
+approximated by damped parallel expectation propagation: every sweep updates
+all probit sites at once from the current posterior marginals and then
+refreshes the posterior with one Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import log_ndtr
 
 from hyperbo.gp import KernelParams, PosteriorPrediction, as_observations, se_kernel_matrix
@@ -147,27 +149,14 @@ def gradient_gram_matrix(Z, params: KernelParams) -> np.ndarray:
 
 
 def _probit_moments(cav_mean, cav_var, sign, nu):
-    """Zeroth/first/second moments of N(u; cav) * Phi(sign * u / nu)."""
+    """Matched means and variances of N(u; cav) * Phi(sign * u / nu), elementwise."""
     denom = np.sqrt(nu * nu + cav_var)
     z = sign * cav_mean / denom
     log_phi = -0.5 * z * z - _LOG_SQRT_2PI
     ratio = np.exp(log_phi - log_ndtr(z))  # pdf/cdf, stable for very negative z
     new_mean = cav_mean + sign * cav_var * ratio / denom
     new_var = cav_var - cav_var * cav_var * ratio * (z + ratio) / (nu * nu + cav_var)
-    return new_mean, max(new_var, 1e-14 * cav_var)
-
-
-@dataclass
-class _SiteSet:
-    latent: np.ndarray  # latent index per site
-    sign: np.ndarray  # +1 rewards positive derivative, -1 rewards negative
-    nu: np.ndarray  # strictness scale per site
-    tau: np.ndarray  # site precisions
-    nu_nat: np.ndarray  # site natural means (precision * mean)
-
-    @property
-    def count(self) -> int:
-        return len(self.latent)
+    return new_mean, np.maximum(new_var, 1e-14 * cav_var)
 
 
 @dataclass(frozen=True)
@@ -222,33 +211,19 @@ def _joint_prior(X, virtual: VirtualDerivativeSet, params: KernelParams) -> np.n
     return np.block([[K_ff, K_fd], [K_fd.T, K_dd]])
 
 
-def _posterior_from_sites(K, tau_lat, nu_lat):
+def _posterior(K, tau_lat, nat_lat):
+    """Gaussian posterior of the latents under site precisions and natural means.
+
+    Returns the marginal means and variances, the Cholesky factor of
+    B = I + S^1/2 K S^1/2, S^1/2 and the weights w with mean = K w (GPML
+    Alg. 3.5); the full posterior covariance is never formed.
+    """
     sqrt_s = np.sqrt(tau_lat)
-    B = np.eye(K.shape[0]) + (sqrt_s[:, None] * K) * sqrt_s[None, :]
-    L = cholesky(B, lower=True)
-    V = solve_triangular(L, sqrt_s[:, None] * K, lower=True)
-    sigma = K - V.T @ V
-    mu = sigma @ nu_lat
-    return mu, sigma, L, sqrt_s
-
-
-def _build_sites(t: int, virtual: VirtualDerivativeSet, strictness: StrictnessVector) -> _SiteSet:
-    d = virtual.dim
-    latents, signs, nus = [], [], []
-    for j in range(virtual.n_locations):
-        for g in range(d):
-            idx = t + j * d + g
-            latents.extend([idx, idx])
-            signs.extend([+1.0, -1.0])
-            nus.extend([strictness.nu_plus(g), strictness.nu_minus(g)])
-    n = len(latents)
-    return _SiteSet(
-        latent=np.asarray(latents, dtype=int),
-        sign=np.asarray(signs, dtype=float),
-        nu=np.asarray(nus, dtype=float),
-        tau=np.zeros(n),
-        nu_nat=np.zeros(n),
-    )
+    chol_B = cholesky(np.eye(K.shape[0]) + (sqrt_s[:, None] * K) * sqrt_s[None, :], lower=True)
+    V = solve_triangular(chol_B, sqrt_s[:, None] * K, lower=True)
+    variances = np.maximum(np.diag(K) - np.einsum("ij,ij->j", V, V), 0.0)
+    weights = nat_lat - sqrt_s * cho_solve((chol_B, True), sqrt_s * (K @ nat_lat))
+    return K @ weights, variances, chol_B, sqrt_s, weights
 
 
 def fit_monotonic_gp(
@@ -261,96 +236,76 @@ def fit_monotonic_gp(
     max_sweeps: int = 100,
     tol: float = 1e-4,
 ) -> FittedMonotonicGP:
-    """Run damped EP over the probit derivative sites and freeze the posterior.
+    """Fit the probit derivative sites by damped parallel EP and freeze the posterior.
 
-    Non-convergence within max_sweeps is not fatal: the last damped iterate is
-    returned with converged=False.
+    Each sweep takes every site's cavity from the current marginals, matches
+    moments for all sites at once, applies the damped site updates and
+    refreshes the posterior with one Cholesky.  The fit has converged when, in
+    one sweep, no latent's posterior mean or standard deviation moves by more
+    than tol times its prior standard deviation.  Non-convergence within
+    max_sweeps is not fatal: the last damped iterate is returned with
+    converged=False.
     """
     X, y = as_observations(X, y, params.dim)
     if strictness.dim != params.dim or virtual.dim != params.dim:
         raise ValueError("kernel, strictness and virtual-set dimensions must agree")
 
     t = X.shape[0]
-    n_latent = t + virtual.n_derivatives
     K = _joint_prior(X, virtual, params)
+    prior_sd = np.sqrt(np.diag(K))
 
     obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)
-    tau_fixed = np.zeros(n_latent)
-    nu_fixed = np.zeros(n_latent)
-    tau_fixed[:t] = 1.0 / obs_noise
-    nu_fixed[:t] = y / obs_noise
+    tau_lat = np.zeros(K.shape[0])
+    nat_lat = np.zeros(K.shape[0])
+    tau_lat[:t] = 1.0 / obs_noise
+    nat_lat[:t] = y / obs_noise
 
-    sites = _build_sites(t, virtual, strictness)
+    # One (+, -) pair of probit sites per derivative latent t + j*d + g: row 0
+    # rewards a positive slope in dimension g, row 1 a negative one.
+    sign = np.array([[1.0], [-1.0]])
+    nu_pair = 10.0 ** strictness.as_array().reshape(-1, 2)[:, ::-1].T  # (2, d): nu_plus, nu_minus
+    nu = np.tile(nu_pair, (1, virtual.n_locations))
+    tau = np.zeros(nu.shape)  # site precisions
+    nat = np.zeros(nu.shape)  # site natural means (precision * mean)
 
-    def totals():
-        tau_lat = tau_fixed.copy()
-        nu_lat = nu_fixed.copy()
-        np.add.at(tau_lat, sites.latent, sites.tau)
-        np.add.at(nu_lat, sites.latent, sites.nu_nat)
-        return tau_lat, nu_lat
-
-    mu, sigma, chol_B, sqrt_s = _posterior_from_sites(K, *totals())
-
+    mean, var, chol_B, sqrt_s, weights = _posterior(K, tau_lat, nat_lat)
     converged = False
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
-        max_delta = 0.0
-        for s in range(sites.count):
-            i = sites.latent[s]
-            var_i = sigma[i, i]
-            if var_i <= 0:
-                continue
-            tau_cav = 1.0 / var_i - sites.tau[s]
-            nu_cav = mu[i] / var_i - sites.nu_nat[s]
-            if tau_cav <= 1e-12:
-                continue
+        mean_d, var_d = mean[t:], var[t:]
+        with np.errstate(all="ignore"):  # invalid entries are masked out below
+            tau_cav = 1.0 / var_d - tau
+            nat_cav = mean_d / var_d - nat
             cav_var = 1.0 / tau_cav
-            cav_mean = nu_cav * cav_var
-            if not np.isfinite(cav_mean):
-                continue
-            new_mean, new_var = _probit_moments(cav_mean, cav_var, sites.sign[s], sites.nu[s])
-            if not np.isfinite(new_mean) or not new_var > 0:
-                continue
+            cav_mean = nat_cav * cav_var
+            new_mean, new_var = _probit_moments(cav_mean, cav_var, sign, nu)
             tau_target = 1.0 / new_var - tau_cav
-            nu_target = new_mean / new_var - nu_cav
-            if not np.isfinite(tau_target) or not np.isfinite(nu_target):
-                continue
-            if tau_target <= 0.0:
-                # Probit factors are log-concave; a negative proposal is pure
-                # round-off, so drop the site rather than keep a bad precision.
-                tau_target, nu_target = 0.0, 0.0
-            elif tau_target > _SITE_PRECISION_CAP:
-                # Cap the pair together so the implied site mean is preserved.
-                nu_target *= _SITE_PRECISION_CAP / tau_target
-                tau_target = _SITE_PRECISION_CAP
-            tau_new = (1.0 - damping) * sites.tau[s] + damping * tau_target
-            nu_new = (1.0 - damping) * sites.nu_nat[s] + damping * nu_target
-            d_tau = tau_new - sites.tau[s]
-            d_nu = nu_new - sites.nu_nat[s]
-            denom = 1.0 + d_tau * var_i
-            if denom <= 1e-12:
-                continue
-            max_delta = max(
-                max_delta,
-                abs(d_tau) / (1.0 + abs(sites.tau[s])),
-                abs(d_nu) / (1.0 + abs(sites.nu_nat[s])),
+            nat_target = new_mean / new_var - nat_cav
+            valid = (
+                (var_d > 0)
+                & (tau_cav > 1e-12)
+                & np.isfinite(cav_mean)
+                & np.isfinite(new_mean)
+                & (new_var > 0)
+                & np.isfinite(tau_target)
+                & np.isfinite(nat_target)
             )
-            sites.tau[s] = tau_new
-            sites.nu_nat[s] = nu_new
-            col = sigma[:, i].copy()
-            sigma -= (d_tau / denom) * np.outer(col, col)
-            mu += ((d_nu - d_tau * mu[i]) / denom) * col
-        # Refresh from scratch each sweep to shed accumulated rank-1 round-off.
-        mu, sigma, chol_B, sqrt_s = _posterior_from_sites(K, *totals())
-        if max_delta < tol:
+            # Probit factors are log-concave, so a non-positive proposal is pure
+            # round-off: drop the site rather than keep a bad precision.  Above
+            # the cap, shrink the pair together so the implied site mean is kept.
+            shrink = np.where(tau_target > 0.0, np.minimum(1.0, _SITE_PRECISION_CAP / tau_target), 0.0)
+        tau = np.where(valid, (1.0 - damping) * tau + damping * shrink * tau_target, tau)
+        nat = np.where(valid, (1.0 - damping) * nat + damping * shrink * nat_target, nat)
+
+        tau_lat[t:] = tau.sum(axis=0)
+        nat_lat[t:] = nat.sum(axis=0)
+        old_mean, old_sd = mean, np.sqrt(var)
+        mean, var, chol_B, sqrt_s, weights = _posterior(K, tau_lat, nat_lat)
+        moved = np.maximum(np.abs(mean - old_mean), np.abs(np.sqrt(var) - old_sd))
+        if np.max(moved / prior_sd) <= tol:
             converged = True
             break
-
-    tau_lat, nu_lat = totals()
-    V = solve_triangular(chol_B, sqrt_s[:, None] * K, lower=True)
-    z = sqrt_s * solve_triangular(chol_B.T, solve_triangular(chol_B, sqrt_s * (K @ nu_lat), lower=True), lower=False)
-    mean_weights = nu_lat - z
 
     return FittedMonotonicGP(
         X=X,
@@ -360,8 +315,8 @@ def fit_monotonic_gp(
         virtual=virtual,
         converged=converged,
         sweeps=sweeps,
-        _mean_weights=mean_weights,
+        _mean_weights=weights,
         _chol_B=chol_B,
         _sqrt_S=sqrt_s,
-        _latent_mean=mu,
+        _latent_mean=mean,
     )

@@ -207,6 +207,33 @@ class TestReports:
         directions = {r[6] for r in rows}
         assert directions <= {"increasing", "decreasing", "none"}
 
+    def test_manifest_records_ep_health_deterministically(self, tmp_path):
+        config = ExperimentConfig(
+            task={"kind": "goldstein_price", "pool_size": 60},
+            mode="monotonicity",
+            trials=1,
+            m=1,
+            K=2,
+            budget=4,
+            seed=3,
+            strategies=("standard_bo", "hyperbo", "best_theta_rerun"),
+            output_dir=str(tmp_path / "a"),
+        )
+        out_a = run_experiment(config).output_dir
+        config.output_dir = str(tmp_path / "b")
+        out_b = run_experiment(config).output_dir
+        manifest_bytes = (Path(out_a) / "manifest.json").read_bytes()
+        assert manifest_bytes == (Path(out_b) / "manifest.json").read_bytes()
+        payloads = json.loads(manifest_bytes)["trials"][0]["strategies"]
+        # The plain-BO baseline fits no monotonic GP; every monotonicity step fits one.
+        assert payloads["standard_bo"]["ep_fits"] == 0
+        assert payloads["standard_bo"]["ep_sweeps"] == 0
+        for name in ("hyperbo", "best_theta_rerun"):
+            payload = payloads[name]
+            assert payload["ep_fits"] == payload["n_samples"] == 4
+            assert payload["ep_sweeps"] >= payload["ep_fits"]
+            assert 0 <= payload["ep_nonconverged"] <= payload["ep_fits"]
+
     def test_non_monotonicity_run_skips_report(self, tmp_path, capsys):
         config = ls_config(tmp_path, trials=1)
         outcome = run_experiment(config)

@@ -1,8 +1,11 @@
 """Monotonicity-constrained GP: derivative kernels vs finite differences, EP sanity."""
 
+import time
+
 import numpy as np
 import pytest
 
+from hyperbo.engine import RunConfig, run_framework
 from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
     FittedMonotonicGP,
@@ -13,6 +16,9 @@ from hyperbo.monotonic import (
     value_gradient_cross_matrix,
 )
 
+from hyperbo.tasks import goldstein_price, make_goldstein_price_task
+
+from ep_oracle import sequential_ep_fit
 from kernel_oracles import cov_gradient_gradient, cov_value_gradient, se_kernel
 
 PARAMS_2D = KernelParams(1.0, (0.3, 0.45), noise_variance=1e-6)
@@ -230,3 +236,63 @@ class TestMonotonicFit:
         means, variances = model.predict_batch(rng.uniform(0, 1, size=(7, 2)))
         assert means.shape == (7,) and variances.shape == (7,)
         assert np.all(variances >= 0) and np.all(variances <= PARAMS_2D.signal_variance)
+
+
+def criterion_3_case(theta):
+    xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    X, y = make_1d_data(xs, standardize(xs))
+    virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
+    return X, y, PARAMS_1D, StrictnessVector(theta), virtual, np.linspace(0, 1, 200).reshape(-1, 1)
+
+
+def goldstein_conflict_case():
+    # Goldstein-Price falls in x1 and rises in x2; the strictness demands a
+    # strict fall in x1 and pulls x2 strictly both ways.
+    r = np.random.default_rng(30)
+    X = r.uniform(0, 1, size=(30, 2))
+    y = standardize([goldstein_price(x) for x in X])
+    virtual = VirtualDerivativeSet.sample(2, r)
+    params = KernelParams(1.0, (0.3, 0.3), noise_variance=1e-6)
+    return X, y, params, StrictnessVector((-5.0, 0.0, -5.0, -4.0)), virtual, r.uniform(0, 1, size=(200, 2))
+
+
+class TestParallelEP:
+    @pytest.mark.parametrize(
+        "case",
+        [lambda: criterion_3_case((0.0, -6.0)), lambda: criterion_3_case((-6.0, 0.0)), goldstein_conflict_case],
+        ids=["1d-increasing", "1d-reversed", "2d-conflicting"],
+    )
+    def test_matches_sequential_oracle(self, case):
+        X, y, params, strictness, virtual, grid = case()
+        ours = fit_monotonic_gp(X, y, params, strictness, virtual)
+        oracle = sequential_ep_fit(X, y, params, strictness, virtual)
+        assert ours.converged
+        ours_mean, ours_var = ours.predict_batch(grid)
+        oracle_mean, oracle_var = oracle.predict_batch(grid)
+        np.testing.assert_allclose(ours_mean, oracle_mean, rtol=0, atol=1e-3)
+        np.testing.assert_allclose(ours_var, oracle_var, rtol=0, atol=1e-4)
+        np.testing.assert_allclose(ours.derivative_means, oracle.derivative_means, rtol=0, atol=1e-3)
+
+    def test_goldstein_runs_converge(self):
+        # Every EP fit of two short monotonicity runs; at most 1% may stop at max_sweeps.
+        task = make_goldstein_price_task(pool_size=500)
+        fits = nonconverged = 0
+        for seed in (7000, 7001):
+            result = run_framework(task, RunConfig(mode="monotonicity", m=5, K=1, R=20, seed=seed))
+            fits += result.ep_fits
+            nonconverged += result.ep_nonconverged
+        assert fits == 40
+        assert nonconverged <= 0.01 * fits
+
+    def test_d8_fit_with_50_observations_is_fast(self):
+        r = np.random.default_rng(8)
+        X = r.uniform(0, 1, size=(50, 8))
+        y = standardize(X @ np.linspace(-1.0, 1.0, 8) + np.sin(3.0 * X[:, 0]))
+        params = KernelParams(1.0, (0.3,) * 8, noise_variance=1e-6)
+        virtual = VirtualDerivativeSet.sample(8, r)
+        strictness = StrictnessVector((-6.0, 0.0, -3.0, -1.0) * 4)
+        start = time.perf_counter()
+        model = fit_monotonic_gp(X, y, params, strictness, virtual)
+        elapsed = time.perf_counter() - start
+        assert model.converged
+        assert elapsed < 0.5, f"d=8 fit took {elapsed:.2f} s"
