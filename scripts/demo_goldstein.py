@@ -23,7 +23,7 @@ def main():
             f"best_value={result.best_y:,.0f} final_regret={result.regrets[-1]:,.0f}"
         )
     print()
-    for row in monotonicity_report(best):
+    for row in monotonicity_report(np.array(best)):
         print(
             f"x{row.dimension + 1}: mean strictness (dec {row.mean_theta_minus:+.2f} / inc {row.mean_theta_plus:+.2f}) "
             f"net {row.net:+.2f} -> {row.direction}"

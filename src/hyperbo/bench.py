@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperbo.engine import ModelTheta, RunConfig, RunResult, rerun_with_best_theta, run_framework
+from hyperbo.engine import ModelSpace, ModelTheta, RunConfig, RunResult, rerun_with_best_theta, run_framework
 from hyperbo.scoring import MODES, MONOTONICITY
 from hyperbo.tasks import (
     Task,
@@ -50,7 +50,6 @@ _ENGINE_KEYS = (
     "signal_variance",
     "noise_variance",
     "ucb_delta",
-    "sample_count_mode",
 )
 
 
@@ -138,7 +137,12 @@ def load_config(path: str) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required config keys {missing}")
     config = ExperimentConfig(**raw)
-    build_task(config.task)  # validates task binding and referenced files now
+    task = build_task(config.task)  # validates task binding and referenced files now
+    if config.gold_standard_theta is not None:
+        try:
+            ModelSpace(config.mode, task.dim).theta(config.gold_standard_theta)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"gold_standard_theta: {exc}") from None
     return config
 
 
@@ -260,7 +264,7 @@ def _aggregate(config: ExperimentConfig, trial_results: list[dict]) -> tuple[lis
         for tr in trial_results:
             payload = tr["strategies"].get(name)
             if payload and payload["status"] == "ok":
-                traces.append(_pad_to(np.asarray(payload["regrets"][1:], dtype=float), config.budget))
+                traces.append(_pad_to(np.asarray(payload["regrets"], dtype=float), config.budget + 1)[1:])
         per_strategy[name] = np.vstack(traces) if traces else np.empty((0, config.budget))
 
     rows = []
@@ -377,11 +381,16 @@ def emit_reports(run_dir) -> Path | None:
     for tr in manifest["trials"]:
         payload = tr["strategies"].get("hyperbo")
         if payload and payload.get("status") == "ok" and payload.get("best_theta"):
-            best_thetas.append(tuple(payload["best_theta"]))
+            best_thetas.append(payload["best_theta"])
     if not best_thetas:
         raise ReportError("no successful trials with a best theta; nothing to report")
 
     task = build_task(manifest["config"]["task"])
+    space = ModelSpace(MONOTONICITY, task.dim)
+    try:
+        best_thetas = np.array([space.theta(values).values for values in best_thetas])
+    except (TypeError, ValueError) as exc:
+        raise ReportError(f"{manifest_path}: a hyperbo best_theta is not a grid point: {exc}") from None
     X, y = task.correlation_sample()
     correlations = []
     for g in range(task.dim):

@@ -17,7 +17,7 @@ import numpy as np
 
 from hyperbo.acquisition import CandidateSet, ExhaustedSearchSpaceError, thompson_select, ucb_beta, ucb_select
 from hyperbo.gp import KernelParams, gp_fit, standardize
-from hyperbo.monotonic import FittedMonotonicGP, StrictnessVector, VirtualDerivativeSet, fit_monotonic_gp
+from hyperbo.monotonic import FittedMonotonicGP, VirtualDerivativeSet, fit_monotonic_gp
 from hyperbo.scoring import LENGTH_SCALE, MODES, MONOTONICITY, default_lambda, score_model
 from hyperbo.tasks import Task, regret_trace
 
@@ -26,10 +26,9 @@ __all__ = [
     "MONOTONICITY_LEVELS",
     "ModelTheta",
     "ModelSpace",
-    "build_model_space",
     "RunConfig",
     "LedgerRecord",
-    "ScoreLedger",
+    "best_record",
     "RunResult",
     "model_score_window",
     "hyperbo_step",
@@ -45,6 +44,13 @@ MONOTONICITY_PAIRS = tuple(
     (a, b) for a in MONOTONICITY_LEVELS for b in MONOTONICITY_LEVELS if not (a == -6.0 and b == -6.0)
 )
 
+# Per-dimension option tables, one row per option: a length scale, or a
+# (theta_minus, theta_plus) strictness pair.
+_OPTIONS = {
+    LENGTH_SCALE: tuple((v,) for v in LENGTH_SCALE_GRID),
+    MONOTONICITY: MONOTONICITY_PAIRS,
+}
+
 # Outer proposal: grids up to THOMPSON_THRESHOLD thetas compete whole, larger
 # ones through THOMPSON_SUBSAMPLE uniform draws plus the incumbent.  The GP over
 # scored thetas has this noise and a length scale of this fraction of the
@@ -55,36 +61,38 @@ THETA_GP_NOISE = 1e-4
 THETA_GP_LS_FRACTION = 0.2
 
 
+def _option_table(mode: str) -> tuple[tuple[float, ...], ...]:
+    """The rows of a mode's per-dimension option table."""
+    if mode not in _OPTIONS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _OPTIONS[mode]
+
+
 @dataclass(frozen=True)
 class ModelTheta:
-    """One point of the model grid: length scales, or strictness exponents."""
+    """One point of the model grid: length scales, or strictness exponents.
+
+    A theta is valid when every per-dimension chunk of its values is a row of
+    its mode's option table: one length scale per dimension, or one
+    (theta_minus, theta_plus) pair per dimension with nu = 10^theta.
+    """
 
     mode: str
     values: tuple[float, ...]
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
-        if self.mode == LENGTH_SCALE:
-            bad = [v for v in values if v not in LENGTH_SCALE_GRID]
-            if bad:
-                raise ValueError(f"off-grid length scales {bad}; grid is {LENGTH_SCALE_GRID}")
-        elif self.mode == MONOTONICITY:
-            StrictnessVector(values)  # validates range, parity, double-strict rule
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        options = _option_table(self.mode)
+        width = len(options[0])
+        if not values or len(values) % width:
+            raise ValueError(f"a {self.mode} theta has {width} value(s) per dimension, got {len(values)} values")
+        off = [g for g in range(len(values) // width) if values[g * width : (g + 1) * width] not in options]
+        if off:
+            raise ValueError(f"{self.mode} theta {values} is off the grid in dimensions {off}")
         object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return len(self.values) if self.mode == LENGTH_SCALE else len(self.values) // 2
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-    def strictness(self) -> StrictnessVector:
-        if self.mode != MONOTONICITY:
-            raise ValueError("strictness is only defined for monotonicity thetas")
-        return StrictnessVector(self.values)
 
 
 class ModelSpace:
@@ -94,17 +102,12 @@ class ModelSpace:
     ModelTheta is built only for the thetas a run actually scores.
     """
 
-    ENUMERATION_LIMIT = 200_000
-
     def __init__(self, mode: str, dim: int):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.mode = mode
         self.dim = dim
-        options = LENGTH_SCALE_GRID if mode == LENGTH_SCALE else MONOTONICITY_PAIRS
-        self._options = np.asarray(options, dtype=float).reshape(len(options), -1)  # (per_dim, coords)
+        self._options = np.asarray(_option_table(mode), dtype=float)  # (per_dim, coords)
         self._unit = self.to_unit(self._options)
         self._grid = None
 
@@ -120,21 +123,16 @@ class ModelSpace:
     def theta_dim(self) -> int:
         return self.dim * self._options.shape[1]
 
-    @property
-    def coordinate_bounds(self) -> tuple[float, float]:
-        if self.mode == LENGTH_SCALE:
-            return (LENGTH_SCALE_GRID[0], LENGTH_SCALE_GRID[-1])
-        return (MONOTONICITY_LEVELS[0], MONOTONICITY_LEVELS[-1])
-
     def to_unit(self, theta_array: np.ndarray) -> np.ndarray:
         """Affine map of theta coordinates onto [0, 1] for the model-space GP."""
-        lo, hi = self.coordinate_bounds
+        lo, hi = self._options.min(), self._options.max()
         return (np.asarray(theta_array, dtype=float) - lo) / (hi - lo)
 
     def grid_indices(self) -> np.ndarray:
-        """Every grid point as an index row, in lexicographic order (cached)."""
-        if self.size > self.ENUMERATION_LIMIT:
-            raise ValueError(f"model space of size {self.size} is too large to enumerate")
+        """Every grid point as an index row, in lexicographic order (cached).
+
+        Only grids of at most THOMPSON_THRESHOLD points are enumerated.
+        """
         if self._grid is None:
             self._grid = np.indices((self.per_dim,) * self.dim).reshape(self.dim, -1).T
         return self._grid
@@ -146,25 +144,17 @@ class ModelSpace:
     def theta_at(self, index_row) -> ModelTheta:
         return ModelTheta(self.mode, tuple(self._options[index_row].ravel()))
 
-    def enumerate_all(self) -> list[ModelTheta]:
-        return [self.theta_at(row) for row in self.grid_indices()]
+    def theta(self, values) -> ModelTheta:
+        """values as a grid point of this space; ValueError if off the grid or of another dimension."""
+        theta = ModelTheta(self.mode, values)
+        if len(theta.values) != self.theta_dim:
+            raise ValueError(
+                f"a {self.mode} theta of a {self.dim}-D task has {self.theta_dim} values, got {len(theta.values)}"
+            )
+        return theta
 
     def sample(self, rng: np.random.Generator) -> ModelTheta:
         return self.theta_at(rng.integers(0, self.per_dim, size=self.dim))
-
-    def contains(self, theta: ModelTheta) -> bool:
-        if theta.mode != self.mode or theta.dim != self.dim:
-            return False
-        try:
-            ModelTheta(theta.mode, theta.values)
-        except ValueError:
-            return False
-        return True
-
-
-def build_model_space(mode: str, dim: int) -> ModelSpace:
-    """11 length scales per dimension, or 48 strictness pairs per dimension."""
-    return ModelSpace(mode, dim)
 
 
 @dataclass
@@ -185,7 +175,6 @@ class RunConfig:
     signal_variance: float = 1.0
     noise_variance: float = 1e-6
     ucb_delta: float = 0.1
-    sample_count_mode: str = "cumulative"  # or "outer_plus_inner"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -194,8 +183,6 @@ class RunConfig:
             raise ValueError("m and K must be >= 1")
         if self.R < self.m:
             raise ValueError(f"R ({self.R}) must be >= m ({self.m})")
-        if self.sample_count_mode not in ("cumulative", "outer_plus_inner"):
-            raise ValueError(f"unknown sample_count_mode {self.sample_count_mode!r}")
 
     def resolve_lambda(self, dim: int) -> float:
         if self.regularization is not None:
@@ -212,26 +199,9 @@ class LedgerRecord:
     outer_index: int
 
 
-class ScoreLedger:
-    """Append-only record of completed scoring windows."""
-
-    def __init__(self):
-        self.records: list[LedgerRecord] = []
-
-    def append(self, record: LedgerRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def best(self) -> LedgerRecord:
-        if not self.records:
-            raise ValueError("empty ledger")
-        best = self.records[0]
-        for rec in self.records[1:]:
-            if rec.score > best.score:  # ties keep the earliest window
-                best = rec
-        return best
+def best_record(ledger: list[LedgerRecord]) -> LedgerRecord:
+    """The highest-scoring window; ties keep the earliest.  ValueError when empty."""
+    return max(ledger, key=lambda rec: rec.score)
 
 
 @dataclass
@@ -245,7 +215,7 @@ class RunResult:
     best_x: np.ndarray
     best_y: float
     best_theta: ModelTheta | None
-    ledger: ScoreLedger | None
+    ledger: list[LedgerRecord] | None
     best_values: np.ndarray  # index 0 is the initial-design best
     regrets: np.ndarray
     exhausted: bool
@@ -304,7 +274,7 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: ModelTheta | N
     )
     if theta is None:
         return gp_fit(state.X, z, params)
-    return fit_monotonic_gp(state.X, z, params, theta.strictness(), state.virtual)
+    return fit_monotonic_gp(state.X, z, params, theta.as_array(), state.virtual)
 
 
 def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: ModelTheta | None) -> bool:
@@ -358,12 +328,9 @@ def model_score_window(
         return None, exhausted
     f_plus = float(np.max(state.y))
     gain = (f_plus - y_plus) / state.trial_scale
-    if config.sample_count_mode == "cumulative":
-        T = state.inner_t
-    else:
-        T = outer_index + completed
-    # A one-sample first window would make the normalizer degenerate.
-    T = max(T, 2)
+    # T counts every inner sample so far; a one-sample first window would make
+    # the normalizer degenerate.
+    T = max(state.inner_t, 2)
     score = score_model(gain, T, task.dim, theta.values, lam, config.mode)
     record = LedgerRecord(
         theta=theta,
@@ -375,35 +342,24 @@ def model_score_window(
     return record, exhausted
 
 
-def hyperbo_step(
-    ledger: ScoreLedger,
-    space: ModelSpace,
-    rng: np.random.Generator,
-    config: RunConfig,
-    candidate_thetas: list[ModelTheta] | None = None,
-) -> ModelTheta:
+def hyperbo_step(ledger: list[LedgerRecord], space: ModelSpace, rng: np.random.Generator) -> ModelTheta:
     """Propose the next theta: Thompson sampling on a GP over ledger scores.
 
     Scores are standardized before fitting; previously scored thetas stay in
     the candidate pool since window scores are noisy and re-scoring is
-    informative.  candidate_thetas restricts the pool (ablations/tests);
-    by default the whole grid competes, subsampled when very large.
+    informative.  The whole grid competes, subsampled when very large.
     """
-    if len(ledger) < 1:
+    if not ledger:
         raise ValueError("hyperbo_step needs at least one scored window")
-    thetas = np.vstack([rec.theta.as_array() for rec in ledger.records])
-    z, _ = standardize([rec.score for rec in ledger.records])
+    thetas = np.vstack([rec.theta.as_array() for rec in ledger])
+    z, _ = standardize([rec.score for rec in ledger])
     params = KernelParams(
         max(float(np.var(z)), 1e-6),
         (THETA_GP_LS_FRACTION,) * space.theta_dim,
         THETA_GP_NOISE,
     )
     model = gp_fit(space.to_unit(thetas), z, params)
-    if candidate_thetas is not None:
-        points = space.to_unit(np.vstack([t.as_array() for t in candidate_thetas]))
-        index, _ = thompson_select(model, CandidateSet(points), rng)
-        return candidate_thetas[index]
-    incumbent = ledger.best().theta
+    incumbent = best_record(ledger).theta
     if space.size <= THOMPSON_THRESHOLD:
         grid = space.grid_indices()
         points = space.unit_points(grid)
@@ -465,17 +421,17 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
     Deterministic for a fixed (task, config): the seed drives the initial
     design, the virtual derivative locations, and every subsequent draw.
     """
-    space = build_model_space(config.mode, task.dim)
+    space = ModelSpace(config.mode, task.dim)
     lam = config.resolve_lambda(task.dim)
     state = _init_state(task, config)
-    ledger = ScoreLedger()
+    ledger: list[LedgerRecord] = []
     exhausted = False
 
     for outer in range(1, config.R + 1):
         if outer <= config.m:
             theta = space.sample(state.rng)
         else:
-            theta = hyperbo_step(ledger, space, state.rng, config)
+            theta = hyperbo_step(ledger, space, state.rng)
         record, hit_end = model_score_window(task, state, config, theta, outer, lam)
         if record is not None:
             ledger.append(record)
@@ -483,7 +439,7 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
             exhausted = True
             break
 
-    best_theta = ledger.best().theta if len(ledger) else None
+    best_theta = best_record(ledger).theta if ledger else None
     return _result_from_state(task, state, best_theta, ledger, exhausted)
 
 

@@ -22,7 +22,6 @@ from scipy.special import log_ndtr
 from hyperbo.gp import KernelParams, PosteriorPrediction, as_observations, se_kernel_matrix
 
 __all__ = [
-    "StrictnessVector",
     "VirtualDerivativeSet",
     "FittedMonotonicGP",
     "value_gradient_cross_matrix",
@@ -30,56 +29,9 @@ __all__ = [
     "fit_monotonic_gp",
 ]
 
-THETA_MIN = -6.0
-THETA_MAX = 0.0
-
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _SITE_PRECISION_CAP = 1e8
 _MIN_OBS_NOISE = 1e-8
-
-
-@dataclass(frozen=True)
-class StrictnessVector:
-    """Per-dimension, per-direction monotonicity strictness exponents.
-
-    Layout is [theta_1_minus, theta_1_plus, theta_2_minus, theta_2_plus, ...]
-    with every component in [-6, 0]; the strictness itself is nu = 10^theta.
-    A dimension may not be strictly constrained (-6) in both directions at once.
-    """
-
-    theta: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.theta)
-        if len(values) == 0 or len(values) % 2 != 0:
-            raise ValueError(f"theta must have 2 entries per dimension, got {len(values)}")
-        if any(v < THETA_MIN - 1e-9 or v > THETA_MAX + 1e-9 for v in values):
-            raise ValueError(f"theta components must lie in [{THETA_MIN}, {THETA_MAX}], got {values}")
-        for g in range(len(values) // 2):
-            if values[2 * g] <= THETA_MIN + 1e-12 and values[2 * g + 1] <= THETA_MIN + 1e-12:
-                raise ValueError(
-                    f"dimension {g} cannot be strictly monotone in both directions (both theta = -6)"
-                )
-        object.__setattr__(self, "theta", values)
-
-    @property
-    def dim(self) -> int:
-        return len(self.theta) // 2
-
-    def theta_minus(self, g: int) -> float:
-        return self.theta[2 * g]
-
-    def theta_plus(self, g: int) -> float:
-        return self.theta[2 * g + 1]
-
-    def nu_minus(self, g: int) -> float:
-        return 10.0 ** self.theta_minus(g)
-
-    def nu_plus(self, g: int) -> float:
-        return 10.0 ** self.theta_plus(g)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.theta, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -166,7 +118,6 @@ class FittedMonotonicGP:
     X: np.ndarray
     y: np.ndarray
     params: KernelParams
-    strictness: StrictnessVector
     virtual: VirtualDerivativeSet
     converged: bool
     sweeps: int
@@ -230,7 +181,7 @@ def fit_monotonic_gp(
     X,
     y,
     params: KernelParams,
-    strictness: StrictnessVector,
+    strictness,
     virtual: VirtualDerivativeSet,
     damping: float = 0.8,
     max_sweeps: int = 100,
@@ -238,6 +189,8 @@ def fit_monotonic_gp(
 ) -> FittedMonotonicGP:
     """Fit the probit derivative sites by damped parallel EP and freeze the posterior.
 
+    strictness holds the 2d exponents [theta_1_minus, theta_1_plus, ...]; the
+    probit scale of each direction is nu = 10^theta.
     Each sweep takes every site's cavity from the current marginals, matches
     moments for all sites at once, applies the damped site updates and
     refreshes the posterior with one Cholesky.  The fit has converged when, in
@@ -247,7 +200,8 @@ def fit_monotonic_gp(
     converged=False.
     """
     X, y = as_observations(X, y, params.dim)
-    if strictness.dim != params.dim or virtual.dim != params.dim:
+    strictness = np.asarray(strictness, dtype=float)
+    if strictness.shape != (2 * params.dim,) or virtual.dim != params.dim:
         raise ValueError("kernel, strictness and virtual-set dimensions must agree")
 
     t = X.shape[0]
@@ -263,7 +217,7 @@ def fit_monotonic_gp(
     # One (+, -) pair of probit sites per derivative latent t + j*d + g: row 0
     # rewards a positive slope in dimension g, row 1 a negative one.
     sign = np.array([[1.0], [-1.0]])
-    nu_pair = 10.0 ** strictness.as_array().reshape(-1, 2)[:, ::-1].T  # (2, d): nu_plus, nu_minus
+    nu_pair = 10.0 ** strictness.reshape(-1, 2)[:, ::-1].T  # (2, d): nu_plus, nu_minus
     nu = np.tile(nu_pair, (1, virtual.n_locations))
     tau = np.zeros(nu.shape)  # site precisions
     nat = np.zeros(nu.shape)  # site natural means (precision * mean)
@@ -311,7 +265,6 @@ def fit_monotonic_gp(
         X=X,
         y=y,
         params=params,
-        strictness=strictness,
         virtual=virtual,
         converged=converged,
         sweeps=sweeps,

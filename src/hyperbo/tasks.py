@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hyperbo.monotonic import StrictnessVector
-
 __all__ = [
     "DatasetError",
     "UndefinedCorrelationError",
@@ -355,20 +353,16 @@ def monotonicity_report(
 ) -> list[MonotonicityRow]:
     """Per-dimension summary of the monotonicity directions found across trials.
 
-    net = mean(theta_minus) - mean(theta_plus): a stricter (more negative)
-    increasing-direction strictness than decreasing-direction yields net > 0,
-    reported as "increasing".  The direction is flagged against the sign of the
+    best_thetas is an (n, 2d) array, one trial's strictness exponents
+    [theta_1_minus, theta_1_plus, ...] per row.  net = mean(theta_minus) -
+    mean(theta_plus): a stricter (more negative) increasing-direction
+    strictness than decreasing-direction yields net > 0, reported as
+    "increasing".  The direction is flagged against the sign of the
     provided correlation coefficient where available.
     """
-    arrays = []
-    for theta in best_thetas:
-        if isinstance(theta, StrictnessVector):
-            arrays.append(theta.as_array())
-        else:
-            arrays.append(StrictnessVector(tuple(theta)).as_array())
-    if not arrays:
-        raise ValueError("monotonicity_report needs at least one trial")
-    stacked = np.vstack(arrays)
+    stacked = np.asarray(best_thetas, dtype=float)
+    if stacked.ndim != 2 or stacked.shape[0] == 0:
+        raise ValueError("monotonicity_report needs an (n, 2d) array with at least one trial")
     d = stacked.shape[1] // 2
     rows = []
     for g in range(d):

@@ -19,7 +19,6 @@ from hyperbo.monotonic import (
     _MIN_OBS_NOISE,
     _SITE_PRECISION_CAP,
     FittedMonotonicGP,
-    StrictnessVector,
     VirtualDerivativeSet,
     _joint_prior,
 )
@@ -59,7 +58,7 @@ def _posterior_from_sites(K, tau_lat, nu_lat):
     return mu, sigma, L, sqrt_s
 
 
-def _build_sites(t: int, virtual: VirtualDerivativeSet, strictness: StrictnessVector) -> _SiteSet:
+def _build_sites(t: int, virtual: VirtualDerivativeSet, strictness: np.ndarray) -> _SiteSet:
     d = virtual.dim
     latents, signs, nus = [], [], []
     for j in range(virtual.n_locations):
@@ -67,7 +66,7 @@ def _build_sites(t: int, virtual: VirtualDerivativeSet, strictness: StrictnessVe
             idx = t + j * d + g
             latents.extend([idx, idx])
             signs.extend([+1.0, -1.0])
-            nus.extend([strictness.nu_plus(g), strictness.nu_minus(g)])
+            nus.extend([10.0 ** strictness[2 * g + 1], 10.0 ** strictness[2 * g]])
     n = len(latents)
     return _SiteSet(
         latent=np.asarray(latents, dtype=int),
@@ -82,7 +81,7 @@ def sequential_ep_fit(
     X,
     y,
     params,
-    strictness: StrictnessVector,
+    strictness,
     virtual: VirtualDerivativeSet,
     damping: float = 0.8,
     max_sweeps: int = 100,
@@ -94,7 +93,8 @@ def sequential_ep_fit(
     returned with converged=False.
     """
     X, y = as_observations(X, y, params.dim)
-    if strictness.dim != params.dim or virtual.dim != params.dim:
+    strictness = np.asarray(strictness, dtype=float)
+    if strictness.shape != (2 * params.dim,) or virtual.dim != params.dim:
         raise ValueError("kernel, strictness and virtual-set dimensions must agree")
 
     t = X.shape[0]
@@ -182,7 +182,6 @@ def sequential_ep_fit(
         X=X,
         y=y,
         params=params,
-        strictness=strictness,
         virtual=virtual,
         converged=converged,
         sweeps=sweeps,

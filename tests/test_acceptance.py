@@ -17,7 +17,6 @@ from hyperbo.acquisition import thompson_sample_argmax
 from hyperbo.engine import ModelTheta, RunConfig, rerun_with_best_theta, run_framework
 from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
-    StrictnessVector,
     VirtualDerivativeSet,
     fit_monotonic_gp,
     gradient_gram_matrix,
@@ -117,13 +116,13 @@ def test_criterion_03_monotonic_gp_sanity():
     X = xs.reshape(-1, 1)
     virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
 
-    increasing = fit_monotonic_gp(X, ys, params, StrictnessVector((0.0, -6.0)), virtual)
+    increasing = fit_monotonic_gp(X, ys, params, np.array((0.0, -6.0)), virtual)
     grid = np.linspace(0, 1, 50).reshape(-1, 1)
     means, _ = increasing.predict_batch(grid)
     min_slope = float(np.min(np.diff(means) / np.diff(grid[:, 0])))
     assert min_slope >= -1e-3
 
-    reversed_fit = fit_monotonic_gp(X, ys, params, StrictnessVector((-6.0, 0.0)), virtual)
+    reversed_fit = fit_monotonic_gp(X, ys, params, np.array((-6.0, 0.0)), virtual)
     plain = gp_fit(X, ys, params)
     rmse_reversed = float(np.sqrt(np.mean((reversed_fit.predict_batch(X)[0] - ys) ** 2)))
     rmse_plain = float(np.sqrt(np.mean((plain.predict_batch(X)[0] - ys) ** 2)))

@@ -20,6 +20,8 @@ from hyperbo.bench import (
 )
 from hyperbo.cli import main as cli_main
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
 
 def ls_config(tmp_path, **overrides):
     base = dict(
@@ -86,6 +88,30 @@ class TestConfigValidation:
     def test_unknown_task_kind(self):
         with pytest.raises(ConfigError, match="unknown task kind"):
             build_task({"kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "theta",
+        [[-6, 0], [-6, 0, 0, -6, 0, 0], [-2.5, 0, 0, -6], [-7, 0, 0, -6], [-6, -6, 0, 0]],
+        ids=["too-short", "too-long", "off-grid", "out-of-range", "double-strict"],
+    )
+    def test_gold_standard_theta_checked_at_load(self, tmp_path, theta):
+        # The 2-D Goldstein task needs one on-grid (theta_minus, theta_plus) pair per dimension.
+        path = tmp_path / "cfg.json"
+        raw = {
+            "task": {"kind": "goldstein_price", "pool_size": 40},
+            "mode": "monotonicity",
+            "budget": 2,
+            "strategies": ["standard_bo", "gold_standard_theta"],
+            "gold_standard_theta": theta,
+            "output_dir": str(tmp_path / "run"),
+        }
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="gold_standard_theta"):
+            load_config(str(path))
+        assert cli_main(["validate", str(path)]) == 2
+        raw["gold_standard_theta"] = [-6, 0, 0, -6]
+        path.write_text(json.dumps(raw))
+        assert load_config(str(path)).gold_standard_theta == (-6.0, 0.0, 0.0, -6.0)
 
 
 class TestRunExperiment:
@@ -175,6 +201,28 @@ class TestRunExperiment:
         b = (Path(pooled.output_dir) / "aggregate.csv").read_bytes()
         assert a == b
 
+    def test_trial_without_samples_holds_initial_regret(self, tmp_path):
+        # Three rows and three initial samples: every strategy-trial acquires nothing.
+        data = tmp_path / "three.csv"
+        data.write_text("x,y\n0.0,1.0\n0.5,3.0\n1.0,2.0\n")
+        config = ls_config(
+            tmp_path,
+            task={"kind": "dataset", "path": str(data), "target": "y", "n_initial": 3},
+        )
+        outcome = run_experiment(config)
+        assert outcome.ok
+        out = Path(outcome.output_dir)
+        assert (out / "manifest.json").exists()
+        header, rows = read_csv(out / "aggregate.csv")
+        assert len(rows) == config.budget
+        for trial in range(config.trials):
+            for strategy in config.strategies:
+                _, trace = read_csv(out / f"trace_{strategy}_trial{trial:03d}.csv")
+                assert len(trace) == 1  # iteration 0 only
+        initial = float(trace[0][2])
+        for name in config.strategies:
+            assert {float(r[header.index(f"mean_regret_{name}")]) for r in rows} == {initial}
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
         monkeypatch.setenv("HYPERBO_OUTPUT_DIR", str(override))
@@ -254,6 +302,17 @@ class TestReports:
         with pytest.raises(ReportError):
             emit_reports(tmp_path / "void")
 
+    @pytest.mark.parametrize("best_theta", [[-7.0, 0.0, 0.0, -6.0], [-6.0, 0.0], "x"])
+    def test_report_rejects_off_grid_best_theta(self, tmp_path, best_theta):
+        # manifest.json is read back from disk: an edited best_theta is outside input.
+        out = Path(self.mono_outcome(tmp_path, trials=1).output_dir)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["trials"][0]["strategies"]["hyperbo"]["best_theta"] = best_theta
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ReportError, match="not a grid point"):
+            emit_reports(out)
+        assert cli_main(["report", str(out)]) == 1
+
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):
@@ -287,6 +346,15 @@ class TestCli:
         assert (tmp_path / "cli_run" / "aggregate.csv").exists()
         # Length-scale run: report command succeeds with a skip notice.
         assert cli_main(["report", str(tmp_path / "cli_run")]) == 0
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCRIPTS.glob("*.json")))
+    def test_validate_shipped_configs(self, name, capsys, monkeypatch):
+        monkeypatch.chdir(SCRIPTS.parent)  # configs name their data relative to the repository root
+        raw = json.loads((SCRIPTS / name).read_text())
+        if raw["task"]["kind"] == "dataset" and not os.path.exists(raw["task"]["path"]):
+            pytest.skip(f"{name} is a template for a dataset that is not bundled ({raw['task']['path']})")
+        assert cli_main(["validate", str(SCRIPTS / name)]) == 0
+        assert capsys.readouterr().out.startswith("ok:")
 
     def test_report_missing_dir_exit_1(self, tmp_path):
         assert cli_main(["report", str(tmp_path / "missing")]) == 1

@@ -9,7 +9,6 @@ from hyperbo.engine import RunConfig, run_framework
 from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
     FittedMonotonicGP,
-    StrictnessVector,
     VirtualDerivativeSet,
     fit_monotonic_gp,
     gradient_gram_matrix,
@@ -42,27 +41,6 @@ def fd_gradient_gradient(x, x_prime, g, h_idx, params, h=1e-4):
     kmp = se_kernel(x - eg, x_prime + eh, params)
     kmm = se_kernel(x - eg, x_prime - eh, params)
     return (kpp - kpm - kmp + kmm) / (4 * h * h)
-
-
-class TestStrictnessVector:
-    def test_accessors(self):
-        sv = StrictnessVector((-6.0, 0.0, -1.0, -2.0))
-        assert sv.dim == 2
-        assert sv.theta_minus(0) == -6.0 and sv.theta_plus(0) == 0.0
-        assert sv.nu_minus(0) == pytest.approx(1e-6)
-        assert sv.nu_plus(1) == pytest.approx(1e-2)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            StrictnessVector((-7.0, 0.0))
-        with pytest.raises(ValueError):
-            StrictnessVector((0.5, 0.0))
-
-    def test_rejects_double_strict_dimension(self):
-        with pytest.raises(ValueError):
-            StrictnessVector((-6.0, -6.0))
-        # Strict in both directions on *different* dimensions is fine.
-        StrictnessVector((-6.0, 0.0, 0.0, -6.0))
 
 
 class TestVirtualDerivativeSet:
@@ -155,7 +133,7 @@ class TestMonotonicFit:
         xs = [0.0, 0.25, 0.5, 0.75, 1.0]
         X, y = make_1d_data(xs, standardize(xs))
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
-        model = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((0.0, -6.0)), virtual)
+        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, -6.0)), virtual)
         grid = np.linspace(0, 1, 50).reshape(-1, 1)
         means, _ = model.predict_batch(grid)
         slopes = np.diff(means) / np.diff(grid[:, 0])
@@ -167,7 +145,7 @@ class TestMonotonicFit:
         X, y = make_1d_data(xs, ys)
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
         # Strict *decreasing* constraint against increasing data.
-        wrong = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((-6.0, 0.0)), virtual)
+        wrong = fit_monotonic_gp(X, y, PARAMS_1D, np.array((-6.0, 0.0)), virtual)
         plain = gp_fit(X, y, PARAMS_1D)
         rmse_wrong = np.sqrt(np.mean((wrong.predict_batch(X)[0] - ys) ** 2))
         rmse_plain = np.sqrt(np.mean((plain.predict_batch(X)[0] - ys) ** 2))
@@ -179,7 +157,7 @@ class TestMonotonicFit:
         ys = standardize([-2.0, -0.7, 0.0, 0.7, 2.0])
         X, y = make_1d_data(xs, ys)
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(3))
-        mono = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((0.0, 0.0)), virtual)
+        mono = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, 0.0)), virtual)
         plain = gp_fit(X, y, PARAMS_1D)
         assert abs(mono.predict([0.5]).mean - plain.predict([0.5]).mean) < 0.05
 
@@ -190,7 +168,7 @@ class TestMonotonicFit:
             ys = standardize(np.sin(2.2 * xs + r.uniform(0, 1)))
             X, y = make_1d_data(xs, ys)
             virtual = VirtualDerivativeSet.sample(1, r)
-            mono = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((0.0, 0.0)), virtual)
+            mono = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, 0.0)), virtual)
             plain = gp_fit(X, y, PARAMS_1D)
             x_test = r.uniform(0, 1, size=(20, 1))
             delta = mono.predict_batch(x_test)[0] - plain.predict_batch(x_test)[0]
@@ -200,7 +178,7 @@ class TestMonotonicFit:
         xs = np.linspace(0, 1, 6)
         X, y = make_1d_data(xs, standardize(xs))
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(11))
-        model = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((0.0, -6.0)), virtual)
+        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, -6.0)), virtual)
         frac_positive = np.mean(model.derivative_means >= 0)
         assert frac_positive >= 0.9
 
@@ -208,7 +186,7 @@ class TestMonotonicFit:
         xs = [0.0, 0.4, 0.8]
         X, y = make_1d_data(xs, standardize([0.0, 1.0, 0.5]))
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(5))
-        sv = StrictnessVector((-2.0, -1.0))
+        sv = np.array((-2.0, -1.0))
         a = fit_monotonic_gp(X, y, PARAMS_1D, sv, virtual)
         b = fit_monotonic_gp(X, y, PARAMS_1D, sv, virtual)
         grid = np.linspace(0, 1, 17).reshape(-1, 1)
@@ -221,17 +199,25 @@ class TestMonotonicFit:
         xs = np.linspace(0, 1, 8)
         X, y = make_1d_data(xs, standardize(xs**2))
         virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(2))
-        model = fit_monotonic_gp(X, y, PARAMS_1D, StrictnessVector((-6.0, 0.0)), virtual)
+        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((-6.0, 0.0)), virtual)
         assert isinstance(model, FittedMonotonicGP)
         assert model.sweeps <= 100
         means, variances = model.predict_batch(np.linspace(0, 1, 9).reshape(-1, 1))
         assert np.all(np.isfinite(means)) and np.all(variances >= 0)
 
+    def test_strictness_length_must_match_dimension(self, rng):
+        X = rng.uniform(0, 1, size=(6, 2))
+        y = standardize(X[:, 0] - X[:, 1])
+        virtual = VirtualDerivativeSet.sample(2, rng)
+        for strictness in ([0.0, -3.0], [0.0, -3.0, -3.0], [0.0, -3.0, -3.0, 0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="dimensions must agree"):
+                fit_monotonic_gp(X, y, PARAMS_2D, np.array(strictness), virtual)
+
     def test_2d_fit_predict_shapes(self, rng):
         X = rng.uniform(0, 1, size=(6, 2))
         y = standardize(X[:, 0] - X[:, 1])
         virtual = VirtualDerivativeSet.sample(2, rng)
-        sv = StrictnessVector((0.0, -3.0, -3.0, 0.0))
+        sv = np.array((0.0, -3.0, -3.0, 0.0))
         model = fit_monotonic_gp(X, y, PARAMS_2D, sv, virtual)
         means, variances = model.predict_batch(rng.uniform(0, 1, size=(7, 2)))
         assert means.shape == (7,) and variances.shape == (7,)
@@ -242,7 +228,7 @@ def criterion_3_case(theta):
     xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     X, y = make_1d_data(xs, standardize(xs))
     virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
-    return X, y, PARAMS_1D, StrictnessVector(theta), virtual, np.linspace(0, 1, 200).reshape(-1, 1)
+    return X, y, PARAMS_1D, np.array(theta), virtual, np.linspace(0, 1, 200).reshape(-1, 1)
 
 
 def goldstein_conflict_case():
@@ -253,7 +239,7 @@ def goldstein_conflict_case():
     y = standardize([goldstein_price(x) for x in X])
     virtual = VirtualDerivativeSet.sample(2, r)
     params = KernelParams(1.0, (0.3, 0.3), noise_variance=1e-6)
-    return X, y, params, StrictnessVector((-5.0, 0.0, -5.0, -4.0)), virtual, r.uniform(0, 1, size=(200, 2))
+    return X, y, params, np.array((-5.0, 0.0, -5.0, -4.0)), virtual, r.uniform(0, 1, size=(200, 2))
 
 
 class TestParallelEP:
@@ -290,7 +276,7 @@ class TestParallelEP:
         y = standardize(X @ np.linspace(-1.0, 1.0, 8) + np.sin(3.0 * X[:, 0]))
         params = KernelParams(1.0, (0.3,) * 8, noise_variance=1e-6)
         virtual = VirtualDerivativeSet.sample(8, r)
-        strictness = StrictnessVector((-6.0, 0.0, -3.0, -1.0) * 4)
+        strictness = np.array((-6.0, 0.0, -3.0, -1.0) * 4)
         start = time.perf_counter()
         model = fit_monotonic_gp(X, y, params, strictness, virtual)
         elapsed = time.perf_counter() - start

@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from hyperbo.monotonic import StrictnessVector
 from hyperbo.tasks import (
     GOLDSTEIN_PRICE_MAXIMUM,
     DatasetError,
@@ -234,36 +233,36 @@ class TestPearsonCorrelation:
 
 class TestMonotonicityReport:
     def test_symmetric_thetas_report_none(self):
-        thetas = [StrictnessVector((-3.0, -3.0, -1.0, -1.0))] * 4
+        thetas = np.array([(-3.0, -3.0, -1.0, -1.0)] * 4)
         rows = monotonicity_report(thetas)
         assert all(r.direction == "none" for r in rows)
 
     def test_strict_increasing_dimension(self):
-        rows = monotonicity_report([StrictnessVector((0.0, -6.0, -1.0, -1.0))])
+        rows = monotonicity_report(np.array([(0.0, -6.0, -1.0, -1.0)]))
         assert rows[0].direction == "increasing"
         assert rows[0].net == pytest.approx(6.0)
         assert rows[1].direction == "none"
 
     def test_strict_decreasing_dimension(self):
-        rows = monotonicity_report([StrictnessVector((-6.0, 0.0))])
+        rows = monotonicity_report(np.array([(-6.0, 0.0)]))
         assert rows[0].direction == "decreasing"
         assert rows[0].net == pytest.approx(-6.0)
 
     def test_match_flags_against_correlations(self):
-        thetas = [StrictnessVector((0.0, -6.0, -6.0, 0.0))]
+        thetas = np.array([(0.0, -6.0, -6.0, 0.0)])
         rows = monotonicity_report(thetas, correlations=[0.8, 0.5])
         assert rows[0].matches_correlation is True  # increasing vs corr > 0
         assert rows[1].matches_correlation is False  # decreasing vs corr > 0
 
     def test_averages_across_trials(self):
-        thetas = [StrictnessVector((-4.0, 0.0)), StrictnessVector((-2.0, 0.0))]
+        thetas = np.array([(-4.0, 0.0), (-2.0, 0.0)])
         rows = monotonicity_report(thetas)
         assert rows[0].mean_theta_minus == pytest.approx(-3.0)
         assert rows[0].net == pytest.approx(-3.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            monotonicity_report([])
+            monotonicity_report(np.empty((0, 2)))
 
 
 class TestGpSampleTask:
