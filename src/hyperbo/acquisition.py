@@ -43,15 +43,9 @@ class CandidateSet:
             if self.excluded.shape[0] != self.points.shape[0]:
                 raise ValueError("exclusion mask length does not match candidate count")
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
     @property
     def active_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.excluded)
-
-    def exclude(self, index: int) -> None:
-        self.excluded[index] = True
 
 
 def ucb_beta(t: int, n_candidates: int, delta: float = 0.1) -> float:

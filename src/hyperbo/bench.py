@@ -44,13 +44,16 @@ STRATEGIES = ("standard_bo", "hyperbo", "best_theta_rerun", "gold_standard_theta
 OUTPUT_DIR_ENV = "HYPERBO_OUTPUT_DIR"
 FAILURE_THRESHOLD = 0.10
 
-_ENGINE_KEYS = (
-    "regularization",
-    "default_length_scale",
-    "signal_variance",
-    "noise_variance",
-    "ucb_delta",
-)
+_ENGINE_KEYS = ("ucb_delta",)
+_INT_KEYS = ("trials", "m", "K", "budget", "seed", "workers")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 class ConfigError(ValueError):
@@ -80,6 +83,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        not_int = [k for k in _INT_KEYS if not _is_int(getattr(self, k))]
+        if self.discovery_budget is not None and not _is_int(self.discovery_budget):
+            not_int.append("discovery_budget")
+        if not_int:
+            raise ConfigError(f"{not_int} must be integers")
+        if self.m < 1 or self.K < 1:
+            raise ConfigError("m and K must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.budget < 1:
@@ -98,13 +108,21 @@ class ExperimentConfig:
                 raise ConfigError(f"hyperbo budget ({hyperbo_budget}) must be a multiple of K ({self.K})")
             if hyperbo_budget // self.K < self.m:
                 raise ConfigError("hyperbo budget / K must be >= m so the random phase fits")
+        theta = self.gold_standard_theta
+        if theta is not None and not (isinstance(theta, (list, tuple)) and all(map(_is_number, theta))):
+            raise ConfigError(f"gold_standard_theta must be a list of numbers, got {theta!r}")
         if "gold_standard_theta" in self.strategies:
             if self.gold_standard_theta is None:
                 raise ConfigError("gold_standard_theta strategy needs a gold_standard_theta value")
             self.gold_standard_theta = tuple(float(v) for v in self.gold_standard_theta)
+        if not isinstance(self.engine, dict):
+            raise ConfigError("engine must be an object")
         bad_engine = [k for k in self.engine if k not in _ENGINE_KEYS]
         if bad_engine:
             raise ConfigError(f"unknown engine overrides {bad_engine}; valid: {list(_ENGINE_KEYS)}")
+        delta = self.engine.get("ucb_delta")
+        if "ucb_delta" in self.engine and not (_is_number(delta) and delta > 0):
+            raise ConfigError(f"engine.ucb_delta must be a positive number, got {delta!r}")
         if not isinstance(self.task, dict) or "kind" not in self.task:
             raise ConfigError("task must be an object with a 'kind' key")
 
@@ -147,28 +165,32 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_task(spec: dict) -> Task:
+    """The task a config's `task` object describes; ConfigError when it cannot be built."""
     kind = spec.get("kind")
-    if kind == "goldstein_price":
-        return make_goldstein_price_task(pool_size=int(spec.get("pool_size", 500)))
-    if kind == "gp_sample":
-        return make_gp_sample_task(
-            dim=int(spec["dim"]),
-            length_scale=float(spec["length_scale"]),
-            n_points=int(spec.get("n_points", 300)),
-            seed=int(spec.get("seed", 0)),
-        )
-    if kind == "dataset":
-        path = spec.get("path")
-        if not path or not os.path.exists(path):
-            raise ConfigError(f"dataset file {path!r} does not exist")
-        return load_dataset(
-            path,
-            target=spec["target"],
-            features=spec.get("features"),
-            filters=tuple(spec.get("filters", ())),
-            n_initial=int(spec.get("n_initial", 3)),
-            name=spec.get("name"),
-        )
+    path = spec.get("path")
+    if kind == "dataset" and not (path and os.path.exists(path)):
+        raise ConfigError(f"dataset file {path!r} does not exist")
+    try:
+        if kind == "goldstein_price":
+            return make_goldstein_price_task(pool_size=int(spec.get("pool_size", 500)))
+        if kind == "gp_sample":
+            return make_gp_sample_task(
+                dim=int(spec["dim"]),
+                length_scale=float(spec["length_scale"]),
+                n_points=int(spec.get("n_points", 300)),
+                seed=int(spec.get("seed", 0)),
+            )
+        if kind == "dataset":
+            return load_dataset(
+                path,
+                target=spec["target"],
+                features=spec.get("features"),
+                filters=tuple(spec.get("filters", ())),
+                n_initial=int(spec.get("n_initial", 3)),
+                name=spec.get("name"),
+            )
+    except (KeyError, TypeError, ValueError) as exc:  # DatasetError is a ValueError
+        raise ConfigError(f"cannot build the {kind} task: {type(exc).__name__}: {exc}") from None
     raise ConfigError(f"unknown task kind {kind!r}")
 
 
@@ -385,7 +407,10 @@ def emit_reports(run_dir) -> Path | None:
     if not best_thetas:
         raise ReportError("no successful trials with a best theta; nothing to report")
 
-    task = build_task(manifest["config"]["task"])
+    try:
+        task = build_task(manifest["config"]["task"])
+    except ConfigError as exc:
+        raise ReportError(f"{manifest_path}: cannot rebuild the run's task: {exc}") from None
     space = ModelSpace(MONOTONICITY, task.dim)
     try:
         best_thetas = np.array([space.theta(values).values for values in best_thetas])

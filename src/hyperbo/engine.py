@@ -11,11 +11,11 @@ ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from hyperbo.acquisition import CandidateSet, ExhaustedSearchSpaceError, thompson_select, ucb_beta, ucb_select
+from hyperbo.acquisition import CandidateSet, thompson_select, ucb_beta, ucb_select
 from hyperbo.gp import KernelParams, gp_fit, standardize
 from hyperbo.monotonic import FittedMonotonicGP, VirtualDerivativeSet, fit_monotonic_gp
 from hyperbo.scoring import LENGTH_SCALE, MODES, MONOTONICITY, default_lambda, score_model
@@ -59,6 +59,12 @@ THOMPSON_THRESHOLD = 2000
 THOMPSON_SUBSAMPLE = 500
 THETA_GP_NOISE = 1e-4
 THETA_GP_LS_FRACTION = 0.2
+
+# Inner surrogate on standardized outputs: unit signal variance, this noise,
+# and this length scale per dimension wherever theta does not set one.
+SIGNAL_VARIANCE = 1.0
+NOISE_VARIANCE = 1e-6
+DEFAULT_LENGTH_SCALE = 0.3
 
 
 def _option_table(mode: str) -> tuple[tuple[float, ...], ...]:
@@ -170,10 +176,6 @@ class RunConfig:
     K: int = 5
     R: int = 10
     seed: int = 0
-    regularization: float | None = None  # defaults to the per-mode formula
-    default_length_scale: float = 0.3
-    signal_variance: float = 1.0
-    noise_variance: float = 1e-6
     ucb_delta: float = 0.1
 
     def __post_init__(self):
@@ -183,11 +185,6 @@ class RunConfig:
             raise ValueError("m and K must be >= 1")
         if self.R < self.m:
             raise ValueError(f"R ({self.R}) must be >= m ({self.m})")
-
-    def resolve_lambda(self, dim: int) -> float:
-        if self.regularization is not None:
-            return self.regularization
-        return default_lambda(self.mode, dim)
 
 
 @dataclass(frozen=True)
@@ -227,36 +224,20 @@ class RunResult:
 
 @dataclass
 class _RunState:
-    X: np.ndarray  # observed inputs, one row per sample
+    X: np.ndarray  # observed inputs, one row per sample; the first n0 are the initial design
     y: np.ndarray
+    n0: int
     pool: np.ndarray
-    observed: set
+    sampled: np.ndarray  # pool rows already observed
     rng: np.random.Generator
     virtual: VirtualDerivativeSet | None
     trial_scale: float
-    initial_best: float = -np.inf
-    inner_t: int = 0
-    best_values: list = field(default_factory=list)
-    best_x: np.ndarray = None
-    best_y: float = -np.inf
     ep_fits: int = 0
     ep_sweeps: int = 0
     ep_nonconverged: int = 0
 
-    def candidate_set(self) -> CandidateSet:
-        mask = np.zeros(self.pool.shape[0], dtype=bool)
-        if self.observed:
-            mask[list(self.observed)] = True
-        return CandidateSet(self.pool, excluded=mask)
 
-    def record(self, x, y: float) -> None:
-        if y > self.best_y:
-            self.best_y = y
-            self.best_x = np.asarray(x, dtype=float).copy()
-        self.best_values.append(self.best_y)
-
-
-def _fit_window_model(state: _RunState, config: RunConfig, theta: ModelTheta | None):
+def _fit_window_model(state: _RunState, theta: ModelTheta | None):
     """Fit the inner surrogate on standardized outputs for the current theta.
 
     theta None means the fixed default kernel (the plain-BO baseline).  UCB
@@ -265,13 +246,8 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: ModelTheta | N
     """
     z, _ = standardize(state.y)
     if theta is not None and theta.mode == LENGTH_SCALE:
-        params = KernelParams(config.signal_variance, theta.values, config.noise_variance)
-        return gp_fit(state.X, z, params)
-    params = KernelParams(
-        config.signal_variance,
-        tuple([config.default_length_scale] * state.X.shape[1]),
-        config.noise_variance,
-    )
+        return gp_fit(state.X, z, KernelParams(SIGNAL_VARIANCE, theta.values, NOISE_VARIANCE))
+    params = KernelParams(SIGNAL_VARIANCE, (DEFAULT_LENGTH_SCALE,) * state.X.shape[1], NOISE_VARIANCE)
     if theta is None:
         return gp_fit(state.X, z, params)
     return fit_monotonic_gp(state.X, z, params, theta.as_array(), state.virtual)
@@ -279,26 +255,21 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: ModelTheta | N
 
 def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: ModelTheta | None) -> bool:
     """One UCB acquisition; returns False when the pool is exhausted."""
-    candidates = state.candidate_set()
+    candidates = CandidateSet(state.pool, excluded=state.sampled)
     n_active = candidates.active_indices.size
     if n_active == 0:
         return False
-    model = _fit_window_model(state, config, theta)
+    model = _fit_window_model(state, theta)
     if isinstance(model, FittedMonotonicGP):
         state.ep_fits += 1
         state.ep_sweeps += model.sweeps
         state.ep_nonconverged += not model.converged
-    beta = ucb_beta(state.inner_t + 1, n_active, config.ucb_delta)
-    try:
-        index, x = ucb_select(model, candidates, beta)
-    except ExhaustedSearchSpaceError:
-        return False
+    beta = ucb_beta(len(state.y) - state.n0 + 1, n_active, config.ucb_delta)
+    index, x = ucb_select(model, candidates, beta)
     y = task.observe(index, x)
     state.X = np.vstack((state.X, x))
     state.y = np.append(state.y, y)
-    state.observed.add(index)
-    state.inner_t += 1
-    state.record(x, y)
+    state.sampled[index] = True
     return True
 
 
@@ -315,7 +286,7 @@ def model_score_window(
     Returns (record, exhausted). The record is None when the space was
     exhausted before any step completed.
     """
-    start_T = state.inner_t
+    start_T = len(state.y) - state.n0
     y_plus = float(np.max(state.y))
     completed = 0
     exhausted = False
@@ -330,7 +301,7 @@ def model_score_window(
     gain = (f_plus - y_plus) / state.trial_scale
     # T counts every inner sample so far; a one-sample first window would make
     # the normalizer degenerate.
-    T = max(state.inner_t, 2)
+    T = max(len(state.y) - state.n0, 2)
     score = score_model(gain, T, task.dim, theta.values, lam, config.mode)
     record = LedgerRecord(
         theta=theta,
@@ -378,37 +349,36 @@ def _init_state(task: Task, config: RunConfig) -> _RunState:
     pool = task.build_pool(init_rng)
     # Initial-design entries that are pool members (dataset rows) are excluded
     # from re-sampling; synthetic designs live off-pool and flag nothing.
-    observed = set(i for i in indices if i >= 0)
+    sampled = np.zeros(pool.shape[0], dtype=bool)
+    sampled[[i for i in indices if i >= 0]] = True
     virtual = None
     if config.mode == MONOTONICITY:
         virtual = VirtualDerivativeSet.sample(task.dim, np.random.default_rng(virtual_child))
-    state = _RunState(
+    return _RunState(
         X=np.array(X0, dtype=float),
         y=np.array(y0, dtype=float),
+        n0=len(y0),
         pool=pool,
-        observed=observed,
+        sampled=sampled,
         rng=np.random.default_rng(run_child),
         virtual=virtual,
         trial_scale=standardize(y0)[1],
     )
-    best_idx = int(np.argmax(y0))
-    state.best_y = float(y0[best_idx])
-    state.best_x = np.asarray(X0[best_idx], dtype=float).copy()
-    state.initial_best = state.best_y
-    return state
 
 
 def _result_from_state(task: Task, state: _RunState, best_theta, ledger, exhausted: bool) -> RunResult:
-    best_values = np.concatenate([[state.initial_best], state.best_values])
+    # Iteration 0 is the initial-design best; ties keep the earliest sample.
+    best_values = np.maximum.accumulate(state.y)[state.n0 - 1 :]
+    best = int(np.argmax(state.y))
     return RunResult(
-        best_x=state.best_x,
-        best_y=state.best_y,
+        best_x=state.X[best].copy(),
+        best_y=float(state.y[best]),
         best_theta=best_theta,
         ledger=ledger,
         best_values=best_values,
         regrets=regret_trace(best_values, task.optimum),
         exhausted=exhausted,
-        n_samples=state.inner_t,
+        n_samples=len(state.y) - state.n0,
         ep_fits=state.ep_fits,
         ep_sweeps=state.ep_sweeps,
         ep_nonconverged=state.ep_nonconverged,
@@ -422,7 +392,7 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
     design, the virtual derivative locations, and every subsequent draw.
     """
     space = ModelSpace(config.mode, task.dim)
-    lam = config.resolve_lambda(task.dim)
+    lam = default_lambda(config.mode, task.dim)
     state = _init_state(task, config)
     ledger: list[LedgerRecord] = []
     exhausted = False

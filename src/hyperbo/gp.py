@@ -15,7 +15,6 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 __all__ = [
     "KernelParams",
-    "PosteriorPrediction",
     "FittedGP",
     "SingularGramError",
     "se_kernel_matrix",
@@ -32,10 +31,6 @@ _JITTER_GROWTH = 10.0
 
 class SingularGramError(np.linalg.LinAlgError):
     """Gram matrix could not be factorized, even at the maximum jitter level."""
-
-    def __init__(self, message: str, jitter: float):
-        super().__init__(message)
-        self.jitter = jitter
 
 
 @dataclass(frozen=True)
@@ -62,14 +57,6 @@ class KernelParams:
 
     def scales_array(self) -> np.ndarray:
         return np.asarray(self.length_scales, dtype=float)
-
-
-@dataclass(frozen=True)
-class PosteriorPrediction:
-    """Posterior mean and (clamped, non-negative) variance at a single point."""
-
-    mean: float
-    variance: float
 
 
 def se_kernel_matrix(X, Z, params: KernelParams) -> np.ndarray:
@@ -102,14 +89,6 @@ class FittedGP:
     chol: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     jitter: float = 0.0
-
-    @property
-    def count(self) -> int:
-        return self.X.shape[0]
-
-    def predict(self, x) -> PosteriorPrediction:
-        means, variances = self.predict_batch(np.atleast_2d(np.asarray(x, dtype=float)))
-        return PosteriorPrediction(mean=float(means[0]), variance=float(variances[0]))
 
     def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at each row of X."""
@@ -167,10 +146,7 @@ def gp_fit(X, y, params: KernelParams) -> FittedGP:
     """
     X, y = as_observations(X, y, params.dim)
     if params.noise_variance == 0.0 and _has_duplicate_rows(X):
-        raise SingularGramError(
-            "Gram matrix is rank-deficient: duplicate inputs with zero noise variance",
-            jitter=0.0,
-        )
+        raise SingularGramError("Gram matrix is rank-deficient: duplicate inputs with zero noise variance")
     gram = se_kernel_matrix(X, X, params)
     gram[np.diag_indices_from(gram)] += params.noise_variance
 
@@ -185,9 +161,6 @@ def gp_fit(X, y, params: KernelParams) -> FittedGP:
             elif jitter < _JITTER_MAX * params.signal_variance:
                 jitter = min(jitter * _JITTER_GROWTH, _JITTER_MAX * params.signal_variance)
             else:
-                raise SingularGramError(
-                    f"Cholesky factorization failed at maximum jitter {jitter:g}",
-                    jitter=jitter,
-                ) from None
+                raise SingularGramError(f"Cholesky factorization failed at maximum jitter {jitter:g}") from None
     weights = cho_solve((chol, True), y)
     return FittedGP(X=X, y=y, params=params, chol=chol, weights=weights, jitter=jitter)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import log_ndtr
 
-from hyperbo.gp import KernelParams, PosteriorPrediction, as_observations, se_kernel_matrix
+from hyperbo.gp import KernelParams, as_observations, se_kernel_matrix
 
 __all__ = [
     "VirtualDerivativeSet",
@@ -32,6 +32,10 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _SITE_PRECISION_CAP = 1e8
 _MIN_OBS_NOISE = 1e-8
+# EP: damped site updates, at most _MAX_SWEEPS sweeps, converged at _TOL.
+_DAMPING = 0.8
+_MAX_SWEEPS = 100
+_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -60,10 +64,6 @@ class VirtualDerivativeSet:
     @property
     def n_locations(self) -> int:
         return self.locations.shape[0]
-
-    @property
-    def n_derivatives(self) -> int:
-        return self.n_locations * self.dim
 
 
 def value_gradient_cross_matrix(X, Z, params: KernelParams) -> np.ndarray:
@@ -127,10 +127,6 @@ class FittedMonotonicGP:
     _latent_mean: np.ndarray = field(repr=False)
 
     @property
-    def count(self) -> int:
-        return self.X.shape[0]
-
-    @property
     def derivative_means(self) -> np.ndarray:
         """Posterior means of the virtual derivative latents (location-major)."""
         return self._latent_mean[self.X.shape[0]:]
@@ -139,10 +135,6 @@ class FittedMonotonicGP:
         k_obs = se_kernel_matrix(self.X, X_star, self.params)  # (t, m)
         k_grad = value_gradient_cross_matrix(X_star, self.virtual.locations, self.params).T
         return np.vstack([k_obs, k_grad])  # (n_latent, m)
-
-    def predict(self, x) -> PosteriorPrediction:
-        means, variances = self.predict_batch(np.atleast_2d(np.asarray(x, dtype=float)))
-        return PosteriorPrediction(mean=float(means[0]), variance=float(variances[0]))
 
     def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -183,9 +175,6 @@ def fit_monotonic_gp(
     params: KernelParams,
     strictness,
     virtual: VirtualDerivativeSet,
-    damping: float = 0.8,
-    max_sweeps: int = 100,
-    tol: float = 1e-4,
 ) -> FittedMonotonicGP:
     """Fit the probit derivative sites by damped parallel EP and freeze the posterior.
 
@@ -195,8 +184,8 @@ def fit_monotonic_gp(
     moments for all sites at once, applies the damped site updates and
     refreshes the posterior with one Cholesky.  The fit has converged when, in
     one sweep, no latent's posterior mean or standard deviation moves by more
-    than tol times its prior standard deviation.  Non-convergence within
-    max_sweeps is not fatal: the last damped iterate is returned with
+    than _TOL times its prior standard deviation.  Non-convergence within
+    _MAX_SWEEPS is not fatal: the last damped iterate is returned with
     converged=False.
     """
     X, y = as_observations(X, y, params.dim)
@@ -225,7 +214,7 @@ def fit_monotonic_gp(
     mean, var, chol_B, sqrt_s, weights = _posterior(K, tau_lat, nat_lat)
     converged = False
     sweeps = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         sweeps = sweep
         mean_d, var_d = mean[t:], var[t:]
         with np.errstate(all="ignore"):  # invalid entries are masked out below
@@ -249,15 +238,15 @@ def fit_monotonic_gp(
             # round-off: drop the site rather than keep a bad precision.  Above
             # the cap, shrink the pair together so the implied site mean is kept.
             shrink = np.where(tau_target > 0.0, np.minimum(1.0, _SITE_PRECISION_CAP / tau_target), 0.0)
-        tau = np.where(valid, (1.0 - damping) * tau + damping * shrink * tau_target, tau)
-        nat = np.where(valid, (1.0 - damping) * nat + damping * shrink * nat_target, nat)
+        tau = np.where(valid, (1.0 - _DAMPING) * tau + _DAMPING * shrink * tau_target, tau)
+        nat = np.where(valid, (1.0 - _DAMPING) * nat + _DAMPING * shrink * nat_target, nat)
 
         tau_lat[t:] = tau.sum(axis=0)
         nat_lat[t:] = nat.sum(axis=0)
         old_mean, old_sd = mean, np.sqrt(var)
         mean, var, chol_B, sqrt_s, weights = _posterior(K, tau_lat, nat_lat)
         moved = np.maximum(np.abs(mean - old_mean), np.abs(np.sqrt(var) - old_sd))
-        if np.max(moved / prior_sd) <= tol:
+        if np.max(moved / prior_sd) <= _TOL:
             converged = True
             break
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,8 +83,6 @@ class DiscreteTask(Task):
     X: np.ndarray = None
     y: np.ndarray = None
     feature_names: tuple[str, ...] = ()
-    column_mins: np.ndarray = None
-    column_ranges: np.ndarray = None
     n_initial: int = 3
 
     def __post_init__(self):
@@ -94,17 +92,10 @@ class DiscreteTask(Task):
             raise ValueError("row/target count mismatch")
         if np.any(self.X < 0.0) or np.any(self.X > 1.0):
             raise ValueError("task rows must lie in the unit hypercube")
-        if self.column_mins is None:
-            self.column_mins = np.zeros(self.dim)
-        if self.column_ranges is None:
-            self.column_ranges = np.ones(self.dim)
 
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
-
-    def denormalize(self, x01: np.ndarray) -> np.ndarray:
-        return np.asarray(x01) * self.column_ranges + self.column_mins
 
     def initial_design(self, rng: np.random.Generator):
         n0 = min(self.n_initial, self.n_rows)
@@ -126,17 +117,12 @@ class ContinuousTask(Task):
     """Synthetic function searched over a per-trial random grid of pool_size points."""
 
     fn: object = None
-    n_initial: int = 0  # resolved to 3 * dim when 0
     pool_size: int = 500
 
-    def __post_init__(self):
-        if self.n_initial == 0:
-            self.n_initial = 3 * self.dim
-
     def initial_design(self, rng: np.random.Generator):
-        X = latin_hypercube(self.n_initial, self.dim, rng)
+        X = latin_hypercube(3 * self.dim, self.dim, rng)
         y = np.array([self.fn(x) for x in X])
-        return [-1] * self.n_initial, X, y
+        return [-1] * len(y), X, y
 
     def build_pool(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 1.0, size=(self.pool_size, self.dim))
@@ -144,8 +130,8 @@ class ContinuousTask(Task):
     def observe(self, index: int, x: np.ndarray) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
 
-    def correlation_sample(self, grid_per_dim: int = 64) -> tuple[np.ndarray, np.ndarray]:
-        axes = [np.linspace(0, 1, grid_per_dim)] * self.dim
+    def correlation_sample(self) -> tuple[np.ndarray, np.ndarray]:
+        axes = [np.linspace(0, 1, 64)] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=1)
         y = np.array([self.fn(x) for x in X])
@@ -191,9 +177,8 @@ def make_gp_sample_task(
     length_scale: float,
     n_points: int = 300,
     seed: int = 0,
-    signal_variance: float = 1.0,
 ) -> DiscreteTask:
-    """Discrete task whose targets are one draw from a GP prior with known length scales.
+    """Discrete task whose targets are one draw from a unit-variance GP prior with known length scales.
 
     Useful as a ground-truth benchmark for length-scale recovery.
     """
@@ -201,7 +186,7 @@ def make_gp_sample_task(
 
     rng = np.random.default_rng(seed)
     X = latin_hypercube(n_points, dim, rng)
-    params = KernelParams(signal_variance, tuple([length_scale] * dim))
+    params = KernelParams(1.0, tuple([length_scale] * dim))
     K = se_kernel_matrix(X, X, params) + 1e-10 * np.eye(n_points)
     y = np.linalg.cholesky(K) @ rng.standard_normal(n_points)
     return DiscreteTask(
@@ -306,8 +291,6 @@ def load_dataset(
         X=X01,
         y=y,
         feature_names=tuple(features),
-        column_mins=mins,
-        column_ranges=ranges,
         n_initial=n_initial,
     )
 

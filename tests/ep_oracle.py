@@ -98,7 +98,7 @@ def sequential_ep_fit(
         raise ValueError("kernel, strictness and virtual-set dimensions must agree")
 
     t = X.shape[0]
-    n_latent = t + virtual.n_derivatives
+    n_latent = t + virtual.locations.size
     K = _joint_prior(X, virtual, params)
 
     obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)

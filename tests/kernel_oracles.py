@@ -1,10 +1,25 @@
 """Scalar reference forms of the SE kernel and its derivative covariances.
 
 Tests compare the vectorized production matrices in hyperbo.gp and
-hyperbo.monotonic against these one-pair formulas.
+hyperbo.monotonic against these one-pair formulas, on random instances
+from `random_gp_instance`.
 """
 
 import numpy as np
+
+from hyperbo.gp import KernelParams
+
+
+def random_gp_instance(rng, d, t, noise=1e-4):
+    """Random kernel params plus t observations (X in [0,1]^d, y standard normal)."""
+    params = KernelParams(
+        signal_variance=float(rng.uniform(0.5, 3.0)),
+        length_scales=tuple(rng.uniform(0.15, 0.8, size=d)),
+        noise_variance=noise,
+    )
+    X = rng.uniform(0, 1, size=(t, d))
+    y = rng.normal(size=t)
+    return params, X, y
 
 
 def se_kernel(x_i, x_j, params) -> float:

@@ -64,8 +64,8 @@ def test_criterion_01_gp_oracle_equivalence():
             k_star = np.array([se_kernel(a, x_star, params) for a in X])
             mean = float(k_star @ A @ y)
             var = max(float(se_kernel(x_star, x_star, params) - k_star @ A @ k_star), 0.0)
-            pred = model.predict(x_star)
-            worst = max(worst, abs(pred.mean - mean), abs(pred.variance - var))
+            (pred_mean,), (pred_var,) = model.predict_batch(x_star)
+            worst = max(worst, abs(pred_mean - mean), abs(pred_var - var))
     elapsed = time.time() - start
     assert worst < 1e-8
     assert elapsed < 10.0

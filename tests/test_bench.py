@@ -64,10 +64,52 @@ class TestConfigValidation:
             ls_config(tmp_path, strategies=("something",))
 
     def test_unknown_engine_key(self, tmp_path):
-        # thompson_subsample was an engine override once; it is a module constant now.
-        for engine in ({"bogus": 1}, {"thompson_subsample": 500}):
+        # All but "bogus" were engine overrides once; they are module constants now.
+        keys = ("bogus", "thompson_subsample", "regularization", "default_length_scale", "signal_variance", "noise_variance")
+        for key in keys:
             with pytest.raises(ConfigError, match="unknown engine overrides"):
-                ls_config(tmp_path, engine=engine)
+                ls_config(tmp_path, engine={key: 1})
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"budget": "30"},
+            {"trials": 2.5},
+            {"m": True},
+            {"K": None},
+            {"seed": "0"},
+            {"workers": 1.0},
+            {"discovery_budget": "8"},
+            {"K": 0},
+            {"strategies": ["standard_bo", "gold_standard_theta"], "gold_standard_theta": ["a"]},
+            {"strategies": ["standard_bo", "gold_standard_theta"], "gold_standard_theta": 0.3},
+            {"engine": {"ucb_delta": "x"}},
+            {"engine": {"ucb_delta": 0}},
+            {"engine": {"ucb_delta": None}},
+            {"engine": []},
+            {"task": {"kind": "gp_sample", "dim": "x", "length_scale": 0.3}},
+            {"task": {"kind": "gp_sample", "length_scale": 0.3}},
+        ],
+        ids=lambda override: json.dumps(override),
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, override):
+        path = tmp_path / "cfg.json"
+        raw = {
+            "task": {"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "n_points": 20, "seed": 1},
+            "mode": "length_scale",
+            "trials": 1,
+            "m": 1,
+            "K": 2,
+            "budget": 4,
+            "output_dir": str(tmp_path / "run"),
+        }
+        path.write_text(json.dumps({**raw, **override}))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 0
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -84,6 +126,12 @@ class TestConfigValidation:
     def test_missing_dataset_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             build_task({"kind": "dataset", "path": str(tmp_path / "nope.csv"), "target": "y"})
+
+    def test_malformed_dataset_file(self, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_text("a,y\n1,2\nfoo,3\n")
+        with pytest.raises(ConfigError, match="non-numeric"):
+            build_task({"kind": "dataset", "path": str(data), "target": "y"})
 
     def test_unknown_task_kind(self):
         with pytest.raises(ConfigError, match="unknown task kind"):
@@ -297,6 +345,28 @@ class TestReports:
         outcome = self.mono_outcome(tmp_path, trials=1)
         with pytest.raises(ReportError):
             emit_reports(outcome.output_dir)
+
+    def test_report_on_moved_dataset_errors(self, tmp_path, capsys):
+        # A dataset run's report re-reads the CSV; once it has moved, that is a report error.
+        data = tmp_path / "five.csv"
+        data.write_text("a,b,y\n0.0,1.0,1.0\n0.2,0.5,2.0\n0.5,0.2,4.0\n0.7,0.9,3.0\n1.0,0.0,5.0\n")
+        config = ExperimentConfig(
+            task={"kind": "dataset", "path": str(data), "target": "y", "n_initial": 2},
+            mode="monotonicity",
+            trials=1,
+            m=1,
+            K=1,
+            budget=2,
+            strategies=("hyperbo",),
+            output_dir=str(tmp_path / "run"),
+        )
+        out = run_experiment(config).output_dir
+        assert (out / "report.csv").exists()
+        data.rename(tmp_path / "moved.csv")
+        with pytest.raises(ReportError, match="does not exist"):
+            emit_reports(out)
+        assert cli_main(["report", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("report error:")
 
     def test_report_on_missing_dir_errors(self, tmp_path):
         with pytest.raises(ReportError):

@@ -159,9 +159,8 @@ class TestRunConfig:
             RunConfig(mode="nonsense")
 
     def test_lambda_defaults_per_mode(self):
-        assert RunConfig(mode="length_scale").resolve_lambda(4) == default_lambda(LENGTH_SCALE, 4)
-        assert RunConfig(mode="monotonicity").resolve_lambda(4) == default_lambda(MONOTONICITY, 4)
-        assert RunConfig(mode="monotonicity", regularization=0.25).resolve_lambda(4) == 0.25
+        assert default_lambda(LENGTH_SCALE, 4) == pytest.approx(1.0 / (0.6 * 4))
+        assert default_lambda(MONOTONICITY, 4) == pytest.approx(1.0 / (12.0 * 4))
 
 
 class TestBestRecord:
@@ -184,7 +183,7 @@ class TestModelScoreWindow:
         theta = ModelTheta(LENGTH_SCALE, (0.3,))
         record, exhausted = model_score_window(task, state, config, theta, 1, lam=0.0)
         assert len(state.y) == 5
-        assert state.inner_t == 3
+        assert len(state.y) - state.n0 == 3
         assert record is not None and not exhausted
 
     def test_no_improvement_scores_zero(self):
@@ -370,10 +369,23 @@ class TestRerunWithBestTheta:
         # theta None (baseline) and an explicit grid theta at the default length
         # scale must produce identical traces: equivalence by construction.
         task = make_toy_task(np.sin(np.linspace(0, 7, 30)), n_initial=3)
-        config = RunConfig(mode=LENGTH_SCALE, seed=13, default_length_scale=0.3)
+        config = RunConfig(mode=LENGTH_SCALE, seed=13)
         a = rerun_with_best_theta(task, None, 10, config)
         b = rerun_with_best_theta(task, ModelTheta(LENGTH_SCALE, (0.3,)), 10, config)
         np.testing.assert_array_equal(a.best_values, b.best_values)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_best_is_earliest_of_tied_maxima(self, seed):
+        # Three rows tie at the maximum; the budget samples every row.
+        task = make_toy_task([1.0, 3.0, 0.0, 3.0, 2.0, 3.0], n_initial=1)
+        order = []
+        observe = task.observe
+        task.observe = lambda index, x: order.append(index) or observe(index, x)
+        result = rerun_with_best_theta(task, None, 5, RunConfig(mode=LENGTH_SCALE, seed=seed))
+        initial = (set(range(6)) - set(order)).pop()
+        earliest = next(i for i in [initial] + order if task.y[i] == 3.0)
+        np.testing.assert_array_equal(result.best_x, task.X[earliest])
+        assert result.best_y == result.best_values[-1] == 3.0
 
     def test_same_seed_shares_initial_design_with_framework(self):
         task = make_toy_task(np.linspace(0, 9, 40), n_initial=3)

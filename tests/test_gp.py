@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from hyperbo.gp import KernelParams, SingularGramError, gp_fit, se_kernel_matrix, standardize
 
-from conftest import random_gp_instance
-from kernel_oracles import se_kernel
+from kernel_oracles import random_gp_instance, se_kernel
 
 
 def dense_posterior_oracle(X, y, params, x_star):
@@ -86,7 +85,7 @@ class TestGpFit:
     def test_duplicate_inputs_with_noise_accepted(self):
         params = KernelParams(1.0, (0.3, 0.3), noise_variance=1e-4)
         model = gp_fit([[0.5, 0.5]] * 3, [1.0, 1.1, 0.9], params)
-        assert model.predict([0.5, 0.5]).mean == pytest.approx(1.0, abs=1e-3)
+        assert model.predict_batch([0.5, 0.5])[0][0] == pytest.approx(1.0, abs=1e-3)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -103,25 +102,25 @@ class TestGpFit:
 class TestGpPredict:
     def test_noise_free_interpolation(self):
         params = KernelParams(1.0, (0.3,), noise_variance=0.0)
-        pred = gp_fit([[0.4]], [2.0], params).predict([0.4])
-        assert pred.mean == pytest.approx(2.0, abs=1e-10)
-        assert pred.variance == pytest.approx(0.0, abs=1e-10)
+        (mean,), (variance,) = gp_fit([[0.4]], [2.0], params).predict_batch([0.4])
+        assert mean == pytest.approx(2.0, abs=1e-10)
+        assert variance == pytest.approx(0.0, abs=1e-10)
 
     def test_prior_recovery_far_from_data(self):
         # With a short length scale, the opposite corner is effectively infinitely far.
         params = KernelParams(1.8, (0.02,), noise_variance=0.0)
-        pred = gp_fit([[0.0]], [4.0], params).predict([1.0])
-        assert abs(pred.mean) < 1e-9
-        assert pred.variance == pytest.approx(1.8, abs=1e-9)
+        (mean,), (variance,) = gp_fit([[0.0]], [4.0], params).predict_batch([1.0])
+        assert abs(mean) < 1e-9
+        assert variance == pytest.approx(1.8, abs=1e-9)
 
     def test_matches_dense_oracle(self, rng):
         params, X, y = random_gp_instance(rng, d=3, t=20, noise=1e-4)
         model = gp_fit(X, y, params)
         for x_star in rng.uniform(0, 1, size=(5, 3)):
             mean, var = dense_posterior_oracle(X, y, params, x_star)
-            pred = model.predict(x_star)
-            assert pred.mean == pytest.approx(mean, abs=1e-8)
-            assert pred.variance == pytest.approx(max(var, 0.0), abs=1e-8)
+            (pred_mean,), (pred_var,) = model.predict_batch(x_star)
+            assert pred_mean == pytest.approx(mean, abs=1e-8)
+            assert pred_var == pytest.approx(max(var, 0.0), abs=1e-8)
 
     def test_training_variance_tiny_when_noiseless(self, rng):
         params, X, y = random_gp_instance(rng, d=2, t=8, noise=0.0)
@@ -177,4 +176,4 @@ class TestStandardize:
         assert scale == 1.0
         np.testing.assert_array_equal(z, np.zeros(3))
         model = gp_fit([[0.1], [0.5], [0.9]], z, params)
-        assert model.predict([0.5]).mean * scale + 7.0 == pytest.approx(7.0, abs=1e-3)
+        assert model.predict_batch([0.5])[0][0] * scale + 7.0 == pytest.approx(7.0, abs=1e-3)
