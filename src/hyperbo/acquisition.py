@@ -2,7 +2,7 @@
 
 Both selectors are pure functions of an immutable fitted model, a candidate
 set, and (for Thompson) an explicit generator, so trials can run in parallel
-with independent streams.
+with independent streams.  Callers pass at least one unexcluded candidate.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "CandidateSet",
-    "ExhaustedSearchSpaceError",
     "ucb_beta",
     "ucb_select",
     "thompson_sample_argmax",
@@ -21,10 +20,6 @@ __all__ = [
 ]
 
 _THOMPSON_JITTER = 1e-9
-
-
-class ExhaustedSearchSpaceError(RuntimeError):
-    """No unexcluded candidates remain to select from."""
 
 
 @dataclass
@@ -68,8 +63,6 @@ def ucb_select(model, candidates: CandidateSet, beta: float) -> tuple[int, np.nd
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     active = candidates.active_indices
-    if active.size == 0:
-        raise ExhaustedSearchSpaceError("all candidates are excluded")
     means, variances = model.predict_batch(candidates.points[active])
     scores = means + np.sqrt(beta) * np.sqrt(np.maximum(variances, 0.0))
     best = active[int(np.argmax(scores))]
@@ -93,8 +86,6 @@ def thompson_select(model, candidates: CandidateSet, rng: np.random.Generator) -
     coherently.
     """
     active = candidates.active_indices
-    if active.size == 0:
-        raise ExhaustedSearchSpaceError("all candidates are excluded")
     means, cov = model.predict_joint(candidates.points[active])
     best = active[thompson_sample_argmax(means, cov, rng)]
     return best, candidates.points[best]

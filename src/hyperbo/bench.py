@@ -12,7 +12,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from hyperbo.engine import ModelSpace, ModelTheta, RunConfig, RunResult, rerun_with_best_theta, run_framework
 from hyperbo.scoring import MODES, MONOTONICITY
 from hyperbo.tasks import (
+    MonotonicityRow,
     Task,
     load_dataset,
     make_goldstein_price_task,
@@ -46,6 +47,8 @@ FAILURE_THRESHOLD = 0.10
 
 _ENGINE_KEYS = ("ucb_delta",)
 _INT_KEYS = ("trials", "m", "K", "budget", "seed", "workers")
+# Task-spec keys that must be JSON integers, with their least value (None: any).
+_TASK_INT_KEYS = {"pool_size": 1, "dim": 1, "n_points": 1, "n_initial": 1, "seed": None}
 
 
 def _is_int(value) -> bool:
@@ -168,17 +171,27 @@ def build_task(spec: dict) -> Task:
     """The task a config's `task` object describes; ConfigError when it cannot be built."""
     kind = spec.get("kind")
     path = spec.get("path")
+    bad = [
+        k for k, low in _TASK_INT_KEYS.items() if k in spec and not (_is_int(spec[k]) and (low is None or spec[k] >= low))
+    ]
+    if "length_scale" in spec and not _is_number(spec["length_scale"]):
+        bad.append("length_scale")
+    if bad:
+        raise ConfigError(
+            f"task {bad}: pool_size, dim, n_points and n_initial must be integers >= 1, "
+            "seed an integer and length_scale a number"
+        )
     if kind == "dataset" and not (path and os.path.exists(path)):
         raise ConfigError(f"dataset file {path!r} does not exist")
     try:
         if kind == "goldstein_price":
-            return make_goldstein_price_task(pool_size=int(spec.get("pool_size", 500)))
+            return make_goldstein_price_task(pool_size=spec.get("pool_size", 500))
         if kind == "gp_sample":
             return make_gp_sample_task(
-                dim=int(spec["dim"]),
-                length_scale=float(spec["length_scale"]),
-                n_points=int(spec.get("n_points", 300)),
-                seed=int(spec.get("seed", 0)),
+                dim=spec["dim"],
+                length_scale=spec["length_scale"],
+                n_points=spec.get("n_points", 300),
+                seed=spec.get("seed", 0),
             )
         if kind == "dataset":
             return load_dataset(
@@ -186,7 +199,7 @@ def build_task(spec: dict) -> Task:
                 target=spec["target"],
                 features=spec.get("features"),
                 filters=tuple(spec.get("filters", ())),
-                n_initial=int(spec.get("n_initial", 3)),
+                n_initial=spec.get("n_initial", 3),
                 name=spec.get("name"),
             )
     except (KeyError, TypeError, ValueError) as exc:  # DatasetError is a ValueError
@@ -427,30 +440,5 @@ def emit_reports(run_dir) -> Path | None:
     rows = monotonicity_report(best_thetas, feature_names=names, correlations=correlations)
 
     out_path = run_dir / "report.csv"
-    _write_csv(
-        out_path,
-        [
-            "dimension",
-            "feature",
-            "correlation",
-            "mean_theta_minus",
-            "mean_theta_plus",
-            "net",
-            "direction",
-            "matches_correlation",
-        ],
-        [
-            [
-                r.dimension,
-                r.feature,
-                r.correlation,
-                r.mean_theta_minus,
-                r.mean_theta_plus,
-                r.net,
-                r.direction,
-                r.matches_correlation,
-            ]
-            for r in rows
-        ],
-    )
+    _write_csv(out_path, [f.name for f in fields(MonotonicityRow)], map(astuple, rows))
     return out_path

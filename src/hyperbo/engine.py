@@ -17,7 +17,7 @@ import numpy as np
 
 from hyperbo.acquisition import CandidateSet, thompson_select, ucb_beta, ucb_select
 from hyperbo.gp import KernelParams, gp_fit, standardize
-from hyperbo.monotonic import FittedMonotonicGP, VirtualDerivativeSet, fit_monotonic_gp
+from hyperbo.monotonic import FittedMonotonicGP, fit_monotonic_gp
 from hyperbo.scoring import LENGTH_SCALE, MODES, MONOTONICITY, default_lambda, score_model
 from hyperbo.tasks import Task, regret_trace
 
@@ -230,7 +230,7 @@ class _RunState:
     pool: np.ndarray
     sampled: np.ndarray  # pool rows already observed
     rng: np.random.Generator
-    virtual: VirtualDerivativeSet | None
+    locations: np.ndarray | None  # virtual derivative locations of a monotonicity run
     trial_scale: float
     ep_fits: int = 0
     ep_sweeps: int = 0
@@ -250,7 +250,7 @@ def _fit_window_model(state: _RunState, theta: ModelTheta | None):
     params = KernelParams(SIGNAL_VARIANCE, (DEFAULT_LENGTH_SCALE,) * state.X.shape[1], NOISE_VARIANCE)
     if theta is None:
         return gp_fit(state.X, z, params)
-    return fit_monotonic_gp(state.X, z, params, theta.as_array(), state.virtual)
+    return fit_monotonic_gp(state.X, z, params, theta.as_array(), state.locations)
 
 
 def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: ModelTheta | None) -> bool:
@@ -279,7 +279,6 @@ def model_score_window(
     config: RunConfig,
     theta: ModelTheta,
     outer_index: int,
-    lam: float,
 ) -> tuple[LedgerRecord | None, bool]:
     """Run up to K inner iterations under theta and score the window.
 
@@ -302,7 +301,7 @@ def model_score_window(
     # T counts every inner sample so far; a one-sample first window would make
     # the normalizer degenerate.
     T = max(len(state.y) - state.n0, 2)
-    score = score_model(gain, T, task.dim, theta.values, lam, config.mode)
+    score = score_model(gain, T, task.dim, theta.values, default_lambda(config.mode, task.dim), config.mode)
     record = LedgerRecord(
         theta=theta,
         score=score,
@@ -351,9 +350,9 @@ def _init_state(task: Task, config: RunConfig) -> _RunState:
     # from re-sampling; synthetic designs live off-pool and flag nothing.
     sampled = np.zeros(pool.shape[0], dtype=bool)
     sampled[[i for i in indices if i >= 0]] = True
-    virtual = None
+    locations = None
     if config.mode == MONOTONICITY:
-        virtual = VirtualDerivativeSet.sample(task.dim, np.random.default_rng(virtual_child))
+        locations = np.random.default_rng(virtual_child).uniform(0.0, 1.0, size=(5 * task.dim, task.dim))
     return _RunState(
         X=np.array(X0, dtype=float),
         y=np.array(y0, dtype=float),
@@ -361,7 +360,7 @@ def _init_state(task: Task, config: RunConfig) -> _RunState:
         pool=pool,
         sampled=sampled,
         rng=np.random.default_rng(run_child),
-        virtual=virtual,
+        locations=locations,
         trial_scale=standardize(y0)[1],
     )
 
@@ -392,7 +391,6 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
     design, the virtual derivative locations, and every subsequent draw.
     """
     space = ModelSpace(config.mode, task.dim)
-    lam = default_lambda(config.mode, task.dim)
     state = _init_state(task, config)
     ledger: list[LedgerRecord] = []
     exhausted = False
@@ -402,7 +400,7 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
             theta = space.sample(state.rng)
         else:
             theta = hyperbo_step(ledger, space, state.rng)
-        record, hit_end = model_score_window(task, state, config, theta, outer, lam)
+        record, hit_end = model_score_window(task, state, config, theta, outer)
         if record is not None:
             ledger.append(record)
         if hit_end:

@@ -71,20 +71,11 @@ def se_kernel_matrix(X, Z, params: KernelParams) -> np.ndarray:
     return params.signal_variance * np.exp(-0.5 * sq)
 
 
-def _has_duplicate_rows(X: np.ndarray) -> bool:
-    if X.shape[0] < 2:
-        return False
-    # Exact duplicates only: with zero noise they make interpolation ill-posed.
-    uniq = np.unique(X, axis=0)
-    return uniq.shape[0] < X.shape[0]
-
-
 @dataclass(frozen=True)
 class FittedGP:
     """Immutable GP posterior: Cholesky factor of (K + noise*I) plus solved weights."""
 
     X: np.ndarray
-    y: np.ndarray
     params: KernelParams
     chol: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
@@ -140,13 +131,9 @@ def gp_fit(X, y, params: KernelParams) -> FittedGP:
 
     Jitter policy: on Cholesky failure, add jitter starting at 1e-10 *
     signal_variance to the diagonal and escalate tenfold up to 1e-4 *
-    signal_variance before giving up.  Exact duplicate inputs with zero noise
-    are rejected outright: the Gram matrix is rank-deficient by construction
-    and jitter would only mask the ill-posed interpolation problem.
+    signal_variance before giving up.
     """
     X, y = as_observations(X, y, params.dim)
-    if params.noise_variance == 0.0 and _has_duplicate_rows(X):
-        raise SingularGramError("Gram matrix is rank-deficient: duplicate inputs with zero noise variance")
     gram = se_kernel_matrix(X, X, params)
     gram[np.diag_indices_from(gram)] += params.noise_variance
 
@@ -163,4 +150,4 @@ def gp_fit(X, y, params: KernelParams) -> FittedGP:
             else:
                 raise SingularGramError(f"Cholesky factorization failed at maximum jitter {jitter:g}") from None
     weights = cho_solve((chol, True), y)
-    return FittedGP(X=X, y=y, params=params, chol=chol, weights=weights, jitter=jitter)
+    return FittedGP(X=X, params=params, chol=chol, weights=weights, jitter=jitter)

@@ -22,7 +22,6 @@ from scipy.special import log_ndtr
 from hyperbo.gp import KernelParams, as_observations, se_kernel_matrix
 
 __all__ = [
-    "VirtualDerivativeSet",
     "FittedMonotonicGP",
     "value_gradient_cross_matrix",
     "gradient_gram_matrix",
@@ -36,34 +35,6 @@ _MIN_OBS_NOISE = 1e-8
 _DAMPING = 0.8
 _MAX_SWEEPS = 100
 _TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class VirtualDerivativeSet:
-    """Fixed derivative-observation locations: exactly 5 per input dimension."""
-
-    locations: np.ndarray
-
-    def __post_init__(self):
-        locs = np.atleast_2d(np.asarray(self.locations, dtype=float))
-        n, d = locs.shape
-        if n != 5 * d:
-            raise ValueError(f"expected 5*d = {5 * d} virtual locations for d = {d}, got {n}")
-        if np.any(locs < -1e-12) or np.any(locs > 1 + 1e-12):
-            raise ValueError("virtual locations must lie inside the unit hypercube")
-        object.__setattr__(self, "locations", np.clip(locs, 0.0, 1.0))
-
-    @classmethod
-    def sample(cls, dim: int, rng: np.random.Generator) -> "VirtualDerivativeSet":
-        return cls(rng.uniform(0.0, 1.0, size=(5 * dim, dim)))
-
-    @property
-    def dim(self) -> int:
-        return self.locations.shape[1]
-
-    @property
-    def n_locations(self) -> int:
-        return self.locations.shape[0]
 
 
 def value_gradient_cross_matrix(X, Z, params: KernelParams) -> np.ndarray:
@@ -116,9 +87,8 @@ class FittedMonotonicGP:
     """Gaussian EP approximation to the monotonicity-constrained posterior."""
 
     X: np.ndarray
-    y: np.ndarray
     params: KernelParams
-    virtual: VirtualDerivativeSet
+    locations: np.ndarray  # (n, d) virtual derivative locations
     converged: bool
     sweeps: int
     _mean_weights: np.ndarray = field(repr=False)
@@ -133,7 +103,7 @@ class FittedMonotonicGP:
 
     def _cross_covariances(self, X_star: np.ndarray) -> np.ndarray:
         k_obs = se_kernel_matrix(self.X, X_star, self.params)  # (t, m)
-        k_grad = value_gradient_cross_matrix(X_star, self.virtual.locations, self.params).T
+        k_grad = value_gradient_cross_matrix(X_star, self.locations, self.params).T
         return np.vstack([k_obs, k_grad])  # (n_latent, m)
 
     def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +116,7 @@ class FittedMonotonicGP:
         return means, variances
 
 
-def _joint_prior(X, virtual: VirtualDerivativeSet, params: KernelParams) -> np.ndarray:
-    Z = virtual.locations
+def _joint_prior(X, Z, params: KernelParams) -> np.ndarray:
     K_ff = se_kernel_matrix(X, X, params)
     K_fd = value_gradient_cross_matrix(X, Z, params)
     K_dd = gradient_gram_matrix(Z, params)
@@ -174,12 +143,13 @@ def fit_monotonic_gp(
     y,
     params: KernelParams,
     strictness,
-    virtual: VirtualDerivativeSet,
+    locations,
 ) -> FittedMonotonicGP:
     """Fit the probit derivative sites by damped parallel EP and freeze the posterior.
 
     strictness holds the 2d exponents [theta_1_minus, theta_1_plus, ...]; the
-    probit scale of each direction is nu = 10^theta.
+    probit scale of each direction is nu = 10^theta.  locations holds the
+    virtual derivative locations, one row of d coordinates each.
     Each sweep takes every site's cavity from the current marginals, matches
     moments for all sites at once, applies the damped site updates and
     refreshes the posterior with one Cholesky.  The fit has converged when, in
@@ -190,11 +160,12 @@ def fit_monotonic_gp(
     """
     X, y = as_observations(X, y, params.dim)
     strictness = np.asarray(strictness, dtype=float)
-    if strictness.shape != (2 * params.dim,) or virtual.dim != params.dim:
-        raise ValueError("kernel, strictness and virtual-set dimensions must agree")
+    locations = np.asarray(locations, dtype=float)
+    if strictness.shape != (2 * params.dim,) or locations.ndim != 2 or locations.shape[1] != params.dim:
+        raise ValueError("kernel, strictness and location dimensions must agree")
 
     t = X.shape[0]
-    K = _joint_prior(X, virtual, params)
+    K = _joint_prior(X, locations, params)
     prior_sd = np.sqrt(np.diag(K))
 
     obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)
@@ -207,7 +178,7 @@ def fit_monotonic_gp(
     # rewards a positive slope in dimension g, row 1 a negative one.
     sign = np.array([[1.0], [-1.0]])
     nu_pair = 10.0 ** strictness.reshape(-1, 2)[:, ::-1].T  # (2, d): nu_plus, nu_minus
-    nu = np.tile(nu_pair, (1, virtual.n_locations))
+    nu = np.tile(nu_pair, (1, locations.shape[0]))
     tau = np.zeros(nu.shape)  # site precisions
     nat = np.zeros(nu.shape)  # site natural means (precision * mean)
 
@@ -252,9 +223,8 @@ def fit_monotonic_gp(
 
     return FittedMonotonicGP(
         X=X,
-        y=y,
         params=params,
-        virtual=virtual,
+        locations=locations,
         converged=converged,
         sweeps=sweeps,
         _mean_weights=weights,

@@ -319,13 +319,15 @@ def pearson_correlation(x, y) -> float:
 
 @dataclass(frozen=True)
 class MonotonicityRow:
+    """One row of report.csv; the fields are its columns, in order."""
+
     dimension: int
     feature: str
+    correlation: float | None
     mean_theta_minus: float
     mean_theta_plus: float
     net: float
     direction: str
-    correlation: float | None
     matches_correlation: bool | None
 
 

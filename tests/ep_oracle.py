@@ -19,7 +19,6 @@ from hyperbo.monotonic import (
     _MIN_OBS_NOISE,
     _SITE_PRECISION_CAP,
     FittedMonotonicGP,
-    VirtualDerivativeSet,
     _joint_prior,
 )
 
@@ -58,10 +57,10 @@ def _posterior_from_sites(K, tau_lat, nu_lat):
     return mu, sigma, L, sqrt_s
 
 
-def _build_sites(t: int, virtual: VirtualDerivativeSet, strictness: np.ndarray) -> _SiteSet:
-    d = virtual.dim
+def _build_sites(t: int, locations: np.ndarray, strictness: np.ndarray) -> _SiteSet:
+    n_locations, d = locations.shape
     latents, signs, nus = [], [], []
-    for j in range(virtual.n_locations):
+    for j in range(n_locations):
         for g in range(d):
             idx = t + j * d + g
             latents.extend([idx, idx])
@@ -82,7 +81,7 @@ def sequential_ep_fit(
     y,
     params,
     strictness,
-    virtual: VirtualDerivativeSet,
+    locations,
     damping: float = 0.8,
     max_sweeps: int = 100,
     tol: float = 1e-4,
@@ -94,12 +93,13 @@ def sequential_ep_fit(
     """
     X, y = as_observations(X, y, params.dim)
     strictness = np.asarray(strictness, dtype=float)
-    if strictness.shape != (2 * params.dim,) or virtual.dim != params.dim:
-        raise ValueError("kernel, strictness and virtual-set dimensions must agree")
+    locations = np.asarray(locations, dtype=float)
+    if strictness.shape != (2 * params.dim,) or locations.shape[1] != params.dim:
+        raise ValueError("kernel, strictness and location dimensions must agree")
 
     t = X.shape[0]
-    n_latent = t + virtual.locations.size
-    K = _joint_prior(X, virtual, params)
+    n_latent = t + locations.size
+    K = _joint_prior(X, locations, params)
 
     obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)
     tau_fixed = np.zeros(n_latent)
@@ -107,7 +107,7 @@ def sequential_ep_fit(
     tau_fixed[:t] = 1.0 / obs_noise
     nu_fixed[:t] = y / obs_noise
 
-    sites = _build_sites(t, virtual, strictness)
+    sites = _build_sites(t, locations, strictness)
 
     def totals():
         tau_lat = tau_fixed.copy()
@@ -180,9 +180,8 @@ def sequential_ep_fit(
 
     return FittedMonotonicGP(
         X=X,
-        y=y,
         params=params,
-        virtual=virtual,
+        locations=locations,
         converged=converged,
         sweeps=sweeps,
         _mean_weights=mean_weights,

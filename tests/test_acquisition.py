@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hyperbo.acquisition import (
     CandidateSet,
-    ExhaustedSearchSpaceError,
     thompson_sample_argmax,
     thompson_select,
     ucb_beta,
@@ -88,11 +87,6 @@ class TestUcbSelect:
             idx, _ = ucb_select(model, index_candidates(6, excluded=excluded.copy()), beta=beta)
             assert not excluded[idx]
 
-    def test_exhausted_raises(self):
-        model = StubModel(means=[0.0], variances=[1.0])
-        with pytest.raises(ExhaustedSearchSpaceError):
-            ucb_select(model, index_candidates(1, excluded=[True]), beta=1.0)
-
     @given(
         a=st.floats(0.01, 100.0),
         b=st.floats(-50.0, 50.0),
@@ -167,11 +161,6 @@ class TestThompson:
         for _ in range(50):
             idx, _ = thompson_select(model, index_candidates(3, excluded=[True, False, False]), rng)
             assert idx != 0
-
-    def test_exhausted_raises(self):
-        model = StubModel(means=[0.0], variances=[1.0])
-        with pytest.raises(ExhaustedSearchSpaceError):
-            thompson_select(model, index_candidates(1, excluded=[True]), np.random.default_rng(0))
 
     def test_works_with_real_gp(self, rng):
         # End-to-end smoke: Thompson over a fitted GP posterior on scored points.

@@ -89,6 +89,12 @@ class TestConfigValidation:
             {"engine": []},
             {"task": {"kind": "gp_sample", "dim": "x", "length_scale": 0.3}},
             {"task": {"kind": "gp_sample", "length_scale": 0.3}},
+            {"task": {"kind": "goldstein_price", "pool_size": -5}},
+            {"task": {"kind": "goldstein_price", "pool_size": 0}},
+            {"task": {"kind": "gp_sample", "dim": 1.9, "length_scale": 0.3}},
+            {"task": {"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "n_points": 2.7}},
+            {"task": {"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "seed": True}},
+            {"task": {"kind": "gp_sample", "dim": 1, "length_scale": True}},
         ],
         ids=lambda override: json.dumps(override),
     )

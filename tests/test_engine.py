@@ -181,7 +181,7 @@ class TestModelScoreWindow:
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=3, R=1, seed=0)
         state = _init_state(task, config)
         theta = ModelTheta(LENGTH_SCALE, (0.3,))
-        record, exhausted = model_score_window(task, state, config, theta, 1, lam=0.0)
+        record, exhausted = model_score_window(task, state, config, theta, 1)
         assert len(state.y) == 5
         assert len(state.y) - state.n0 == 3
         assert record is not None and not exhausted
@@ -193,7 +193,7 @@ class TestModelScoreWindow:
         state = _init_state(task, config)
         # Seeded design must contain the max; find a seed where it does.
         assert state.y.max() == 5.0
-        record, _ = model_score_window(task, state, config, ModelTheta(LENGTH_SCALE, (0.3,)), 1, lam=0.0)
+        record, _ = model_score_window(task, state, config, ModelTheta(LENGTH_SCALE, (0.3,)), 1)
         assert record.window_gain == 0.0
         assert record.score == 0.0
 
@@ -201,7 +201,7 @@ class TestModelScoreWindow:
         task = make_toy_task([0.0, 1.0, 2.0, 3.0], n_initial=2)
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=5, R=1, seed=0)
         state = _init_state(task, config)
-        record, exhausted = model_score_window(task, state, config, ModelTheta(LENGTH_SCALE, (0.3,)), 1, lam=0.0)
+        record, exhausted = model_score_window(task, state, config, ModelTheta(LENGTH_SCALE, (0.3,)), 1)
         assert exhausted
         assert len(state.y) == 4  # only 2 rows were left to sample
         assert record is not None
@@ -255,6 +255,13 @@ class TestRunFramework:
         result = run_framework(task, config)
         assert result.n_samples == 5 * 3
         assert len(result.best_values) == result.n_samples + 1
+
+    def test_five_virtual_locations_per_dimension(self):
+        task = make_goldstein_price_task(pool_size=40)
+        locations = _init_state(task, RunConfig(mode=MONOTONICITY, seed=3)).locations
+        assert locations.shape == (10, 2)
+        assert np.all(locations >= 0) and np.all(locations <= 1)
+        assert _init_state(task, RunConfig(mode=LENGTH_SCALE, seed=3)).locations is None
 
     def test_bit_reproducible(self):
         task = make_toy_task(np.sin(np.linspace(0, 6, 30)), n_initial=3)

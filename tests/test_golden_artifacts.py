@@ -1,0 +1,80 @@
+"""Golden artifacts: two tiny runs whose every output file has a fixed sha256.
+
+A change that keeps random streams must leave these hashes alone.  A change
+that alters streams on purpose updates the constants and says so in
+CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hyperbo.bench import ExperimentConfig, run_experiment
+
+STRATEGIES = ("standard_bo", "hyperbo", "best_theta_rerun", "gold_standard_theta")
+
+# 48^2 monotonicity thetas exceed THOMPSON_THRESHOLD, so each outer proposal
+# takes hyperbo_step's subsample branch; the 1-D length-scale grid is enumerated.
+CONFIGS = {
+    "goldstein-mono": dict(
+        task={"kind": "goldstein_price", "pool_size": 500},
+        mode="monotonicity",
+        trials=2,
+        m=2,
+        K=2,
+        budget=8,
+        seed=11,
+        gold_standard_theta=(-6, 0, 0, -6),
+    ),
+    "gp-sample-lengthscale": dict(
+        task={"kind": "gp_sample", "dim": 1, "length_scale": 0.2, "n_points": 60, "seed": 5},
+        mode="length_scale",
+        trials=2,
+        m=2,
+        K=2,
+        budget=8,
+        seed=21,
+        gold_standard_theta=(0.2,),
+    ),
+}
+
+GOLDEN = {
+    "goldstein-mono": {
+        "aggregate.csv": "acfaeb77c42626e02eb9b862b4b28b02ef05ff33fe62fdbee4594b49b9c739d0",
+        "manifest.json": "6ef5cdc13f5575c0741d09848513409fb17d6bac8868179ca3a82419fee212b1",
+        "report.csv": "43b32284107fdaedffe3701862ba443b7cd4543bc93f7ca6f054f82955c0bb81",
+        "trace_best_theta_rerun_trial000.csv": "6ab3301ebd1e5a29d7bb1ff3153cd6513667d169923d0c05652ff4a22452dc75",
+        "trace_best_theta_rerun_trial001.csv": "e5b06d7180624d4648b6a74f9a3e5ec1bd657b5c708f372c63b9aac4a6c50c61",
+        "trace_gold_standard_theta_trial000.csv": "f230d8035943024831a7593b16ce9d5428e877df7a66a8c651ce06214f4c6d57",
+        "trace_gold_standard_theta_trial001.csv": "106fced478b8d221e70d5630d3745d319888bb1ebf7e389851223994f7e50e61",
+        "trace_hyperbo_trial000.csv": "f3c6bce0c78055f24d7ec14ce68d120ce8f9c48c839f45afaa68b72390d890be",
+        "trace_hyperbo_trial001.csv": "da0faa840f390e736be285e6bac78bdbb9e17bba0c2a8b58cc9b910176575136",
+        "trace_standard_bo_trial000.csv": "33c06f8e6528083f722cd85c1c80823800852f71239adabfa691a139ed8f8b9b",
+        "trace_standard_bo_trial001.csv": "4a4a3167bbcd40ca052b69c07dea722c2828bad01cc74f3438e64dd78692a13c",
+    },
+    "gp-sample-lengthscale": {
+        "aggregate.csv": "a7b74c23f408e1d8b362dedc0eb6198839f3e4a1175eb8238a4b734b27347f3b",
+        "manifest.json": "2fe212719c1598daac99720914545ee0743f48eecd5023cb58a80ee08ff98c05",
+        "trace_best_theta_rerun_trial000.csv": "3b3ab1088cf4cc411c78954ecdf49cf64007455af935313a9739ae29062c2ff3",
+        "trace_best_theta_rerun_trial001.csv": "63dd77aac7babcc6d8ab9be35333978cf08640cebf681f0783aa5d5940fa532e",
+        "trace_gold_standard_theta_trial000.csv": "6206e60d994f0e11cfc3e33543b357a987ac0e884d2d3d772dc57532ec4f2212",
+        "trace_gold_standard_theta_trial001.csv": "9a87adb4b1e121cb0445bd7e7cfd7f953a351eefffc0cb9529d370fc6672af70",
+        "trace_hyperbo_trial000.csv": "3b3ab1088cf4cc411c78954ecdf49cf64007455af935313a9739ae29062c2ff3",
+        "trace_hyperbo_trial001.csv": "63dd77aac7babcc6d8ab9be35333978cf08640cebf681f0783aa5d5940fa532e",
+        "trace_standard_bo_trial000.csv": "c26fc35188d501e6ac7d12bae193890461aad2e60c7082832f11b6e727cce4ce",
+        "trace_standard_bo_trial001.csv": "19298632a81ce77798a18ecfbb255a582ebe439d8c9115255dc82476c5ac120f",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifacts_match_golden_hashes(tmp_path, name):
+    config = ExperimentConfig(strategies=STRATEGIES, output_dir=str(tmp_path / name), **CONFIGS[name])
+    outcome = run_experiment(config)
+    assert outcome.ok
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path(outcome.output_dir).iterdir())
+    }
+    assert digests == GOLDEN[name]

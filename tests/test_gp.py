@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperbo.gp import KernelParams, SingularGramError, gp_fit, se_kernel_matrix, standardize
+from hyperbo.gp import KernelParams, gp_fit, se_kernel_matrix, standardize
 
 from kernel_oracles import random_gp_instance, se_kernel
 
@@ -76,11 +76,6 @@ class TestGpFit:
         model = gp_fit([[0.4]], [5.0], params)
         assert model.chol[0, 0] == pytest.approx(np.sqrt(2.5), abs=1e-12)
         assert model.weights[0] == pytest.approx(5.0 / 2.5, abs=1e-12)
-
-    def test_duplicate_inputs_zero_noise_rejected(self):
-        params = KernelParams(1.0, (0.3, 0.3), noise_variance=0.0)
-        with pytest.raises(SingularGramError):
-            gp_fit([[0.5, 0.5]] * 3, [1.0] * 3, params)
 
     def test_duplicate_inputs_with_noise_accepted(self):
         params = KernelParams(1.0, (0.3, 0.3), noise_variance=1e-4)

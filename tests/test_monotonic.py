@@ -9,7 +9,6 @@ from hyperbo.engine import RunConfig, run_framework
 from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
     FittedMonotonicGP,
-    VirtualDerivativeSet,
     fit_monotonic_gp,
     gradient_gram_matrix,
     value_gradient_cross_matrix,
@@ -41,18 +40,6 @@ def fd_gradient_gradient(x, x_prime, g, h_idx, params, h=1e-4):
     kmp = se_kernel(x - eg, x_prime + eh, params)
     kmm = se_kernel(x - eg, x_prime - eh, params)
     return (kpp - kpm - kmp + kmm) / (4 * h * h)
-
-
-class TestVirtualDerivativeSet:
-    def test_sample_has_five_per_dimension(self, rng):
-        virtual = VirtualDerivativeSet.sample(3, rng)
-        assert virtual.n_locations == 15
-        assert virtual.locations.size == 45
-        assert np.all(virtual.locations >= 0) and np.all(virtual.locations <= 1)
-
-    def test_wrong_count_rejected(self, rng):
-        with pytest.raises(ValueError):
-            VirtualDerivativeSet(rng.uniform(0, 1, size=(4, 2)))
 
 
 class TestDerivativeKernels:
@@ -110,10 +97,15 @@ class TestDerivativeKernels:
             d = int(r.integers(1, 4))
             params = KernelParams(float(r.uniform(0.5, 2.0)), tuple(r.uniform(0.2, 0.6, size=d)))
             X = r.uniform(0, 1, size=(6, d))
-            virtual = VirtualDerivativeSet.sample(d, r)
-            K = _joint_prior(X, virtual, params)
+            locations = virtual_locations(d, r)
+            K = _joint_prior(X, locations, params)
             np.testing.assert_allclose(K, K.T, atol=1e-12)
             np.linalg.cholesky(K + 1e-8 * np.eye(K.shape[0]))  # raises if not PSD
+
+
+def virtual_locations(d, rng):
+    """Five virtual derivative locations per dimension, as the engine draws them."""
+    return rng.uniform(0.0, 1.0, size=(5 * d, d))
 
 
 def make_1d_data(xs, ys):
@@ -132,8 +124,8 @@ class TestMonotonicFit:
     def test_increasing_constraint_yields_nondecreasing_mean(self):
         xs = [0.0, 0.25, 0.5, 0.75, 1.0]
         X, y = make_1d_data(xs, standardize(xs))
-        virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
-        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, -6.0)), virtual)
+        locations = virtual_locations(1, np.random.default_rng(7))
+        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, -6.0)), locations)
         grid = np.linspace(0, 1, 50).reshape(-1, 1)
         means, _ = model.predict_batch(grid)
         slopes = np.diff(means) / np.diff(grid[:, 0])
@@ -143,9 +135,9 @@ class TestMonotonicFit:
         xs = [0.0, 0.25, 0.5, 0.75, 1.0]
         ys = standardize(xs)
         X, y = make_1d_data(xs, ys)
-        virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
+        locations = virtual_locations(1, np.random.default_rng(7))
         # Strict *decreasing* constraint against increasing data.
-        wrong = fit_monotonic_gp(X, y, PARAMS_1D, np.array((-6.0, 0.0)), virtual)
+        wrong = fit_monotonic_gp(X, y, PARAMS_1D, np.array((-6.0, 0.0)), locations)
         plain = gp_fit(X, y, PARAMS_1D)
         rmse_wrong = np.sqrt(np.mean((wrong.predict_batch(X)[0] - ys) ** 2))
         rmse_plain = np.sqrt(np.mean((plain.predict_batch(X)[0] - ys) ** 2))
@@ -156,8 +148,8 @@ class TestMonotonicFit:
         xs = [0.1, 0.3, 0.5, 0.7, 0.9]
         ys = standardize([-2.0, -0.7, 0.0, 0.7, 2.0])
         X, y = make_1d_data(xs, ys)
-        virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(3))
-        mono = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, 0.0)), virtual)
+        locations = virtual_locations(1, np.random.default_rng(3))
+        mono = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, 0.0)), locations)
         plain = gp_fit(X, y, PARAMS_1D)
         assert abs(mono.predict_batch([0.5])[0][0] - plain.predict_batch([0.5])[0][0]) < 0.05
 
@@ -167,8 +159,8 @@ class TestMonotonicFit:
             xs = np.sort(r.uniform(0, 1, size=8))
             ys = standardize(np.sin(2.2 * xs + r.uniform(0, 1)))
             X, y = make_1d_data(xs, ys)
-            virtual = VirtualDerivativeSet.sample(1, r)
-            mono = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, 0.0)), virtual)
+            locations = virtual_locations(1, r)
+            mono = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, 0.0)), locations)
             plain = gp_fit(X, y, PARAMS_1D)
             x_test = r.uniform(0, 1, size=(20, 1))
             delta = mono.predict_batch(x_test)[0] - plain.predict_batch(x_test)[0]
@@ -177,18 +169,18 @@ class TestMonotonicFit:
     def test_derivative_means_respect_imposed_sign(self):
         xs = np.linspace(0, 1, 6)
         X, y = make_1d_data(xs, standardize(xs))
-        virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(11))
-        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, -6.0)), virtual)
+        locations = virtual_locations(1, np.random.default_rng(11))
+        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, -6.0)), locations)
         frac_positive = np.mean(model.derivative_means >= 0)
         assert frac_positive >= 0.9
 
     def test_deterministic_given_virtual_points(self):
         xs = [0.0, 0.4, 0.8]
         X, y = make_1d_data(xs, standardize([0.0, 1.0, 0.5]))
-        virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(5))
+        locations = virtual_locations(1, np.random.default_rng(5))
         sv = np.array((-2.0, -1.0))
-        a = fit_monotonic_gp(X, y, PARAMS_1D, sv, virtual)
-        b = fit_monotonic_gp(X, y, PARAMS_1D, sv, virtual)
+        a = fit_monotonic_gp(X, y, PARAMS_1D, sv, locations)
+        b = fit_monotonic_gp(X, y, PARAMS_1D, sv, locations)
         grid = np.linspace(0, 1, 17).reshape(-1, 1)
         np.testing.assert_array_equal(a.predict_batch(grid)[0], b.predict_batch(grid)[0])
         np.testing.assert_array_equal(a.predict_batch(grid)[1], b.predict_batch(grid)[1])
@@ -198,8 +190,8 @@ class TestMonotonicFit:
         # but the fit must come back flagged rather than raise.
         xs = np.linspace(0, 1, 8)
         X, y = make_1d_data(xs, standardize(xs**2))
-        virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(2))
-        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((-6.0, 0.0)), virtual)
+        locations = virtual_locations(1, np.random.default_rng(2))
+        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((-6.0, 0.0)), locations)
         assert isinstance(model, FittedMonotonicGP)
         assert model.sweeps <= 100
         means, variances = model.predict_batch(np.linspace(0, 1, 9).reshape(-1, 1))
@@ -208,17 +200,24 @@ class TestMonotonicFit:
     def test_strictness_length_must_match_dimension(self, rng):
         X = rng.uniform(0, 1, size=(6, 2))
         y = standardize(X[:, 0] - X[:, 1])
-        virtual = VirtualDerivativeSet.sample(2, rng)
+        locations = virtual_locations(2, rng)
         for strictness in ([0.0, -3.0], [0.0, -3.0, -3.0], [0.0, -3.0, -3.0, 0.0, 0.0, 0.0]):
             with pytest.raises(ValueError, match="dimensions must agree"):
-                fit_monotonic_gp(X, y, PARAMS_2D, np.array(strictness), virtual)
+                fit_monotonic_gp(X, y, PARAMS_2D, np.array(strictness), locations)
+
+    def test_location_columns_must_match_dimension(self, rng):
+        X = rng.uniform(0, 1, size=(6, 2))
+        y = standardize(X[:, 0] - X[:, 1])
+        for locations in (rng.uniform(0, 1, size=(10, 1)), rng.uniform(0, 1, size=(10, 3))):
+            with pytest.raises(ValueError, match="dimensions must agree"):
+                fit_monotonic_gp(X, y, PARAMS_2D, np.array((0.0, -3.0, -3.0, 0.0)), locations)
 
     def test_2d_fit_predict_shapes(self, rng):
         X = rng.uniform(0, 1, size=(6, 2))
         y = standardize(X[:, 0] - X[:, 1])
-        virtual = VirtualDerivativeSet.sample(2, rng)
+        locations = virtual_locations(2, rng)
         sv = np.array((0.0, -3.0, -3.0, 0.0))
-        model = fit_monotonic_gp(X, y, PARAMS_2D, sv, virtual)
+        model = fit_monotonic_gp(X, y, PARAMS_2D, sv, locations)
         means, variances = model.predict_batch(rng.uniform(0, 1, size=(7, 2)))
         assert means.shape == (7,) and variances.shape == (7,)
         assert np.all(variances >= 0) and np.all(variances <= PARAMS_2D.signal_variance)
@@ -227,8 +226,8 @@ class TestMonotonicFit:
 def criterion_3_case(theta):
     xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     X, y = make_1d_data(xs, standardize(xs))
-    virtual = VirtualDerivativeSet.sample(1, np.random.default_rng(7))
-    return X, y, PARAMS_1D, np.array(theta), virtual, np.linspace(0, 1, 200).reshape(-1, 1)
+    locations = virtual_locations(1, np.random.default_rng(7))
+    return X, y, PARAMS_1D, np.array(theta), locations, np.linspace(0, 1, 200).reshape(-1, 1)
 
 
 def goldstein_conflict_case():
@@ -237,9 +236,9 @@ def goldstein_conflict_case():
     r = np.random.default_rng(30)
     X = r.uniform(0, 1, size=(30, 2))
     y = standardize([goldstein_price(x) for x in X])
-    virtual = VirtualDerivativeSet.sample(2, r)
+    locations = virtual_locations(2, r)
     params = KernelParams(1.0, (0.3, 0.3), noise_variance=1e-6)
-    return X, y, params, np.array((-5.0, 0.0, -5.0, -4.0)), virtual, r.uniform(0, 1, size=(200, 2))
+    return X, y, params, np.array((-5.0, 0.0, -5.0, -4.0)), locations, r.uniform(0, 1, size=(200, 2))
 
 
 class TestParallelEP:
@@ -249,9 +248,9 @@ class TestParallelEP:
         ids=["1d-increasing", "1d-reversed", "2d-conflicting"],
     )
     def test_matches_sequential_oracle(self, case):
-        X, y, params, strictness, virtual, grid = case()
-        ours = fit_monotonic_gp(X, y, params, strictness, virtual)
-        oracle = sequential_ep_fit(X, y, params, strictness, virtual)
+        X, y, params, strictness, locations, grid = case()
+        ours = fit_monotonic_gp(X, y, params, strictness, locations)
+        oracle = sequential_ep_fit(X, y, params, strictness, locations)
         assert ours.converged
         ours_mean, ours_var = ours.predict_batch(grid)
         oracle_mean, oracle_var = oracle.predict_batch(grid)
@@ -275,10 +274,10 @@ class TestParallelEP:
         X = r.uniform(0, 1, size=(50, 8))
         y = standardize(X @ np.linspace(-1.0, 1.0, 8) + np.sin(3.0 * X[:, 0]))
         params = KernelParams(1.0, (0.3,) * 8, noise_variance=1e-6)
-        virtual = VirtualDerivativeSet.sample(8, r)
+        locations = virtual_locations(8, r)
         strictness = np.array((-6.0, 0.0, -3.0, -1.0) * 4)
         start = time.perf_counter()
-        model = fit_monotonic_gp(X, y, params, strictness, virtual)
+        model = fit_monotonic_gp(X, y, params, strictness, locations)
         elapsed = time.perf_counter() - start
         assert model.converged
         assert elapsed < 0.5, f"d=8 fit took {elapsed:.2f} s"
