@@ -17,9 +17,9 @@ def main():
     for trial in range(5):
         config = RunConfig(mode="monotonicity", m=5, K=1, R=50, seed=7000 + trial)
         result = run_framework(task, config)
-        best.append(result.best_theta.values)
+        best.append(result.best_theta)
         print(
-            f"trial {trial}: best_theta={result.best_theta.values} "
+            f"trial {trial}: best_theta={result.best_theta} "
             f"best_value={result.best_y:,.0f} final_regret={result.regrets[-1]:,.0f}"
         )
     print()

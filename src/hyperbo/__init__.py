@@ -9,11 +9,10 @@ engine, tasks, bench); this package exports the run surface.
 """
 
 from hyperbo.bench import ExperimentConfig, emit_reports, load_config, run_experiment
-from hyperbo.engine import ModelTheta, RunConfig, RunResult, rerun_with_best_theta, run_framework
+from hyperbo.engine import RunConfig, RunResult, rerun_with_best_theta, run_framework
 
 __all__ = [
     "ExperimentConfig",
-    "ModelTheta",
     "RunConfig",
     "RunResult",
     "emit_reports",

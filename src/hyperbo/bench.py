@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperbo.engine import ModelSpace, ModelTheta, RunConfig, RunResult, rerun_with_best_theta, run_framework
+from hyperbo.engine import ModelSpace, RunConfig, RunResult, rerun_with_best_theta, run_framework
 from hyperbo.scoring import MODES, MONOTONICITY
 from hyperbo.tasks import (
     MonotonicityRow,
@@ -56,7 +57,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A JSON number other than a bool, NaN or an infinity (Python's json reads those too)."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 class ConfigError(ValueError):
@@ -232,7 +234,7 @@ def _run_trial(task: Task, config: ExperimentConfig, trial: int) -> dict:
             "n_samples": int(result.n_samples),
             "best_y": float(result.best_y),
             "exhausted": bool(result.exhausted),
-            "best_theta": list(result.best_theta.values) if result.best_theta else None,
+            "best_theta": result.best_theta.tolist() if result.best_theta is not None else None,
             "ep_fits": result.ep_fits,
             "ep_sweeps": result.ep_sweeps,
             "ep_nonconverged": result.ep_nonconverged,
@@ -253,7 +255,7 @@ def _run_trial(task: Task, config: ExperimentConfig, trial: int) -> dict:
                     raise RuntimeError("no best theta available from the hyperbo run")
                 record(name, rerun_with_best_theta(task, hyperbo_result.best_theta, config.budget, run_cfg))
             elif name == "gold_standard_theta":
-                theta = ModelTheta(config.mode, config.gold_standard_theta)
+                theta = ModelSpace(config.mode, task.dim).theta(config.gold_standard_theta)
                 record(name, rerun_with_best_theta(task, theta, config.budget, run_cfg))
         except Exception as exc:  # noqa: BLE001 - trial isolation is the point
             out["strategies"][name] = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
@@ -426,7 +428,7 @@ def emit_reports(run_dir) -> Path | None:
         raise ReportError(f"{manifest_path}: cannot rebuild the run's task: {exc}") from None
     space = ModelSpace(MONOTONICITY, task.dim)
     try:
-        best_thetas = np.array([space.theta(values).values for values in best_thetas])
+        best_thetas = np.array([space.theta(values) for values in best_thetas])
     except (TypeError, ValueError) as exc:
         raise ReportError(f"{manifest_path}: a hyperbo best_theta is not a grid point: {exc}") from None
     X, y = task.correlation_sample()

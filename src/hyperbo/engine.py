@@ -24,7 +24,6 @@ from hyperbo.tasks import Task, regret_trace
 __all__ = [
     "LENGTH_SCALE_GRID",
     "MONOTONICITY_LEVELS",
-    "ModelTheta",
     "ModelSpace",
     "RunConfig",
     "LedgerRecord",
@@ -67,55 +66,23 @@ NOISE_VARIANCE = 1e-6
 DEFAULT_LENGTH_SCALE = 0.3
 
 
-def _option_table(mode: str) -> tuple[tuple[float, ...], ...]:
-    """The rows of a mode's per-dimension option table."""
-    if mode not in _OPTIONS:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _OPTIONS[mode]
-
-
-@dataclass(frozen=True)
-class ModelTheta:
-    """One point of the model grid: length scales, or strictness exponents.
-
-    A theta is valid when every per-dimension chunk of its values is a row of
-    its mode's option table: one length scale per dimension, or one
-    (theta_minus, theta_plus) pair per dimension with nu = 10^theta.
-    """
-
-    mode: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        options = _option_table(self.mode)
-        width = len(options[0])
-        if not values or len(values) % width:
-            raise ValueError(f"a {self.mode} theta has {width} value(s) per dimension, got {len(values)} values")
-        off = [g for g in range(len(values) // width) if values[g * width : (g + 1) * width] not in options]
-        if off:
-            raise ValueError(f"{self.mode} theta {values} is off the grid in dimensions {off}")
-        object.__setattr__(self, "values", values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
 class ModelSpace:
     """The discretized grid of candidate thetas, possibly too large to enumerate.
 
-    A grid point is a row of per-dimension option indices; a validated
-    ModelTheta is built only for the thetas a run actually scores.
+    A theta is a 1-D float array: each per-dimension chunk of its values is a
+    row of the mode's option table, one length scale per dimension or one
+    (theta_minus, theta_plus) pair per dimension with nu = 10^theta.  A grid
+    point is a row of per-dimension option indices.
     """
 
     def __init__(self, mode: str, dim: int):
+        if mode not in _OPTIONS:
+            raise ValueError(f"unknown mode {mode!r}")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.mode = mode
         self.dim = dim
-        self._options = np.asarray(_option_table(mode), dtype=float)  # (per_dim, coords)
-        self._unit = self.to_unit(self._options)
-        self._grid = None
+        self._options = np.asarray(_OPTIONS[mode], dtype=float)  # (per_dim, coords)
 
     @property
     def per_dim(self) -> int:
@@ -135,32 +102,35 @@ class ModelSpace:
         return (np.asarray(theta_array, dtype=float) - lo) / (hi - lo)
 
     def grid_indices(self) -> np.ndarray:
-        """Every grid point as an index row, in lexicographic order (cached).
+        """Every grid point as an index row, in lexicographic order.
 
         Only grids of at most THOMPSON_THRESHOLD points are enumerated.
         """
-        if self._grid is None:
-            self._grid = np.indices((self.per_dim,) * self.dim).reshape(self.dim, -1).T
-        return self._grid
+        return np.indices((self.per_dim,) * self.dim).reshape(self.dim, -1).T
 
-    def unit_points(self, indices: np.ndarray) -> np.ndarray:
-        """Unit-cube coordinates of index rows, one row per grid point."""
-        return self._unit[indices].reshape(len(indices), self.theta_dim)
+    def rows(self, indices: np.ndarray) -> np.ndarray:
+        """The thetas of index rows: one theta for a 1-D row, one theta per row of a 2-D array."""
+        return self._options[indices].reshape(*indices.shape[:-1], self.theta_dim)
 
-    def theta_at(self, index_row) -> ModelTheta:
-        return ModelTheta(self.mode, tuple(self._options[index_row].ravel()))
+    def theta(self, values) -> np.ndarray:
+        """values from outside the engine as a theta of this space.
 
-    def theta(self, values) -> ModelTheta:
-        """values as a grid point of this space; ValueError if off the grid or of another dimension."""
-        theta = ModelTheta(self.mode, values)
-        if len(theta.values) != self.theta_dim:
+        ValueError unless there are theta_dim values and every per-dimension
+        chunk is a row of the option table.
+        """
+        theta = np.asarray(values, dtype=float)
+        if theta.shape != (self.theta_dim,):
             raise ValueError(
-                f"a {self.mode} theta of a {self.dim}-D task has {self.theta_dim} values, got {len(theta.values)}"
+                f"a {self.mode} theta of a {self.dim}-D task has {self.theta_dim} values, got shape {theta.shape}"
             )
+        chunks = theta.reshape(self.dim, 1, -1)
+        off = np.flatnonzero(~(chunks == self._options).all(axis=2).any(axis=1))
+        if off.size:
+            raise ValueError(f"{self.mode} theta {theta.tolist()} is off the grid in dimensions {off.tolist()}")
         return theta
 
-    def sample(self, rng: np.random.Generator) -> ModelTheta:
-        return self.theta_at(rng.integers(0, self.per_dim, size=self.dim))
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return self.rows(rng.integers(0, self.per_dim, size=self.dim))
 
 
 @dataclass
@@ -189,7 +159,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class LedgerRecord:
-    theta: ModelTheta
+    theta: np.ndarray
     score: float
     window_start_T: int
     window_gain: float
@@ -211,7 +181,7 @@ class RunResult:
 
     best_x: np.ndarray
     best_y: float
-    best_theta: ModelTheta | None
+    best_theta: np.ndarray | None
     ledger: list[LedgerRecord] | None
     best_values: np.ndarray  # index 0 is the initial-design best
     regrets: np.ndarray
@@ -237,29 +207,30 @@ class _RunState:
     ep_nonconverged: int = 0
 
 
-def _fit_window_model(state: _RunState, theta: ModelTheta | None):
+def _fit_window_model(state: _RunState, config: RunConfig, theta: np.ndarray | None):
     """Fit the inner surrogate on standardized outputs for the current theta.
 
-    theta None means the fixed default kernel (the plain-BO baseline).  UCB
-    selection is invariant to the output standardization, so predictions are
-    consumed in standardized units.
+    theta None means the fixed default kernel (the plain-BO baseline); the
+    run's mode says what a theta's values are.  UCB selection is invariant to
+    the output standardization, so predictions are consumed in standardized
+    units.
     """
     z, _ = standardize(state.y)
-    if theta is not None and theta.mode == LENGTH_SCALE:
-        return gp_fit(state.X, z, KernelParams(SIGNAL_VARIANCE, theta.values, NOISE_VARIANCE))
+    if theta is not None and config.mode == LENGTH_SCALE:
+        return gp_fit(state.X, z, KernelParams(SIGNAL_VARIANCE, theta, NOISE_VARIANCE))
     params = KernelParams(SIGNAL_VARIANCE, (DEFAULT_LENGTH_SCALE,) * state.X.shape[1], NOISE_VARIANCE)
     if theta is None:
         return gp_fit(state.X, z, params)
-    return fit_monotonic_gp(state.X, z, params, theta.as_array(), state.locations)
+    return fit_monotonic_gp(state.X, z, params, theta, state.locations)
 
 
-def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: ModelTheta | None) -> bool:
+def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: np.ndarray | None) -> bool:
     """One UCB acquisition; returns False when the pool is exhausted."""
     candidates = CandidateSet(state.pool, excluded=state.sampled)
     n_active = candidates.active_indices.size
     if n_active == 0:
         return False
-    model = _fit_window_model(state, theta)
+    model = _fit_window_model(state, config, theta)
     if isinstance(model, FittedMonotonicGP):
         state.ep_fits += 1
         state.ep_sweeps += model.sweeps
@@ -277,7 +248,7 @@ def model_score_window(
     task: Task,
     state: _RunState,
     config: RunConfig,
-    theta: ModelTheta,
+    theta: np.ndarray,
     outer_index: int,
 ) -> tuple[LedgerRecord | None, bool]:
     """Run up to K inner iterations under theta and score the window.
@@ -301,7 +272,7 @@ def model_score_window(
     # T counts every inner sample so far; a one-sample first window would make
     # the normalizer degenerate.
     T = max(len(state.y) - state.n0, 2)
-    score = score_model(gain, T, task.dim, theta.values, default_lambda(config.mode, task.dim), config.mode)
+    score = score_model(gain, T, task.dim, theta, default_lambda(config.mode, task.dim), config.mode)
     record = LedgerRecord(
         theta=theta,
         score=score,
@@ -312,7 +283,7 @@ def model_score_window(
     return record, exhausted
 
 
-def hyperbo_step(ledger: list[LedgerRecord], space: ModelSpace, rng: np.random.Generator) -> ModelTheta:
+def hyperbo_step(ledger: list[LedgerRecord], space: ModelSpace, rng: np.random.Generator) -> np.ndarray:
     """Propose the next theta: Thompson sampling on a GP over ledger scores.
 
     Scores are standardized before fitting; previously scored thetas stay in
@@ -321,23 +292,20 @@ def hyperbo_step(ledger: list[LedgerRecord], space: ModelSpace, rng: np.random.G
     """
     if not ledger:
         raise ValueError("hyperbo_step needs at least one scored window")
-    thetas = np.vstack([rec.theta.as_array() for rec in ledger])
     z, _ = standardize([rec.score for rec in ledger])
     params = KernelParams(
         max(float(np.var(z)), 1e-6),
         (THETA_GP_LS_FRACTION,) * space.theta_dim,
         THETA_GP_NOISE,
     )
-    model = gp_fit(space.to_unit(thetas), z, params)
-    incumbent = best_record(ledger).theta
+    model = gp_fit(space.to_unit(np.vstack([rec.theta for rec in ledger])), z, params)
     if space.size <= THOMPSON_THRESHOLD:
-        grid = space.grid_indices()
-        points = space.unit_points(grid)
+        rows = space.rows(space.grid_indices())
     else:
-        grid = rng.integers(0, space.per_dim, size=(THOMPSON_SUBSAMPLE, space.dim))
-        points = np.vstack([space.unit_points(grid), space.to_unit(incumbent.as_array())])
-    index, _ = thompson_select(model, CandidateSet(points), rng)
-    return incumbent if index == len(grid) else space.theta_at(grid[index])
+        drawn = space.rows(rng.integers(0, space.per_dim, size=(THOMPSON_SUBSAMPLE, space.dim)))
+        rows = np.vstack([drawn, best_record(ledger).theta])
+    index, _ = thompson_select(model, CandidateSet(space.to_unit(rows)), rng)
+    return rows[index].copy()
 
 
 def _init_state(task: Task, config: RunConfig) -> _RunState:
@@ -411,7 +379,7 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
     return _result_from_state(task, state, best_theta, ledger, exhausted)
 
 
-def rerun_with_best_theta(task: Task, theta: ModelTheta | None, budget: int, config: RunConfig) -> RunResult:
+def rerun_with_best_theta(task: Task, theta: np.ndarray | None, budget: int, config: RunConfig) -> RunResult:
     """Plain inner BO with theta held fixed for `budget` iterations.
 
     theta None runs the fixed-default-kernel baseline.  Seeding matches

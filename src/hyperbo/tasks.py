@@ -219,6 +219,8 @@ def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray
         missing = [f for f in features if f not in header]
         if missing:
             raise DatasetError(f"{path}: missing feature columns {missing}")
+        if not features:
+            raise DatasetError(f"{path}: no feature columns besides the target {target!r}")
         col_idx = [header.index(f) for f in features]
         tgt_idx = header.index(target)
         X_rows, y_rows = [], []

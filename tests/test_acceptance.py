@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hyperbo.acquisition import thompson_sample_argmax
-from hyperbo.engine import ModelTheta, RunConfig, rerun_with_best_theta, run_framework
+from hyperbo.engine import RunConfig, rerun_with_best_theta, run_framework
 from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
     fit_monotonic_gp,
@@ -164,7 +164,7 @@ def test_criterion_05_goldstein_price_sign_recovery():
     for trial in range(50):
         config = RunConfig(mode="monotonicity", m=5, K=1, R=50, seed=7000 + trial)
         result = run_framework(task, config)
-        best.append(result.best_theta.values)
+        best.append(result.best_theta)
         traces.append(result.regrets)
     check_regret_traces(traces)
     rows = monotonicity_report(best)
@@ -184,7 +184,7 @@ def test_criterion_06_case2_trend():
     start = time.time()
     budget = 30
     task = make_goldstein_price_task(pool_size=5000)
-    gold_theta = ModelTheta("monotonicity", (-6.0, 0.0, 0.0, -6.0))
+    gold_theta = np.array([-6.0, 0.0, 0.0, -6.0])
     standard, gold, best, traces = [], [], [], []
     for seed in range(20):
         config = RunConfig(mode="monotonicity", m=5, K=1, R=50, seed=seed)
@@ -220,7 +220,7 @@ def test_criterion_07_length_scale_recovery():
     for trial in range(100):
         config = RunConfig(mode="length_scale", m=5, K=1, R=50, seed=9000 + trial, ucb_delta=5.0)
         result = run_framework(task, config)
-        best.append(result.best_theta.values)
+        best.append(result.best_theta)
         traces.append(result.regrets)
     check_regret_traces(traces)
     arr = np.vstack(best)
@@ -307,7 +307,7 @@ def test_criterion_10_regret_trace_invariant():
     start = time.time()
     goldstein = make_goldstein_price_task(pool_size=200)
     gp_draw = make_gp_sample_task(2, 0.2, n_points=100, seed=42)
-    gold_theta = ModelTheta("monotonicity", (-6.0, 0.0, 0.0, -6.0))
+    gold_theta = np.array([-6.0, 0.0, 0.0, -6.0])
     traces = []
     for seed in range(2):
         config = RunConfig(mode="monotonicity", m=2, K=1, R=4, seed=seed)

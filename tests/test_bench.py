@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import re
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +97,8 @@ class TestConfigValidation:
             {"task": {"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "n_points": 2.7}},
             {"task": {"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "seed": True}},
             {"task": {"kind": "gp_sample", "dim": 1, "length_scale": True}},
+            {"task": {"kind": "gp_sample", "dim": 1, "length_scale": float("nan")}},
+            {"engine": {"ucb_delta": float("inf")}},
         ],
         ids=lambda override: json.dumps(override),
     )
@@ -138,6 +142,23 @@ class TestConfigValidation:
         data.write_text("a,y\n1,2\nfoo,3\n")
         with pytest.raises(ConfigError, match="non-numeric"):
             build_task({"kind": "dataset", "path": str(data), "target": "y"})
+
+    @pytest.mark.parametrize(
+        "csv_text, features",
+        [("a,y\n1,2\n3,4\n", []), ("y\n2\n4\n", None)],
+        ids=["empty-feature-list", "target-only-file"],
+    )
+    def test_dataset_without_features_is_a_config_error(self, tmp_path, capsys, csv_text, features):
+        data = tmp_path / "data.csv"
+        data.write_text(csv_text)
+        path = tmp_path / "cfg.json"
+        task = {"kind": "dataset", "path": str(data), "target": "y", "features": features}
+        raw = {"task": task, "mode": "monotonicity", "budget": 2, "strategies": ["standard_bo"], "output_dir": str(tmp_path / "run")}
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="no feature columns"):
+            load_config(str(path))
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_unknown_task_kind(self):
         with pytest.raises(ConfigError, match="unknown task kind"):
@@ -431,6 +452,13 @@ class TestCli:
             pytest.skip(f"{name} is a template for a dataset that is not bundled ({raw['task']['path']})")
         assert cli_main(["validate", str(SCRIPTS / name)]) == 0
         assert capsys.readouterr().out.startswith("ok:")
+
+    @pytest.mark.slow
+    def test_demo_script_prints_a_direction_per_dimension(self, capsys):
+        runpy.run_path(str(SCRIPTS / "demo_goldstein.py"), run_name="__main__")
+        out = capsys.readouterr().out
+        assert len(re.findall(r"^trial \d: best_theta=", out, flags=re.M)) == 5
+        assert re.findall(r"^(x\d): .* -> (?:increasing|decreasing|none)$", out, flags=re.M) == ["x1", "x2"]
 
     def test_report_missing_dir_exit_1(self, tmp_path):
         assert cli_main(["report", str(tmp_path / "missing")]) == 1

@@ -11,7 +11,6 @@ from hyperbo.engine import (
     MONOTONICITY_PAIRS,
     LedgerRecord,
     ModelSpace,
-    ModelTheta,
     RunConfig,
     best_record,
     hyperbo_step,
@@ -83,19 +82,20 @@ class TestModelTheta:
     )
     def test_grid_rule(self, mode, values, valid):
         # A theta is valid when each per-dimension chunk is a row of its mode's option table.
+        d = max(len(values) // (2 if mode == MONOTONICITY else 1), 1)
         if valid:
-            assert ModelTheta(mode, values).values == tuple(float(v) for v in values)
+            assert tuple(ModelSpace(mode, d).theta(values)) == tuple(float(v) for v in values)
         else:
             with pytest.raises(ValueError):
-                ModelTheta(mode, values)
+                ModelSpace(mode, d).theta(values)
 
 
 class TestModelSpace:
     def test_length_scale_1d_enumeration(self):
         space = ModelSpace(LENGTH_SCALE, 1)
-        thetas = [space.theta_at(row) for row in space.grid_indices()]
+        thetas = space.rows(space.grid_indices())
         assert len(thetas) == 11
-        assert sorted(t.values[0] for t in thetas) == list(LENGTH_SCALE_GRID)
+        assert sorted(t[0] for t in thetas) == list(LENGTH_SCALE_GRID)
 
     def test_monotonicity_sizes(self):
         assert len(MONOTONICITY_PAIRS) == 48
@@ -113,11 +113,11 @@ class TestModelSpace:
             space = ModelSpace(mode, d)
             for _ in range(50):
                 theta = space.sample(rng)
-                assert space.theta(theta.values) == theta
+                assert tuple(space.theta(theta)) == tuple(theta)
 
     def test_theta_checks_the_space_dimension(self):
         space = ModelSpace(MONOTONICITY, 2)
-        assert space.theta([-6, 0, 0, -6]) == ModelTheta(MONOTONICITY, (-6.0, 0.0, 0.0, -6.0))
+        assert tuple(space.theta([-6, 0, 0, -6])) == (-6.0, 0.0, 0.0, -6.0)
         for values in ([-6, 0], [-6, 0, 0, -6, 0, 0], [-2.5, 0, 0, -6]):
             with pytest.raises(ValueError):
                 space.theta(values)
@@ -127,7 +127,7 @@ class TestModelSpace:
     def test_index_rows_match_per_theta_construction(self):
         # Outer pools are index arrays drawn in one call: they must equal one
         # scalar draw per coordinate (same values, same generator state after)
-        # and map to the unit coordinates of the validated thetas they stand for.
+        # and map to the validated thetas they stand for.
         for mode, options in ((LENGTH_SCALE, LENGTH_SCALE_GRID), (MONOTONICITY, MONOTONICITY_PAIRS)):
             space = ModelSpace(mode, 2)
             batch, scalar = np.random.default_rng(3), np.random.default_rng(3)
@@ -135,8 +135,8 @@ class TestModelSpace:
             one_by_one = [[int(scalar.integers(0, len(options))) for _ in range(2)] for _ in range(25)]
             np.testing.assert_array_equal(indices, one_by_one)
             assert batch.bit_generator.state == scalar.bit_generator.state
-            thetas = np.vstack([space.theta_at(row).as_array() for row in indices])
-            np.testing.assert_array_equal(space.unit_points(indices), space.to_unit(thetas))
+            thetas = np.vstack([space.theta(space.rows(row)) for row in indices])
+            np.testing.assert_array_equal(space.rows(indices), thetas)
         grid = ModelSpace(LENGTH_SCALE, 2).grid_indices()
         assert [tuple(row) for row in grid] == list(itertools.product(range(11), repeat=2))
 
@@ -165,7 +165,7 @@ class TestRunConfig:
 
 class TestBestRecord:
     def test_best_breaks_ties_earliest(self):
-        theta = ModelTheta(LENGTH_SCALE, (0.3,))
+        theta = np.array([0.3])
         ledger = [LedgerRecord(theta, score, i, score, i + 1) for i, score in enumerate([1.0, 2.0, 2.0, 0.5])]
         assert best_record(ledger).outer_index == 2  # first of the tied windows
 
@@ -180,7 +180,7 @@ class TestModelScoreWindow:
         task = make_toy_task([0.0, 1.0, 2.0, 3.0, 4.0], n_initial=2)
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=3, R=1, seed=0)
         state = _init_state(task, config)
-        theta = ModelTheta(LENGTH_SCALE, (0.3,))
+        theta = np.array([0.3])
         record, exhausted = model_score_window(task, state, config, theta, 1)
         assert len(state.y) == 5
         assert len(state.y) - state.n0 == 3
@@ -193,7 +193,7 @@ class TestModelScoreWindow:
         state = _init_state(task, config)
         # Seeded design must contain the max; find a seed where it does.
         assert state.y.max() == 5.0
-        record, _ = model_score_window(task, state, config, ModelTheta(LENGTH_SCALE, (0.3,)), 1)
+        record, _ = model_score_window(task, state, config, np.array([0.3]), 1)
         assert record.window_gain == 0.0
         assert record.score == 0.0
 
@@ -201,7 +201,7 @@ class TestModelScoreWindow:
         task = make_toy_task([0.0, 1.0, 2.0, 3.0], n_initial=2)
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=5, R=1, seed=0)
         state = _init_state(task, config)
-        record, exhausted = model_score_window(task, state, config, ModelTheta(LENGTH_SCALE, (0.3,)), 1)
+        record, exhausted = model_score_window(task, state, config, np.array([0.3]), 1)
         assert exhausted
         assert len(state.y) == 4  # only 2 rows were left to sample
         assert record is not None
@@ -213,21 +213,21 @@ class TestHyperboStep:
 
     def test_single_record_explores_broadly(self):
         space = ModelSpace(LENGTH_SCALE, 1)
-        ledger = self.ledger_with([(ModelTheta(LENGTH_SCALE, (0.35,)), 1.0)])
+        ledger = self.ledger_with([(np.array([0.35]), 1.0)])
         counts = np.zeros(11)
         grid = {v: i for i, v in enumerate(LENGTH_SCALE_GRID)}
         for seed in range(1000):
             theta = hyperbo_step(ledger, space, np.random.default_rng(seed))
-            counts[grid[theta.values[0]]] += 1
+            counts[grid[theta[0]]] += 1
         freq = counts / counts.sum()
         entropy = -np.sum(freq[freq > 0] * np.log(freq[freq > 0]))
         assert entropy > 0.8 * np.log(11)
 
     def test_separated_scores_prefer_better_theta(self):
         space = ModelSpace(LENGTH_SCALE, 1)
-        good, bad = ModelTheta(LENGTH_SCALE, (0.6,)), ModelTheta(LENGTH_SCALE, (0.1,))
-        ledger = self.ledger_with([(good, 10.0), (bad, 0.0)] * 5)
-        picks = Counter(hyperbo_step(ledger, space, np.random.default_rng(seed)) for seed in range(1000))
+        good, bad = (0.6,), (0.1,)
+        ledger = self.ledger_with([(np.array(good), 10.0), (np.array(bad), 0.0)] * 5)
+        picks = Counter(tuple(hyperbo_step(ledger, space, np.random.default_rng(seed))) for seed in range(1000))
         # The whole grid competes: the better-scored theta is the most frequent
         # pick, and the worse-scored one comes up at most 1/20 as often.
         assert picks.most_common(1)[0][0] == good
@@ -235,9 +235,9 @@ class TestHyperboStep:
 
     def test_fixed_seed_deterministic(self):
         space = ModelSpace(MONOTONICITY, 2)
-        theta = ModelTheta(MONOTONICITY, (-3.0, 0.0, 0.0, -3.0))
-        ledger = self.ledger_with([(theta, 1.0), (ModelTheta(MONOTONICITY, (0.0, 0.0, 0.0, 0.0)), 0.2)])
-        picks = {hyperbo_step(ledger, space, np.random.default_rng(11)).values for _ in range(5)}
+        theta = np.array([-3.0, 0.0, 0.0, -3.0])
+        ledger = self.ledger_with([(theta, 1.0), (np.array([0.0, 0.0, 0.0, 0.0]), 0.2)])
+        picks = {tuple(hyperbo_step(ledger, space, np.random.default_rng(11))) for _ in range(5)}
         assert len(picks) == 1
 
 
@@ -269,7 +269,7 @@ class TestRunFramework:
         a = run_framework(task, config)
         b = run_framework(task, config)
         np.testing.assert_array_equal(a.best_values, b.best_values)
-        assert a.best_theta == b.best_theta
+        assert np.array_equal(a.best_theta, b.best_theta)
         assert [r.score for r in a.ledger] == [r.score for r in b.ledger]
 
     def test_every_scored_theta_is_on_grid(self):
@@ -277,7 +277,7 @@ class TestRunFramework:
         config = RunConfig(mode=LENGTH_SCALE, m=3, K=2, R=6, seed=4)
         result = run_framework(task, config)
         space = ModelSpace(LENGTH_SCALE, 1)
-        assert all(space.theta(rec.theta.values) == rec.theta for rec in result.ledger)
+        assert all(np.array_equal(space.theta(rec.theta), rec.theta) for rec in result.ledger)
 
     def test_regret_trace_invariants(self):
         task = make_toy_task(np.linspace(-5, 3, 25), n_initial=3)
@@ -299,7 +299,7 @@ class TestRunFramework:
         result = run_framework(task, config)
         scores = [rec.score for rec in result.ledger]
         best_records = [r for r in result.ledger if r.score == max(scores)]
-        assert result.best_theta == best_records[0].theta
+        assert np.array_equal(result.best_theta, best_records[0].theta)
 
     def test_manual_trace_oracle(self):
         """Replay the documented operation order step by step and compare everything."""
@@ -341,7 +341,7 @@ class TestRunFramework:
             y_plus = max(ys)
             for _ in range(2):
                 z = (np.array(ys) - np.mean(ys)) / (np.std(ys) if np.std(ys) > 1e-12 else 1.0)
-                model = gp_fit(np.vstack(xs), z, KernelParams(1.0, theta.values, 1e-6))
+                model = gp_fit(np.vstack(xs), z, KernelParams(1.0, theta, 1e-6))
                 mask = np.zeros(6, dtype=bool)
                 mask[obs_idx] = True
                 from hyperbo.acquisition import CandidateSet
@@ -355,11 +355,9 @@ class TestRunFramework:
                 inner_t += 1
                 traced_best.append(max(ys))
             gain = (max(ys) - y_plus) / scale
-            ledger_scores.append(score_model(gain, max(inner_t, 2), 1, theta.values, lam, LENGTH_SCALE))
+            ledger_scores.append(score_model(gain, max(inner_t, 2), 1, theta, lam, LENGTH_SCALE))
 
-        assert [tuple(t.values) for t in (r.theta for r in result.ledger)] == [
-            tuple(t.values) for t in thetas
-        ]
+        assert [tuple(r.theta) for r in result.ledger] == [tuple(t) for t in thetas]
         np.testing.assert_allclose(result.best_values, traced_best, atol=0)
         np.testing.assert_allclose([r.score for r in result.ledger], ledger_scores, atol=0)
 
@@ -368,7 +366,7 @@ class TestRerunWithBestTheta:
     def test_zero_budget_trace_is_initial_best(self):
         task = make_toy_task(np.linspace(0, 4, 12), n_initial=3)
         config = RunConfig(mode=LENGTH_SCALE, seed=7)
-        result = rerun_with_best_theta(task, ModelTheta(LENGTH_SCALE, (0.3,)), 0, config)
+        result = rerun_with_best_theta(task, np.array([0.3]), 0, config)
         assert len(result.best_values) == 1
         assert result.n_samples == 0
 
@@ -378,7 +376,7 @@ class TestRerunWithBestTheta:
         task = make_toy_task(np.sin(np.linspace(0, 7, 30)), n_initial=3)
         config = RunConfig(mode=LENGTH_SCALE, seed=13)
         a = rerun_with_best_theta(task, None, 10, config)
-        b = rerun_with_best_theta(task, ModelTheta(LENGTH_SCALE, (0.3,)), 10, config)
+        b = rerun_with_best_theta(task, np.array([0.3]), 10, config)
         np.testing.assert_array_equal(a.best_values, b.best_values)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -404,7 +402,7 @@ class TestRerunWithBestTheta:
     def test_monotonicity_rerun_on_goldstein(self):
         task = make_goldstein_price_task(pool_size=100)
         config = RunConfig(mode=MONOTONICITY, seed=2)
-        theta = ModelTheta(MONOTONICITY, (-6.0, 0.0, 0.0, -6.0))
+        theta = np.array([-6.0, 0.0, 0.0, -6.0])
         result = rerun_with_best_theta(task, theta, 4, config)
         assert result.n_samples == 4
         assert np.all(result.regrets >= 0)

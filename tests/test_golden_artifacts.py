@@ -1,4 +1,4 @@
-"""Golden artifacts: two tiny runs whose every output file has a fixed sha256.
+"""Golden artifacts: three tiny runs whose every output file has a fixed sha256.
 
 A change that keeps random streams must leave these hashes alone.  A change
 that alters streams on purpose updates the constants and says so in
@@ -16,6 +16,9 @@ STRATEGIES = ("standard_bo", "hyperbo", "best_theta_rerun", "gold_standard_theta
 
 # 48^2 monotonicity thetas exceed THOMPSON_THRESHOLD, so each outer proposal
 # takes hyperbo_step's subsample branch; the 1-D length-scale grid is enumerated.
+# The dataset run reads a CSV the test writes under a relative path (the
+# manifest records the path), so it also pins ingestion, the filter, the
+# on-pool initial design and the feature names in report.csv.
 CONFIGS = {
     "goldstein-mono": dict(
         task={"kind": "goldstein_price", "pool_size": 500},
@@ -37,9 +40,39 @@ CONFIGS = {
         seed=21,
         gold_standard_theta=(0.2,),
     ),
+    "dataset-mono": dict(
+        task={
+            "kind": "dataset",
+            "path": "tiny.csv",
+            "target": "y",
+            "filters": [{"type": "drop_max_target_in_low_quantile", "column": "age", "quantile": 0.1}],
+            "n_initial": 3,
+            "name": "tiny",
+        },
+        mode="monotonicity",
+        trials=2,
+        m=2,
+        K=1,
+        budget=6,
+        seed=31,
+        gold_standard_theta=(0, -6, -6, 0),
+    ),
 }
 
 GOLDEN = {
+    "dataset-mono": {
+        "aggregate.csv": "ecbd61ec8997953683b42d4ccf2b051857fad658de2ed5c0b251cc70829ae10d",
+        "manifest.json": "941a296b36dce540e22be0f4ddf1dd2dc412874b715d7f2d1e5e92b941018fa3",
+        "report.csv": "f7900240dcd1015641f313fce8d9d5e87ab983d5a05e79f193196862558dce33",
+        "trace_best_theta_rerun_trial000.csv": "46adefc9fd7ee27d53c87d45bd3d44331a0de58ddf7676c694fa31cdb05ff20d",
+        "trace_best_theta_rerun_trial001.csv": "27a01ff90a6a6e2a554ef608ae57009dcac869943a44b17aa3cba256eeca6c8e",
+        "trace_gold_standard_theta_trial000.csv": "46adefc9fd7ee27d53c87d45bd3d44331a0de58ddf7676c694fa31cdb05ff20d",
+        "trace_gold_standard_theta_trial001.csv": "cf878d1eb3dce9e6f46e2d23d12a926248facec4d4df5897154550a07be9735f",
+        "trace_hyperbo_trial000.csv": "46adefc9fd7ee27d53c87d45bd3d44331a0de58ddf7676c694fa31cdb05ff20d",
+        "trace_hyperbo_trial001.csv": "cb312310c291fa0ebe36ffc1123339e9d96add4f4d24ddabb88d4de6f2292679",
+        "trace_standard_bo_trial000.csv": "46adefc9fd7ee27d53c87d45bd3d44331a0de58ddf7676c694fa31cdb05ff20d",
+        "trace_standard_bo_trial001.csv": "37fe6ee9e74ee73d1d61a5dd923495c96f6cea76f32b87b18a95e0877dfe19e0",
+    },
     "goldstein-mono": {
         "aggregate.csv": "acfaeb77c42626e02eb9b862b4b28b02ef05ff33fe62fdbee4594b49b9c739d0",
         "manifest.json": "6ef5cdc13f5575c0741d09848513409fb17d6bac8868179ca3a82419fee212b1",
@@ -68,8 +101,20 @@ GOLDEN = {
 }
 
 
+def write_tiny_csv(path):
+    """30 rows: y falls with age and rises with dose; one young row is an outlier."""
+    lines = ["age,dose,y"]
+    for i in range(30):
+        age, dose = (7 * i) % 30, (11 * i) % 30
+        y = 100.0 if age == 1 else 50.0 - 0.8 * age + 0.5 * dose + 3.0 * ((13 * i) % 7)
+        lines.append(f"{age},{dose},{y:.2f}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_artifacts_match_golden_hashes(tmp_path, name):
+def test_artifacts_match_golden_hashes(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    write_tiny_csv(tmp_path / "tiny.csv")
     config = ExperimentConfig(strategies=STRATEGIES, output_dir=str(tmp_path / name), **CONFIGS[name])
     outcome = run_experiment(config)
     assert outcome.ok
