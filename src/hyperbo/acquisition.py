@@ -43,7 +43,7 @@ class CandidateSet:
         return np.flatnonzero(~self.excluded)
 
 
-def ucb_beta(t: int, n_candidates: int, delta: float = 0.1) -> float:
+def ucb_beta(t: int, n_candidates: int, delta: float) -> float:
     """Confidence-width schedule beta_t = 2 * ln(n * t^2 * pi^2 / (6 * delta))."""
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")

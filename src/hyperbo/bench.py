@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperbo.engine import ModelSpace, RunConfig, RunResult, rerun_with_best_theta, run_framework
-from hyperbo.scoring import MODES, MONOTONICITY
+from hyperbo.engine import MODES, MONOTONICITY, ModelSpace, RunConfig, RunResult, rerun_with_best_theta, run_framework
+from hyperbo.engine import _init_state
 from hyperbo.tasks import (
     MonotonicityRow,
     Task,
@@ -95,8 +95,8 @@ class ExperimentConfig:
             raise ConfigError(f"{not_int} must be integers")
         if self.m < 1 or self.K < 1:
             raise ConfigError("m and K must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if self.trials < 1 or self.seed < 0:
+            raise ConfigError("trials must be >= 1 and seed >= 0")
         if self.budget < 1:
             raise ConfigError("budget must be >= 1")
         self.strategies = tuple(self.strategies)
@@ -166,6 +166,11 @@ def load_config(path: str) -> ExperimentConfig:
             ModelSpace(config.mode, task.dim).theta(config.gold_standard_theta)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"gold_standard_theta: {exc}") from None
+    if "ucb_delta" in config.engine:
+        # UCB's beta is least at the first step, over the pool rows the initial design left.
+        bound = np.count_nonzero(~_init_state(task, config.run_config(config.seed)).sampled) * math.pi**2 / 6
+        if 0 < bound <= config.engine["ucb_delta"]:
+            raise ConfigError(f"engine.ucb_delta must be below {bound:.4g} here, or the first UCB beta is negative")
     return config
 
 

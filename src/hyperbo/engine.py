@@ -2,11 +2,12 @@
 
 An inner GP-UCB loop acquires task samples in windows of K iterations, each
 window driven by one candidate model theta (a length-scale vector or a
-monotonicity strictness vector).  Completed windows are scored by
-regret-normalized gain and appended to a ledger; an outer Thompson-sampling
-loop over the discretized model grid proposes the next theta from a GP fit to
-the ledger.  The first m windows use uniformly random thetas to seed the
-ledger.
+monotonicity strictness vector).  A completed window scores its gain over
+sqrt((ln T)^(d+1) / T), the shape of the average GP-UCB regret bound at T
+samples, so windows of different stages compare, times a norm regularizer set
+by the grid; an outer Thompson-sampling loop over the model grid proposes the
+next theta from a GP fit to the ledger of scores.  The first m windows use
+uniformly random thetas to seed the ledger.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ import numpy as np
 from hyperbo.acquisition import CandidateSet, thompson_select, ucb_beta, ucb_select
 from hyperbo.gp import KernelParams, gp_fit, standardize
 from hyperbo.monotonic import FittedMonotonicGP, fit_monotonic_gp
-from hyperbo.scoring import LENGTH_SCALE, MODES, MONOTONICITY, default_lambda, score_model
 from hyperbo.tasks import Task, regret_trace
 
 __all__ = [
+    "LENGTH_SCALE",
+    "MONOTONICITY",
+    "MODES",
+    "regret_normalizer",
     "LENGTH_SCALE_GRID",
     "MONOTONICITY_LEVELS",
     "ModelSpace",
@@ -35,6 +39,10 @@ __all__ = [
     "rerun_with_best_theta",
 ]
 
+LENGTH_SCALE = "length_scale"
+MONOTONICITY = "monotonicity"
+MODES = (LENGTH_SCALE, MONOTONICITY)
+
 LENGTH_SCALE_GRID = tuple(round(0.10 + 0.05 * i, 2) for i in range(11))  # 0.10 .. 0.60
 MONOTONICITY_LEVELS = tuple(float(v) for v in range(-6, 1))  # -6 .. 0
 
@@ -43,11 +51,12 @@ MONOTONICITY_PAIRS = tuple(
     (a, b) for a in MONOTONICITY_LEVELS for b in MONOTONICITY_LEVELS if not (a == -6.0 and b == -6.0)
 )
 
-# Per-dimension option tables, one row per option: a length scale, or a
-# (theta_minus, theta_plus) strictness pair.
+# Per mode: the per-dimension option table, one row per option (a length scale,
+# or a (theta_minus, theta_plus) strictness pair), and the sign of the score's
+# norm regularizer: long length scales are penalized, strictness rewarded.
 _OPTIONS = {
-    LENGTH_SCALE: tuple((v,) for v in LENGTH_SCALE_GRID),
-    MONOTONICITY: MONOTONICITY_PAIRS,
+    LENGTH_SCALE: (tuple((v,) for v in LENGTH_SCALE_GRID), -1.0),
+    MONOTONICITY: (MONOTONICITY_PAIRS, 1.0),
 }
 
 # Outer proposal: grids up to THOMPSON_THRESHOLD thetas compete whole, larger
@@ -66,13 +75,23 @@ NOISE_VARIANCE = 1e-6
 DEFAULT_LENGTH_SCALE = 0.3
 
 
+def regret_normalizer(T: int, d: int) -> float:
+    """sqrt((ln T)^(d+1) / T); requires T >= 2 so the numerator is positive."""
+    if T < 2:
+        raise ValueError(f"cumulative sample count must be >= 2, got {T}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    return float(np.sqrt(np.log(T) ** (d + 1) / T))
+
+
 class ModelSpace:
     """The discretized grid of candidate thetas, possibly too large to enumerate.
 
     A theta is a 1-D float array: each per-dimension chunk of its values is a
     row of the mode's option table, one length scale per dimension or one
     (theta_minus, theta_plus) pair per dimension with nu = 10^theta.  A grid
-    point is a row of per-dimension option indices.
+    point is a row of per-dimension option indices.  lam, the score's
+    regularization weight, is 1 / (max |option| * theta_dim).
     """
 
     def __init__(self, mode: str, dim: int):
@@ -82,7 +101,9 @@ class ModelSpace:
             raise ValueError("dimension must be >= 1")
         self.mode = mode
         self.dim = dim
-        self._options = np.asarray(_OPTIONS[mode], dtype=float)  # (per_dim, coords)
+        options, self._sign = _OPTIONS[mode]
+        self._options = np.asarray(options, dtype=float)  # (per_dim, coords)
+        self.lam = 1.0 / (float(np.abs(self._options).max()) * self.theta_dim)
 
     @property
     def per_dim(self) -> int:
@@ -131,6 +152,18 @@ class ModelSpace:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.rows(rng.integers(0, self.per_dim, size=self.dim))
+
+    def score(self, gain: float, T: int, theta) -> float:
+        """gain / regret_normalizer(T, dim) * (1 -/+ lam * ||theta||); zero gain scores zero at any T.
+
+        gain is the window's best-so-far improvement in standardized units, never negative.
+        """
+        if gain < -1e-12:
+            raise ValueError(f"gain must be non-negative (best-so-far is monotone), got {gain}")
+        if gain <= 0.0:
+            return 0.0
+        base = gain / regret_normalizer(T, self.dim)
+        return base * (1.0 + self._sign * self.lam * float(np.linalg.norm(theta)))
 
 
 @dataclass
@@ -248,6 +281,7 @@ def model_score_window(
     task: Task,
     state: _RunState,
     config: RunConfig,
+    space: ModelSpace,
     theta: np.ndarray,
     outer_index: int,
 ) -> tuple[LedgerRecord | None, bool]:
@@ -272,10 +306,9 @@ def model_score_window(
     # T counts every inner sample so far; a one-sample first window would make
     # the normalizer degenerate.
     T = max(len(state.y) - state.n0, 2)
-    score = score_model(gain, T, task.dim, theta, default_lambda(config.mode, task.dim), config.mode)
     record = LedgerRecord(
         theta=theta,
-        score=score,
+        score=space.score(gain, T, theta),
         window_start_T=start_T,
         window_gain=gain,
         outer_index=outer_index,
@@ -368,7 +401,7 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
             theta = space.sample(state.rng)
         else:
             theta = hyperbo_step(ledger, space, state.rng)
-        record, hit_end = model_score_window(task, state, config, theta, outer)
+        record, hit_end = model_score_window(task, state, config, space, theta, outer)
         if record is not None:
             ledger.append(record)
         if hit_end:

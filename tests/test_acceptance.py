@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from hyperbo.acquisition import thompson_sample_argmax
-from hyperbo.engine import RunConfig, rerun_with_best_theta, run_framework
+from hyperbo.engine import ModelSpace, RunConfig, regret_normalizer, rerun_with_best_theta, run_framework
 from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
     fit_monotonic_gp,
     gradient_gram_matrix,
     value_gradient_cross_matrix,
 )
-from hyperbo.scoring import length_scale_lambda, monotonicity_lambda, regret_normalizer, score_model
 from hyperbo.tasks import make_goldstein_price_task, make_gp_sample_task, monotonicity_report
 
 from kernel_oracles import cov_gradient_gradient, cov_value_gradient, se_kernel
@@ -133,7 +132,7 @@ def test_criterion_03_monotonic_gp_sanity():
 
 
 def test_criterion_04_scoring_function():
-    """Normalizer matches its closed form to 1e-12; lambda defaults exact; zero gain scores zero."""
+    """Normalizer matches its closed form to 1e-12; grid lambda exact; zero gain scores zero."""
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(1000):
@@ -142,10 +141,10 @@ def test_criterion_04_scoring_function():
         worst = max(worst, abs(regret_normalizer(T, d) - np.sqrt(np.log(T) ** (d + 1) / T)))
     assert worst < 1e-12
     for d in range(1, 14):
-        assert length_scale_lambda(d) == 1.0 / (0.6 * d)
-        assert monotonicity_lambda(d) == 1.0 / (12.0 * d)
-    assert score_model(0.0, T=50, d=3, theta=(-6.0, 0.0), lam=0.3, mode="monotonicity") == 0.0
-    assert score_model(0.0, T=1, d=3, theta=(0.3,), lam=0.3, mode="length_scale") == 0.0
+        assert ModelSpace("length_scale", d).lam == 1.0 / (0.6 * d)
+        assert ModelSpace("monotonicity", d).lam == 1.0 / (12.0 * d)
+    assert ModelSpace("monotonicity", 3).score(0.0, T=50, theta=(-6.0, 0.0) * 3) == 0.0
+    assert ModelSpace("length_scale", 3).score(0.0, T=1, theta=(0.3,) * 3) == 0.0
     report(4, f"1000 (T,d) pairs within {worst:.1e}; lambda formulas exact; zero gain -> zero score")
 
 

@@ -50,12 +50,12 @@ class TestUcbBeta:
         assert ucb_beta(1, 100, delta=0.1) == pytest.approx(14.81, abs=0.01)
 
     def test_monotone_in_t(self):
-        values = [ucb_beta(t, 50) for t in range(1, 1001)]
+        values = [ucb_beta(t, 50, 0.1) for t in range(1, 1001)]
         assert all(b2 >= b1 for b1, b2 in zip(values, values[1:]))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            ucb_beta(0, 10)
+            ucb_beta(0, 10, 0.1)
         with pytest.raises(ValueError):
             ucb_beta(1, 10, delta=0.0)
 

@@ -80,6 +80,7 @@ class TestConfigValidation:
             {"m": True},
             {"K": None},
             {"seed": "0"},
+            {"seed": -1},
             {"workers": 1.0},
             {"discovery_budget": "8"},
             {"K": 0},
@@ -99,6 +100,9 @@ class TestConfigValidation:
             {"task": {"kind": "gp_sample", "dim": 1, "length_scale": True}},
             {"task": {"kind": "gp_sample", "dim": 1, "length_scale": float("nan")}},
             {"engine": {"ucb_delta": float("inf")}},
+            # 17 first-step UCB candidates (20 rows less 3 initial): beta_1 < 0 from 17 pi^2 / 6 = 27.96 on.
+            {"engine": {"ucb_delta": 28.0}},
+            {"engine": {"ucb_delta": 100.0}},
         ],
         ids=lambda override: json.dumps(override),
     )
@@ -120,6 +124,22 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error:")
         path.write_text(json.dumps(raw))
         assert cli_main(["validate", str(path)]) == 0
+
+    def test_ucb_delta_below_the_first_step_bound_runs(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        raw = {
+            "task": {"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "n_points": 20, "seed": 1},
+            "mode": "length_scale",
+            "trials": 1,
+            "m": 1,
+            "K": 2,
+            "budget": 4,
+            "output_dir": str(tmp_path / "run"),
+            "engine": {"ucb_delta": 27.0},
+        }
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 0
+        assert cli_main(["run", str(path)]) == 0
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from hyperbo.engine import (
+    LENGTH_SCALE,
     LENGTH_SCALE_GRID,
+    MONOTONICITY,
     MONOTONICITY_PAIRS,
     LedgerRecord,
     ModelSpace,
@@ -19,7 +21,6 @@ from hyperbo.engine import (
     run_framework,
     _init_state,
 )
-from hyperbo.scoring import LENGTH_SCALE, MONOTONICITY, default_lambda
 from hyperbo.tasks import DiscreteTask, make_goldstein_price_task
 
 
@@ -158,10 +159,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(mode="nonsense")
 
-    def test_lambda_defaults_per_mode(self):
-        assert default_lambda(LENGTH_SCALE, 4) == pytest.approx(1.0 / (0.6 * 4))
-        assert default_lambda(MONOTONICITY, 4) == pytest.approx(1.0 / (12.0 * 4))
-
 
 class TestBestRecord:
     def test_best_breaks_ties_earliest(self):
@@ -181,7 +178,7 @@ class TestModelScoreWindow:
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=3, R=1, seed=0)
         state = _init_state(task, config)
         theta = np.array([0.3])
-        record, exhausted = model_score_window(task, state, config, theta, 1)
+        record, exhausted = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), theta, 1)
         assert len(state.y) == 5
         assert len(state.y) - state.n0 == 3
         assert record is not None and not exhausted
@@ -193,7 +190,7 @@ class TestModelScoreWindow:
         state = _init_state(task, config)
         # Seeded design must contain the max; find a seed where it does.
         assert state.y.max() == 5.0
-        record, _ = model_score_window(task, state, config, np.array([0.3]), 1)
+        record, _ = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), np.array([0.3]), 1)
         assert record.window_gain == 0.0
         assert record.score == 0.0
 
@@ -201,7 +198,7 @@ class TestModelScoreWindow:
         task = make_toy_task([0.0, 1.0, 2.0, 3.0], n_initial=2)
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=5, R=1, seed=0)
         state = _init_state(task, config)
-        record, exhausted = model_score_window(task, state, config, np.array([0.3]), 1)
+        record, exhausted = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), np.array([0.3]), 1)
         assert exhausted
         assert len(state.y) == 4  # only 2 rows were left to sample
         assert record is not None
@@ -305,7 +302,6 @@ class TestRunFramework:
         """Replay the documented operation order step by step and compare everything."""
         from hyperbo.acquisition import ucb_beta as beta_fn, ucb_select
         from hyperbo.gp import KernelParams, gp_fit
-        from hyperbo.scoring import score_model
 
         values = np.array([0.0, 3.0, 1.0, 5.0, 2.0, 4.0])
         task = make_toy_task(values, n_initial=2)
@@ -324,7 +320,7 @@ class TestRunFramework:
         xs = [X[i] for i in obs_idx]
         scale = np.std(ys)
         scale = scale if scale > 1e-12 else 1.0
-        lam = default_lambda(LENGTH_SCALE, 1)
+        lam = 1.0 / 0.6  # 1 / (largest length scale * d)
         space = ModelSpace(LENGTH_SCALE, 1)
 
         traced_best = [max(ys)]
@@ -355,7 +351,10 @@ class TestRunFramework:
                 inner_t += 1
                 traced_best.append(max(ys))
             gain = (max(ys) - y_plus) / scale
-            ledger_scores.append(score_model(gain, max(inner_t, 2), 1, theta, lam, LENGTH_SCALE))
+            # Closed form at d = 1: gain / sqrt(ln(T)^2 / T) * (1 - lam * ||theta||); zero gain scores zero.
+            T = max(inner_t, 2)
+            score = gain / np.sqrt(np.log(T) ** 2 / T) * (1.0 - lam * np.linalg.norm(theta))
+            ledger_scores.append(score if gain > 0 else 0.0)
 
         assert [tuple(r.theta) for r in result.ledger] == [tuple(t) for t in thetas]
         np.testing.assert_allclose(result.best_values, traced_best, atol=0)

@@ -1,19 +1,11 @@
-"""Window scoring: closed-form normalizer, default weights, regularizer behavior."""
+"""Window scoring: closed-form normalizer, grid-derived weights, regularizer behavior."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperbo.scoring import (
-    LENGTH_SCALE,
-    MONOTONICITY,
-    default_lambda,
-    length_scale_lambda,
-    monotonicity_lambda,
-    regret_normalizer,
-    score_model,
-)
+from hyperbo.engine import LENGTH_SCALE, MONOTONICITY, ModelSpace, regret_normalizer
 
 
 class TestRegretNormalizer:
@@ -37,42 +29,37 @@ class TestRegretNormalizer:
 class TestLambdaDefaults:
     def test_length_scale_formula(self):
         for d in range(1, 14):
-            assert length_scale_lambda(d) == 1.0 / (0.6 * d)
+            assert ModelSpace(LENGTH_SCALE, d).lam == 1.0 / (0.6 * d)
 
     def test_monotonicity_formula(self):
         for d in range(1, 14):
-            assert monotonicity_lambda(d) == 1.0 / (12.0 * d)
-
-    def test_dispatch(self):
-        assert default_lambda(LENGTH_SCALE, 4) == length_scale_lambda(4)
-        assert default_lambda(MONOTONICITY, 4) == monotonicity_lambda(4)
-        with pytest.raises(ValueError):
-            default_lambda("other", 2)
+            assert ModelSpace(MONOTONICITY, d).lam == 1.0 / (12.0 * d)
 
 
 class TestScoreModel:
     def test_zero_gain_scores_zero(self):
-        for mode, theta in ((LENGTH_SCALE, (0.6, 0.6)), (MONOTONICITY, (-6.0, 0.0))):
-            assert score_model(0.0, T=100, d=2, theta=theta, lam=0.5, mode=mode) == 0.0
+        for mode, theta in ((LENGTH_SCALE, (0.6, 0.6)), (MONOTONICITY, (-6.0, 0.0, 0.0, -6.0))):
+            assert ModelSpace(mode, 2).score(0.0, T=100, theta=theta) == 0.0
         # Zero gain short-circuits even where the normalizer is undefined.
-        assert score_model(0.0, T=1, d=2, theta=(0.3,), lam=0.5, mode=LENGTH_SCALE) == 0.0
+        assert ModelSpace(LENGTH_SCALE, 2).score(0.0, T=1, theta=(0.3, 0.3)) == 0.0
 
     def test_unit_gain_no_regularizer(self):
-        score = score_model(1.0, T=10, d=2, theta=(0.0, 0.0), lam=0.0, mode=LENGTH_SCALE)
+        # A zero theta makes the regularizer 1 whatever the weight.
+        score = ModelSpace(LENGTH_SCALE, 2).score(1.0, T=10, theta=(0.0, 0.0))
         assert score == pytest.approx(0.9051, abs=1e-4)
 
     def test_monotonicity_multiplier_hand_value(self):
         # d=2, lambda=1/24, theta=(-6,0,0,-6): ||theta|| = 6*sqrt(2), factor ~ 1.3536.
-        lam = monotonicity_lambda(2)
-        assert lam == 1.0 / 24.0
+        space = ModelSpace(MONOTONICITY, 2)
+        assert space.lam == 1.0 / 24.0
         base = 1.0 / regret_normalizer(10, 2)
-        score = score_model(1.0, T=10, d=2, theta=(-6.0, 0.0, 0.0, -6.0), lam=lam, mode=MONOTONICITY)
+        score = space.score(1.0, T=10, theta=(-6.0, 0.0, 0.0, -6.0))
         assert score / base == pytest.approx(1.0 + 6.0 * np.sqrt(2.0) / 24.0, abs=1e-12)
         assert score / base == pytest.approx(1.3536, abs=1e-4)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
-            score_model(-0.5, T=10, d=1, theta=(0.3,), lam=0.1, mode=LENGTH_SCALE)
+            ModelSpace(LENGTH_SCALE, 1).score(-0.5, T=10, theta=(0.3,))
 
     @given(
         gain=st.floats(0.001, 100.0),
@@ -81,23 +68,23 @@ class TestScoreModel:
     )
     def test_strictly_increasing_in_gain(self, gain, T, d):
         theta = tuple([0.3] * d)
-        lam = length_scale_lambda(d)
-        s1 = score_model(gain, T, d, theta, lam, LENGTH_SCALE)
-        s2 = score_model(gain * 1.5, T, d, theta, lam, LENGTH_SCALE)
+        space = ModelSpace(LENGTH_SCALE, d)
+        s1 = space.score(gain, T, theta)
+        s2 = space.score(gain * 1.5, T, theta)
         assert s2 > s1
 
     @given(scale=st.floats(0.11, 0.59), d=st.integers(1, 6))
     def test_length_scale_mode_penalizes_norm(self, scale, d):
-        lam = length_scale_lambda(d)
-        small = score_model(1.0, 10, d, tuple([scale] * d), lam, LENGTH_SCALE)
-        large = score_model(1.0, 10, d, tuple([scale + 0.01] * d), lam, LENGTH_SCALE)
+        space = ModelSpace(LENGTH_SCALE, d)
+        small = space.score(1.0, 10, tuple([scale] * d))
+        large = space.score(1.0, 10, tuple([scale + 0.01] * d))
         assert large < small
 
     @given(level=st.floats(-5.9, -0.1), d=st.integers(1, 6))
     def test_monotonicity_mode_rewards_norm(self, level, d):
-        lam = monotonicity_lambda(d)
+        space = ModelSpace(MONOTONICITY, d)
         theta_weak = tuple([level + 0.05, 0.0] * d)
         theta_strict = tuple([level - 0.05, 0.0] * d)
-        weak = score_model(1.0, 10, d, theta_weak, lam, MONOTONICITY)
-        strict = score_model(1.0, 10, d, theta_strict, lam, MONOTONICITY)
+        weak = space.score(1.0, 10, theta_weak)
+        strict = space.score(1.0, 10, theta_strict)
         assert strict > weak
