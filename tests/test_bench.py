@@ -296,6 +296,18 @@ class TestRunExperiment:
         b = (Path(pooled.output_dir) / "aggregate.csv").read_bytes()
         assert a == b
 
+    def test_pooled_workers_start_with_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        with bench._worker_pool(1) as pool:
+            seen = [pool.submit(os.getenv, name).result(timeout=120) for name in names]
+        assert seen == ["1", "1", "1"]
+        # The parent's environment is as it was.
+        assert os.environ["OMP_NUM_THREADS"] == "4"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
+
     def test_trial_without_samples_holds_initial_regret(self, tmp_path):
         # Three rows and three initial samples: every strategy-trial acquires nothing.
         data = tmp_path / "three.csv"

@@ -6,11 +6,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hyperbo.acquisition import thompson_sample_argmax
 from hyperbo.engine import (
+    ENUMERATION_LIMIT,
     LENGTH_SCALE,
     LENGTH_SCALE_GRID,
     MONOTONICITY,
     MONOTONICITY_PAIRS,
+    THETA_GP_LS_FRACTION,
+    THETA_GP_NOISE,
     LedgerRecord,
     ModelSpace,
     RunConfig,
@@ -20,7 +24,9 @@ from hyperbo.engine import (
     rerun_with_best_theta,
     run_framework,
     _init_state,
+    _pathwise_argmax,
 )
+from hyperbo.gp import KernelParams, gp_fit, se_kernel_matrix, standardize
 from hyperbo.tasks import DiscreteTask, make_goldstein_price_task
 
 
@@ -236,6 +242,49 @@ class TestHyperboStep:
         ledger = self.ledger_with([(theta, 1.0), (np.array([0.0, 0.0, 0.0, 0.0]), 0.2)])
         picks = {tuple(hyperbo_step(ledger, space, np.random.default_rng(11))) for _ in range(5)}
         assert len(picks) == 1
+
+    @pytest.mark.parametrize("dim, enumerated", [(3, True), (4, False)])
+    def test_either_side_of_the_enumeration_limit(self, dim, enumerated):
+        # 48^3 thetas take the exact whole-grid draw, 48^4 the subsample branch;
+        # both return a grid theta, the same one for the same seed.
+        space = ModelSpace(MONOTONICITY, dim)
+        assert (space.size <= ENUMERATION_LIMIT) == enumerated
+        rng = np.random.default_rng(4)
+        ledger = self.ledger_with([(space.sample(rng), float(rng.exponential())) for _ in range(12)])
+        picks = [hyperbo_step(ledger, space, np.random.default_rng(seed)) for seed in (5, 5, 6)]
+        for theta in picks:
+            np.testing.assert_array_equal(space.theta(theta), theta)
+        np.testing.assert_array_equal(picks[0], picks[1])
+
+    @pytest.mark.parametrize("mode", [LENGTH_SCALE, MONOTONICITY])
+    def test_per_dimension_prior_factorizes_without_jitter(self, mode):
+        options = ModelSpace(mode, 1)
+        unit = options.to_unit(options.rows(np.arange(options.per_dim)[:, None]))
+        table = se_kernel_matrix(unit, unit, KernelParams(1.0, (THETA_GP_LS_FRACTION,) * unit.shape[1]))
+        assert np.linalg.eigvalsh(table).min() > 0
+        np.linalg.cholesky(table)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mode, dim", [(LENGTH_SCALE, 2), (MONOTONICITY, 1)])
+    def test_pathwise_draw_matches_joint_sampling(self, mode, dim):
+        """Whole-grid selection frequencies of the pathwise draw match argmaxes of
+        joint draws from FittedGP.predict_joint over the grid, within 0.015 each."""
+        space = ModelSpace(mode, dim)
+        rng = np.random.default_rng(17)
+        ledger = np.vstack([space.sample(rng) for _ in range(10)])
+        z, _ = standardize(rng.exponential(size=len(ledger)))
+        params = KernelParams(max(float(np.var(z)), 1e-6), (THETA_GP_LS_FRACTION,) * space.theta_dim, THETA_GP_NOISE)
+        model = gp_fit(space.to_unit(ledger), z, params)
+        grid = space.grid_indices()
+        means, cov = model.predict_joint(space.to_unit(space.rows(grid)))
+        n = 20_000
+        joint_rng, path_rng = np.random.default_rng(1), np.random.default_rng(2)
+        joint = np.bincount([thompson_sample_argmax(means, cov, joint_rng) for _ in range(n)], minlength=space.size)
+        at = space.indices(ledger)
+        flat = [np.ravel_multi_index(_pathwise_argmax(model, space, at, path_rng), (space.per_dim,) * dim) for _ in range(n)]
+        pathwise = np.bincount(flat, minlength=space.size)
+        assert np.count_nonzero(joint) > 5  # the draw is not trivially concentrated
+        assert np.abs(joint - pathwise).max() / n < 0.015
 
 
 class TestRunFramework:

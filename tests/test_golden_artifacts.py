@@ -14,8 +14,8 @@ from hyperbo.bench import ExperimentConfig, run_experiment
 
 STRATEGIES = ("standard_bo", "hyperbo", "best_theta_rerun", "gold_standard_theta")
 
-# 48^2 monotonicity thetas exceed THOMPSON_THRESHOLD, so each outer proposal
-# takes hyperbo_step's subsample branch; the 1-D length-scale grid is enumerated.
+# Both grids are within ENUMERATION_LIMIT (48^2 monotonicity thetas, 11
+# length scales), so each outer proposal is an exact whole-grid draw.
 # The dataset run reads a CSV the test writes under a relative path (the
 # manifest records the path), so it also pins ingestion, the filter, the
 # on-pool initial design and the feature names in report.csv.
@@ -61,28 +61,28 @@ CONFIGS = {
 
 GOLDEN = {
     "dataset-mono": {
-        "aggregate.csv": "ecbd61ec8997953683b42d4ccf2b051857fad658de2ed5c0b251cc70829ae10d",
-        "manifest.json": "941a296b36dce540e22be0f4ddf1dd2dc412874b715d7f2d1e5e92b941018fa3",
+        "aggregate.csv": "cfde5c76a1e7e59eada22837327fb89be1cd740751a6e3f0cb8ac102f17b0bd7",
+        "manifest.json": "e6e34386e824fa87fd1ec4ad2bb9ba2c6273b3ff9b6cde9ebb3a0be85031f393",
         "report.csv": "f7900240dcd1015641f313fce8d9d5e87ab983d5a05e79f193196862558dce33",
         "trace_best_theta_rerun_trial000.csv": "46adefc9fd7ee27d53c87d45bd3d44331a0de58ddf7676c694fa31cdb05ff20d",
         "trace_best_theta_rerun_trial001.csv": "27a01ff90a6a6e2a554ef608ae57009dcac869943a44b17aa3cba256eeca6c8e",
         "trace_gold_standard_theta_trial000.csv": "46adefc9fd7ee27d53c87d45bd3d44331a0de58ddf7676c694fa31cdb05ff20d",
         "trace_gold_standard_theta_trial001.csv": "cf878d1eb3dce9e6f46e2d23d12a926248facec4d4df5897154550a07be9735f",
         "trace_hyperbo_trial000.csv": "46adefc9fd7ee27d53c87d45bd3d44331a0de58ddf7676c694fa31cdb05ff20d",
-        "trace_hyperbo_trial001.csv": "cb312310c291fa0ebe36ffc1123339e9d96add4f4d24ddabb88d4de6f2292679",
+        "trace_hyperbo_trial001.csv": "ff73433d801ef9ef836eb46f923ab52390db10789a6cf0d38d0918634787ff30",
         "trace_standard_bo_trial000.csv": "46adefc9fd7ee27d53c87d45bd3d44331a0de58ddf7676c694fa31cdb05ff20d",
         "trace_standard_bo_trial001.csv": "37fe6ee9e74ee73d1d61a5dd923495c96f6cea76f32b87b18a95e0877dfe19e0",
     },
     "goldstein-mono": {
-        "aggregate.csv": "acfaeb77c42626e02eb9b862b4b28b02ef05ff33fe62fdbee4594b49b9c739d0",
-        "manifest.json": "6ef5cdc13f5575c0741d09848513409fb17d6bac8868179ca3a82419fee212b1",
+        "aggregate.csv": "1de2b6f8e56406586b98c4e8498b6029bd530a0a80b6552798db509e57549b4c",
+        "manifest.json": "f724ac8573b1bfcce592b48be7e46a36deb2690f455f1a97c382b4b9131cb06e",
         "report.csv": "43b32284107fdaedffe3701862ba443b7cd4543bc93f7ca6f054f82955c0bb81",
         "trace_best_theta_rerun_trial000.csv": "6ab3301ebd1e5a29d7bb1ff3153cd6513667d169923d0c05652ff4a22452dc75",
         "trace_best_theta_rerun_trial001.csv": "e5b06d7180624d4648b6a74f9a3e5ec1bd657b5c708f372c63b9aac4a6c50c61",
         "trace_gold_standard_theta_trial000.csv": "f230d8035943024831a7593b16ce9d5428e877df7a66a8c651ce06214f4c6d57",
         "trace_gold_standard_theta_trial001.csv": "106fced478b8d221e70d5630d3745d319888bb1ebf7e389851223994f7e50e61",
         "trace_hyperbo_trial000.csv": "f3c6bce0c78055f24d7ec14ce68d120ce8f9c48c839f45afaa68b72390d890be",
-        "trace_hyperbo_trial001.csv": "da0faa840f390e736be285e6bac78bdbb9e17bba0c2a8b58cc9b910176575136",
+        "trace_hyperbo_trial001.csv": "3414d148dd671ce3f6265722d3f280ca362a2bb5bc7b2942add08fab10c8c1c5",
         "trace_standard_bo_trial000.csv": "33c06f8e6528083f722cd85c1c80823800852f71239adabfa691a139ed8f8b9b",
         "trace_standard_bo_trial001.csv": "4a4a3167bbcd40ca052b69c07dea722c2828bad01cc74f3438e64dd78692a13c",
     },
