@@ -15,7 +15,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +53,11 @@ FAILURE_THRESHOLD = 0.10
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _ENGINE_KEYS = ("ucb_delta",)
-_INT_KEYS = ("trials", "m", "K", "budget", "seed", "workers")
-# Task-spec keys that must be JSON integers, with their least value (None: any).
-_TASK_INT_KEYS = {"pool_size": 1, "dim": 1, "n_points": 1, "n_initial": 1, "seed": None}
+# Keys that must be JSON integers, with their least value: of the experiment, and of a task spec.
+_INT_KEYS = {"trials": 1, "m": 1, "K": 1, "budget": 1, "workers": 1, "seed": 0, "discovery_budget": 1}
+_TASK_INT_KEYS = {"pool_size": 1, "dim": 1, "n_points": 1, "n_initial": 1, "seed": 0}
+# A task spec's keys other than `kind` are its builder's keyword arguments.
+_TASK_BUILDERS = {"goldstein_price": make_goldstein_price_task, "gp_sample": make_gp_sample_task, "dataset": load_dataset}
 
 
 def _is_int(value) -> bool:
@@ -65,6 +67,13 @@ def _is_int(value) -> bool:
 def _is_number(value) -> bool:
     """A JSON number other than a bool, NaN or an infinity (Python's json reads those too)."""
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _check_ints(values: dict, least: dict, where: str = "") -> None:
+    """ConfigError unless each key of `least` present in `values` holds an integer of at least its value."""
+    bad = [k for k, low in least.items() if k in values and not (_is_int(values[k]) and values[k] >= low)]
+    if bad:
+        raise ConfigError("; ".join(f"{where}{k} must be an integer >= {least[k]}" for k in bad))
 
 
 class ConfigError(ValueError):
@@ -94,30 +103,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        not_int = [k for k in _INT_KEYS if not _is_int(getattr(self, k))]
-        if self.discovery_budget is not None and not _is_int(self.discovery_budget):
-            not_int.append("discovery_budget")
-        if not_int:
-            raise ConfigError(f"{not_int} must be integers")
-        if self.m < 1 or self.K < 1:
-            raise ConfigError("m and K must be >= 1")
-        if self.trials < 1 or self.seed < 0:
-            raise ConfigError("trials must be >= 1 and seed >= 0")
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
+        ints = {k: getattr(self, k) for k in _INT_KEYS}
+        if self.discovery_budget is None:
+            del ints["discovery_budget"]  # unset: hyperbo samples `budget`
+        _check_ints(ints, _INT_KEYS)
+        if not isinstance(self.strategies, (list, tuple)) or not self.strategies:
+            raise ConfigError("strategies must be a non-empty list")
         self.strategies = tuple(self.strategies)
-        if not self.strategies:
-            raise ConfigError("at least one strategy is required")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ConfigError(f"unknown strategies {unknown}; valid: {list(STRATEGIES)}")
+        if len(set(self.strategies)) < len(self.strategies):
+            raise ConfigError(f"strategies {list(self.strategies)} name one strategy more than once")
         if "best_theta_rerun" in self.strategies and "hyperbo" not in self.strategies:
             raise ConfigError("best_theta_rerun requires the hyperbo strategy in the same experiment")
         if "hyperbo" in self.strategies:
-            hyperbo_budget = self.discovery_budget if self.discovery_budget is not None else self.budget
-            if hyperbo_budget % self.K != 0:
-                raise ConfigError(f"hyperbo budget ({hyperbo_budget}) must be a multiple of K ({self.K})")
-            if hyperbo_budget // self.K < self.m:
+            if self.hyperbo_budget % self.K != 0:
+                raise ConfigError(f"hyperbo budget ({self.hyperbo_budget}) must be a multiple of K ({self.K})")
+            if self.hyperbo_budget // self.K < self.m:
                 raise ConfigError("hyperbo budget / K must be >= m so the random phase fits")
         theta = self.gold_standard_theta
         if theta is not None and not (isinstance(theta, (list, tuple)) and all(map(_is_number, theta))):
@@ -134,16 +137,20 @@ class ExperimentConfig:
         delta = self.engine.get("ucb_delta")
         if "ucb_delta" in self.engine and not (_is_number(delta) and delta > 0):
             raise ConfigError(f"engine.ucb_delta must be a positive number, got {delta!r}")
-        if not isinstance(self.task, dict) or "kind" not in self.task:
-            raise ConfigError("task must be an object with a 'kind' key")
+        if not isinstance(self.task, dict):
+            raise ConfigError("task must be an object")
+
+    @property
+    def hyperbo_budget(self) -> int:
+        """The hyperbo strategy's sample budget: `discovery_budget`, else `budget`."""
+        return self.budget if self.discovery_budget is None else self.discovery_budget
 
     def run_config(self, trial_seed: int) -> RunConfig:
-        hyperbo_budget = self.discovery_budget if self.discovery_budget is not None else self.budget
         return RunConfig(
             mode=self.mode,
             m=self.m,
             K=self.K,
-            R=max(hyperbo_budget // self.K, self.m),
+            R=max(self.hyperbo_budget // self.K, self.m),
             seed=trial_seed,
             **self.engine,
         )
@@ -158,6 +165,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not {type(raw).__name__}")
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = [k for k in raw if k not in known]
     if unknown:
@@ -181,43 +190,25 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_task(spec: dict) -> Task:
-    """The task a config's `task` object describes; ConfigError when it cannot be built."""
-    kind = spec.get("kind")
-    path = spec.get("path")
-    bad = [
-        k for k, low in _TASK_INT_KEYS.items() if k in spec and not (_is_int(spec[k]) and (low is None or spec[k] >= low))
-    ]
-    if "length_scale" in spec and not _is_number(spec["length_scale"]):
-        bad.append("length_scale")
-    if bad:
-        raise ConfigError(
-            f"task {bad}: pool_size, dim, n_points and n_initial must be integers >= 1, "
-            "seed an integer and length_scale a number"
-        )
-    if kind == "dataset" and not (path and os.path.exists(path)):
+    """The task a config's `task` object describes; ConfigError when it cannot be built.
+
+    The keys other than `kind` are passed to the kind's builder, so an unknown
+    or missing key is the builder's TypeError.
+    """
+    args = dict(spec)
+    kind = args.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _TASK_BUILDERS:
+        raise ConfigError(f"unknown task kind {kind!r}; valid: {list(_TASK_BUILDERS)}")
+    _check_ints(args, _TASK_INT_KEYS, where="task ")
+    if "length_scale" in args and not _is_number(args["length_scale"]):
+        raise ConfigError(f"task length_scale must be a finite number, got {args['length_scale']!r}")
+    path = args.get("path")
+    if kind == "dataset" and not (isinstance(path, str) and os.path.isfile(path)):
         raise ConfigError(f"dataset file {path!r} does not exist")
     try:
-        if kind == "goldstein_price":
-            return make_goldstein_price_task(pool_size=spec.get("pool_size", 500))
-        if kind == "gp_sample":
-            return make_gp_sample_task(
-                dim=spec["dim"],
-                length_scale=spec["length_scale"],
-                n_points=spec.get("n_points", 300),
-                seed=spec.get("seed", 0),
-            )
-        if kind == "dataset":
-            return load_dataset(
-                path,
-                target=spec["target"],
-                features=spec.get("features"),
-                filters=tuple(spec.get("filters", ())),
-                n_initial=spec.get("n_initial", 3),
-                name=spec.get("name"),
-            )
+        return _TASK_BUILDERS[kind](**args)
     except (KeyError, TypeError, ValueError) as exc:  # DatasetError is a ValueError
         raise ConfigError(f"cannot build the {kind} task: {type(exc).__name__}: {exc}") from None
-    raise ConfigError(f"unknown task kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +301,8 @@ def _aggregate(config: ExperimentConfig, trial_results: list[dict]) -> tuple[lis
     for name in config.strategies:
         traces = []
         for tr in trial_results:
-            payload = tr["strategies"].get(name)
-            if payload and payload["status"] == "ok":
+            payload = tr["strategies"][name]
+            if payload["status"] == "ok":
                 traces.append(_pad_to(np.asarray(payload["regrets"], dtype=float), config.budget + 1)[1:])
         per_strategy[name] = np.vstack(traces) if traces else np.empty((0, config.budget))
 
@@ -375,7 +366,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             trial_results = list(pool.map(_run_trial, [task] * len(trials), [config] * len(trials), trials))
     else:
         trial_results = [_run_trial(task, config, t) for t in trials]
-    trial_results.sort(key=lambda tr: tr["trial"])
 
     for tr in trial_results:
         _write_traces(out_dir, tr)
@@ -383,27 +373,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
     header, rows = _aggregate(config, trial_results)
     _write_csv(out_dir / "aggregate.csv", header, rows)
 
-    failure_rates = {}
-    for name in config.strategies:
-        failures = sum(
-            1 for tr in trial_results if tr["strategies"].get(name, {}).get("status") != "ok"
-        )
-        failure_rates[name] = failures / config.trials
+    failure_rates = {
+        name: sum(tr["strategies"][name]["status"] != "ok" for tr in trial_results) / config.trials
+        for name in config.strategies
+    }
 
     manifest = {
-        "config": {
-            "task": config.task,
-            "mode": config.mode,
-            "trials": config.trials,
-            "m": config.m,
-            "K": config.K,
-            "budget": config.budget,
-            "discovery_budget": config.discovery_budget,
-            "seed": config.seed,
-            "strategies": list(config.strategies),
-            "gold_standard_theta": list(config.gold_standard_theta) if config.gold_standard_theta else None,
-            "engine": config.engine,
-        },
+        "config": {k: v for k, v in asdict(config).items() if k not in ("output_dir", "workers")},
         "failure_rates": failure_rates,
         "trials": [
             {

@@ -2,8 +2,8 @@
 
 All task inputs are normalized to the unit hypercube.  Discrete tasks treat the
 retained rows of a tabular dataset as the search space (queries are exact
-lookups, sampled without replacement); continuous tasks expose a fresh random
-candidate pool each iteration.  A task knows its own optimum so runs can emit
+lookups, sampled without replacement); continuous tasks draw a fresh random
+candidate pool for each trial.  A task knows its own optimum so runs can emit
 simple-regret traces.
 """
 
@@ -238,6 +238,8 @@ def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray
 
 
 def _apply_filter(spec: dict, features: list[str], X: np.ndarray, y: np.ndarray):
+    if not isinstance(spec, dict):
+        raise DatasetError(f"a filter must be an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "keep_first_max_only":
         # Multiple rows attaining the maximum target: keep the first occurrence.

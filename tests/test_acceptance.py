@@ -179,12 +179,15 @@ def test_criterion_05_goldstein_price_sign_recovery():
 def test_criterion_06_case2_trend():
     """Paired Case-2 comparison on Goldstein-Price: the gold-standard-strictness
     run is no worse than plain BO in mean final regret, and re-running each
-    trial's best discovered strictness lands within 1.1x of the gold run."""
+    trial's best discovered strictness lands within 1.1x of the gold run.  The
+    PASS line also prints each strategy's mean area under the regret trace
+    (the sum over iterations 1..budget), which a tie in final regret hides."""
     start = time.time()
     budget = 30
     task = make_goldstein_price_task(pool_size=5000)
     gold_theta = np.array([-6.0, 0.0, 0.0, -6.0])
     standard, gold, best, traces = [], [], [], []
+    areas = ([], [], [])
     for seed in range(20):
         config = RunConfig(mode="monotonicity", m=5, K=1, R=50, seed=seed)
         discovery = run_framework(task, config)
@@ -192,8 +195,9 @@ def test_criterion_06_case2_trend():
             rerun_with_best_theta(task, theta, budget, config)
             for theta in (None, gold_theta, discovery.best_theta)
         ]
-        for finals, run in zip((standard, gold, best), runs):
+        for finals, area, run in zip((standard, gold, best), areas, runs):
             finals.append(run.regrets[-1])
+            area.append(run.regrets[1:].sum())
         traces += [discovery.regrets] + [run.regrets for run in runs]
     check_regret_traces(traces)
     mean_std, mean_gold, mean_best = np.mean(standard), np.mean(gold), np.mean(best)
@@ -204,7 +208,9 @@ def test_criterion_06_case2_trend():
     report(
         6,
         f"mean final regret: standard {mean_std:.0f}, gold {mean_gold:.0f}, "
-        f"best-theta {mean_best:.0f} (ratio {mean_best / mean_gold:.3f} <= 1.1), {elapsed:.0f}s",
+        f"best-theta {mean_best:.0f} (ratio {mean_best / mean_gold:.3f} <= 1.1); mean regret area: "
+        f"standard {np.mean(areas[0]):.0f}, gold {np.mean(areas[1]):.0f}, best-theta {np.mean(areas[2]):.0f}, "
+        f"{elapsed:.0f}s",
     )
 
 

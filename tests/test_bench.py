@@ -103,6 +103,13 @@ class TestConfigValidation:
             # 17 first-step UCB candidates (20 rows less 3 initial): beta_1 < 0 from 17 pi^2 / 6 = 27.96 on.
             {"engine": {"ucb_delta": 28.0}},
             {"engine": {"ucb_delta": 100.0}},
+            {"task": {"kind": "goldstein_price", "pool_sise": 7}},
+            {"task": {"kind": ["goldstein_price"]}},
+            {"workers": 0},
+            {"workers": -3},
+            {"discovery_budget": 0, "strategies": ["standard_bo"]},
+            {"strategies": ["hyperbo", "hyperbo"]},
+            {"strategies": 5},
         ],
         ids=lambda override: json.dumps(override),
     )
@@ -156,6 +163,8 @@ class TestConfigValidation:
     def test_missing_dataset_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             build_task({"kind": "dataset", "path": str(tmp_path / "nope.csv"), "target": "y"})
+        with pytest.raises(ConfigError, match="does not exist"):  # a directory is no dataset file
+            build_task({"kind": "dataset", "path": str(tmp_path), "target": "y"})
 
     def test_malformed_dataset_file(self, tmp_path):
         data = tmp_path / "bad.csv"
@@ -176,6 +185,37 @@ class TestConfigValidation:
         raw = {"task": task, "mode": "monotonicity", "budget": 2, "strategies": ["standard_bo"], "output_dir": str(tmp_path / "run")}
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="no feature columns"):
+            load_config(str(path))
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("override", [{"path": 1}, {"filters": "x"}, {"filters": [1]}], ids=json.dumps)
+    def test_malformed_dataset_task_is_a_config_error(self, tmp_path, capsys, override):
+        data = tmp_path / "data.csv"
+        data.write_text("a,y\n1,2\n3,4\n")
+        path = tmp_path / "cfg.json"
+        task = {"kind": "dataset", "path": str(data), "target": "y", **override}
+        raw = {"task": task, "mode": "monotonicity", "budget": 2, "strategies": ["standard_bo"], "output_dir": str(tmp_path / "run")}
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_integer_dataset_path_is_a_config_error(self, tmp_path):
+        # An integer path names an open file descriptor: here a write-only one, which cannot be read.
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+        try:
+            with pytest.raises(ConfigError, match="does not exist"):
+                build_task({"kind": "dataset", "path": fd, "target": "y"})
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("text", ["5", "[]", '"config"'])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="JSON object"):
             load_config(str(path))
         assert cli_main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
