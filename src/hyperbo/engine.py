@@ -13,12 +13,12 @@ uniformly random thetas to seed the ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from hyperbo.acquisition import CandidateSet, thompson_select, ucb_beta, ucb_select
-from hyperbo.gp import FittedGP, KernelParams, gp_fit, se_kernel_matrix, standardize
+from hyperbo.gp import FittedGP, KernelParams, _cho_solve_lower, gp_fit, se_kernel_matrix, standardize
 from hyperbo.monotonic import FittedMonotonicGP, fit_monotonic_gp
 from hyperbo.tasks import Task, regret_trace
 
@@ -131,6 +131,17 @@ class ModelSpace:
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """The thetas of index rows: one theta for a 1-D row, one theta per row of a 2-D array."""
         return self._options[indices].reshape(*indices.shape[:-1], self.theta_dim)
+
+    @cached_property
+    def option_prior(self) -> tuple[np.ndarray, np.ndarray]:
+        """K_1, the theta GP's unit-variance prior covariance among one dimension's options, and its Cholesky factor.
+
+        Computed once per space.  K_1's smallest eigenvalue (3.8e-4 for
+        monotonicity, 7.4e-6 for length scales) lets it factorize without jitter.
+        """
+        unit = self.to_unit(self._options)
+        k1 = se_kernel_matrix(unit, unit, KernelParams(1.0, (THETA_GP_LS_FRACTION,) * unit.shape[1]))
+        return k1, np.linalg.cholesky(k1)
 
     def indices(self, thetas: np.ndarray) -> np.ndarray:
         """The index rows of a 2-D array of grid thetas, the inverse of rows."""
@@ -356,16 +367,13 @@ def _pathwise_argmax(model: FittedGP, space: ModelSpace, ledger: np.ndarray, rng
     f + K(grid, ledger) (K_ll + noise I)^-1 (z - f[ledger] - eps) is a
     posterior draw.  The SE kernel is a product over dimensions and the grid a
     product of option tables, so the prior covariance is the signal variance
-    times a Kronecker product of one per-dimension table K_1 = L L^T.  f applies
-    L along each axis of a standard-normal tensor, and K(grid, ledger) w
-    contracts one dimension at a time without forming the grid-by-ledger
-    matrix.  K_1's smallest eigenvalue (3.8e-4 for monotonicity, 7.4e-6 for
-    length scales) lets it factorize without jitter.
+    times a Kronecker product of one per-dimension table K_1 = L L^T
+    (`ModelSpace.option_prior`).  f applies L along each axis of a
+    standard-normal tensor, and K(grid, ledger) w contracts one dimension at a
+    time without forming the grid-by-ledger matrix.
     """
     per_dim, dim, n = space.per_dim, space.dim, len(ledger)
-    unit = space.to_unit(space._options)
-    k1 = se_kernel_matrix(unit, unit, KernelParams(1.0, (THETA_GP_LS_FRACTION,) * unit.shape[1]))
-    chol = np.linalg.cholesky(k1)
+    k1, chol = space.option_prior
     f = rng.standard_normal(space.size)
     for _ in range(dim):
         # Transform the leading axis, then rotate it to the back: after dim
@@ -374,7 +382,7 @@ def _pathwise_argmax(model: FittedGP, space: ModelSpace, ledger: np.ndarray, rng
     f = np.sqrt(model.params.signal_variance) * f.reshape(-1)
     at_ledger = f[np.ravel_multi_index(ledger.T, (per_dim,) * dim)]
     eps = np.sqrt(model.params.noise_variance) * rng.standard_normal(n)
-    w = model.weights - cho_solve((model.chol, True), at_ledger + eps)
+    w = model.weights - _cho_solve_lower(model.chol, at_ledger + eps)
     cols = [k1[:, ledger[:, j]] for j in range(dim)]  # (per_dim, n) each
     lead = np.ones((1, n))
     for col in cols[:-1]:

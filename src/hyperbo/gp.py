@@ -4,6 +4,13 @@ Inputs are (t, d) arrays in the unit hypercube (one coordinate per search
 dimension; tasks check the range); outputs are arbitrary scalars, usually
 z-scored with `standardize`.  Fitting factorizes the Gram matrix once via
 Cholesky; fitted models are immutable and cheap to query.
+
+The factorizations and solves call LAPACK directly (`_cholesky_lower`,
+`_solve_lower`, `_cho_solve_lower`): on the few-dozen-row matrices of an EP
+sweep the fixed cost of scipy.linalg's wrappers outweighs the arithmetic.
+They make the same LAPACK calls as those wrappers, so results are bit for
+bit the same, and keep their errors: ValueError on a non-finite matrix,
+LinAlgError on one that is not positive definite or is singular.
 """
 
 from __future__ import annotations
@@ -11,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+# Imported as a module: `from scipy.linalg.lapack import ...` as the process's
+# first import of scipy.linalg made each interpreter fault in ~5,000 more
+# pages during `import hyperbo` (+50 ms).
+from scipy.linalg import lapack
 
 __all__ = [
     "KernelParams",
@@ -31,6 +41,29 @@ _JITTER_GROWTH = 10.0
 
 class SingularGramError(np.linalg.LinAlgError):
     """Gram matrix could not be factorized, even at the maximum jitter level."""
+
+
+def _cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a, as scipy.linalg.cholesky(a, lower=True) computes it."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    chol, info = lapack.dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return chol
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """chol^-1 b for a lower Cholesky factor, as scipy.linalg.solve_triangular(chol, b, lower=True)."""
+    x, info = lapack.dtrtrs(chol, b, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
+def _cho_solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(chol chol^T)^-1 b, as scipy.linalg.cho_solve((chol, True), b)."""
+    return lapack.dpotrs(chol, b, lower=1)[0]
 
 
 @dataclass(frozen=True)
@@ -86,7 +119,7 @@ class FittedGP:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         k_star = se_kernel_matrix(self.X, X, self.params)  # (t, m)
         means = k_star.T @ self.weights
-        v = solve_triangular(self.chol, k_star, lower=True)
+        v = _solve_lower(self.chol, k_star)
         variances = self.params.signal_variance - np.einsum("ij,ij->j", v, v)
         variances = np.clip(variances, 0.0, self.params.signal_variance)
         return means, variances
@@ -97,7 +130,7 @@ class FittedGP:
         k_star = se_kernel_matrix(self.X, X, self.params)
         means = k_star.T @ self.weights
         prior = se_kernel_matrix(X, X, self.params)
-        v = solve_triangular(self.chol, k_star, lower=True)
+        v = _solve_lower(self.chol, k_star)
         cov = prior - v.T @ v
         return means, cov
 
@@ -140,7 +173,7 @@ def gp_fit(X, y, params: KernelParams) -> FittedGP:
     jitter = 0.0
     while True:
         try:
-            chol = cholesky(gram + jitter * np.eye(len(y)), lower=True)
+            chol = _cholesky_lower(gram + jitter * np.eye(len(y)))
             break
         except np.linalg.LinAlgError:
             if jitter == 0.0:
@@ -149,5 +182,5 @@ def gp_fit(X, y, params: KernelParams) -> FittedGP:
                 jitter = min(jitter * _JITTER_GROWTH, _JITTER_MAX * params.signal_variance)
             else:
                 raise SingularGramError(f"Cholesky factorization failed at maximum jitter {jitter:g}") from None
-    weights = cho_solve((chol, True), y)
+    weights = _cho_solve_lower(chol, y)
     return FittedGP(X=X, params=params, chol=chol, weights=weights, jitter=jitter)

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import log_ndtr
 
-from hyperbo.gp import KernelParams, as_observations, se_kernel_matrix
+from hyperbo.gp import KernelParams, _cho_solve_lower, _cholesky_lower, _solve_lower, as_observations, se_kernel_matrix
 
 __all__ = [
     "FittedMonotonicGP",
@@ -71,14 +70,15 @@ def gradient_gram_matrix(Z, params: KernelParams) -> np.ndarray:
     return out
 
 
-def _probit_moments(cav_mean, cav_var, sign, nu):
-    """Matched means and variances of N(u; cav) * Phi(sign * u / nu), elementwise."""
-    denom = np.sqrt(nu * nu + cav_var)
+def _probit_moments(cav_mean, cav_var, sign, nu2):
+    """Matched means and variances of N(u; cav) * Phi(sign * u / nu), elementwise; nu2 is nu * nu."""
+    total_var = nu2 + cav_var
+    denom = np.sqrt(total_var)
     z = sign * cav_mean / denom
     log_phi = -0.5 * z * z - _LOG_SQRT_2PI
     ratio = np.exp(log_phi - log_ndtr(z))  # pdf/cdf, stable for very negative z
     new_mean = cav_mean + sign * cav_var * ratio / denom
-    new_var = cav_var - cav_var * cav_var * ratio * (z + ratio) / (nu * nu + cav_var)
+    new_var = cav_var - cav_var * cav_var * ratio * (z + ratio) / total_var
     return new_mean, np.maximum(new_var, 1e-14 * cav_var)
 
 
@@ -110,7 +110,7 @@ class FittedMonotonicGP:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         k_star = self._cross_covariances(X)
         means = k_star.T @ self._mean_weights
-        v = solve_triangular(self._chol_B, self._sqrt_S[:, None] * k_star, lower=True)
+        v = _solve_lower(self._chol_B, self._sqrt_S[:, None] * k_star)
         variances = self.params.signal_variance - np.einsum("ij,ij->j", v, v)
         variances = np.clip(variances, 0.0, self.params.signal_variance)
         return means, variances
@@ -131,10 +131,10 @@ def _posterior(K, tau_lat, nat_lat):
     Alg. 3.5); the full posterior covariance is never formed.
     """
     sqrt_s = np.sqrt(tau_lat)
-    chol_B = cholesky(np.eye(K.shape[0]) + (sqrt_s[:, None] * K) * sqrt_s[None, :], lower=True)
-    V = solve_triangular(chol_B, sqrt_s[:, None] * K, lower=True)
+    chol_B = _cholesky_lower(np.eye(K.shape[0]) + (sqrt_s[:, None] * K) * sqrt_s[None, :])
+    V = _solve_lower(chol_B, sqrt_s[:, None] * K)
     variances = np.maximum(np.diag(K) - np.einsum("ij,ij->j", V, V), 0.0)
-    weights = nat_lat - sqrt_s * cho_solve((chol_B, True), sqrt_s * (K @ nat_lat))
+    weights = nat_lat - sqrt_s * _cho_solve_lower(chol_B, sqrt_s * (K @ nat_lat))
     return K @ weights, variances, chol_B, sqrt_s, weights
 
 
@@ -178,11 +178,12 @@ def fit_monotonic_gp(
     # rewards a positive slope in dimension g, row 1 a negative one.
     sign = np.array([[1.0], [-1.0]])
     nu_pair = 10.0 ** strictness.reshape(-1, 2)[:, ::-1].T  # (2, d): nu_plus, nu_minus
-    nu = np.tile(nu_pair, (1, locations.shape[0]))
-    tau = np.zeros(nu.shape)  # site precisions
-    nat = np.zeros(nu.shape)  # site natural means (precision * mean)
+    nu2 = np.tile(nu_pair * nu_pair, (1, locations.shape[0]))
+    tau = np.zeros(nu2.shape)  # site precisions
+    nat = np.zeros(nu2.shape)  # site natural means (precision * mean)
 
     mean, var, chol_B, sqrt_s, weights = _posterior(K, tau_lat, nat_lat)
+    sd = np.sqrt(var)
     converged = False
     sweeps = 0
     for sweep in range(1, _MAX_SWEEPS + 1):
@@ -193,7 +194,7 @@ def fit_monotonic_gp(
             nat_cav = mean_d / var_d - nat
             cav_var = 1.0 / tau_cav
             cav_mean = nat_cav * cav_var
-            new_mean, new_var = _probit_moments(cav_mean, cav_var, sign, nu)
+            new_mean, new_var = _probit_moments(cav_mean, cav_var, sign, nu2)
             tau_target = 1.0 / new_var - tau_cav
             nat_target = new_mean / new_var - nat_cav
             valid = (
@@ -214,9 +215,10 @@ def fit_monotonic_gp(
 
         tau_lat[t:] = tau.sum(axis=0)
         nat_lat[t:] = nat.sum(axis=0)
-        old_mean, old_sd = mean, np.sqrt(var)
+        old_mean, old_sd = mean, sd
         mean, var, chol_B, sqrt_s, weights = _posterior(K, tau_lat, nat_lat)
-        moved = np.maximum(np.abs(mean - old_mean), np.abs(np.sqrt(var) - old_sd))
+        sd = np.sqrt(var)
+        moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
         if np.max(moved / prior_sd) <= _TOL:
             converged = True
             break

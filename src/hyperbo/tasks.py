@@ -114,7 +114,10 @@ class DiscreteTask(Task):
 
 @dataclass
 class ContinuousTask(Task):
-    """Synthetic function searched over a per-trial random grid of pool_size points."""
+    """Synthetic function searched over a per-trial random grid of pool_size points.
+
+    fn maps a point to its value and an (n, dim) array to its n row values.
+    """
 
     fn: object = None
     pool_size: int = 500
@@ -134,26 +137,30 @@ class ContinuousTask(Task):
         axes = [np.linspace(0, 1, 64)] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=1)
-        y = np.array([self.fn(x) for x in X])
-        return X, y
+        return X, self.fn(X)
 
 
-def goldstein_price_native(z) -> float:
-    """Goldstein-Price value at a point in the native [-2, 2]^2 domain."""
-    x, y = float(z[0]), float(z[1])
-    a = 1.0 + (x + y + 1.0) ** 2 * (19 - 14 * x + 3 * x * x - 14 * y + 6 * x * y + 3 * y * y)
-    b = 30.0 + (2 * x - 3 * y) ** 2 * (18 - 32 * x + 12 * x * x + 48 * y - 36 * x * y + 27 * y * y)
+def goldstein_price_native(z):
+    """Goldstein-Price at a point of the native [-2, 2]^2 domain, or at each column of a (2, n) array.
+
+    The squares go through pow, as Python's float ** 2 does; numpy's array ** 2
+    multiplies instead and differs in the last bit at about 0.1% of points.
+    """
+    x, y = np.asarray(z, dtype=float)
+    a = 1.0 + np.float_power(x + y + 1.0, 2) * (19 - 14 * x + 3 * x * x - 14 * y + 6 * x * y + 3 * y * y)
+    b = 30.0 + np.float_power(2 * x - 3 * y, 2) * (18 - 32 * x + 12 * x * x + 48 * y - 36 * x * y + 27 * y * y)
     return a * b
 
 
-def goldstein_price(x01) -> float:
-    """Goldstein-Price evaluated at a unit-square point (affine map to [-2, 2]^2)."""
-    x01 = np.asarray(x01, dtype=float).reshape(-1)
-    if x01.shape[0] != 2:
-        raise ValueError("Goldstein-Price takes a 2-vector")
+def goldstein_price(x01):
+    """Goldstein-Price at a unit-square point, or at each row of an (n, 2) array (affine map to [-2, 2]^2)."""
+    x01 = np.asarray(x01, dtype=float)
+    if x01.ndim not in (1, 2) or x01.shape[-1] != 2:
+        raise ValueError("Goldstein-Price takes a 2-vector or an (n, 2) array")
     if np.any(x01 < -1e-12) or np.any(x01 > 1 + 1e-12):
         raise ValueError("input must lie in the unit square")
-    return goldstein_price_native(4.0 * x01 - 2.0)
+    values = goldstein_price_native((4.0 * x01 - 2.0).T)
+    return float(values) if x01.ndim == 1 else values
 
 
 # Global maximum over [-2, 2]^2, from a dense grid scan polished by L-BFGS
@@ -205,6 +212,9 @@ def make_gp_sample_task(
 
 
 def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray, np.ndarray]:
+    names = isinstance(features, (list, tuple)) and all(isinstance(f, str) for f in features)
+    if features is not None and not names:
+        raise DatasetError(f"features must be a list of column names, got {features!r}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -202,6 +202,24 @@ class TestConfigValidation:
         assert cli_main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("features", ["ab", ["a", 1]], ids=json.dumps)
+    def test_features_must_be_a_list_of_column_names(self, tmp_path, capsys, features):
+        # A string would otherwise be read as its characters: "ab" as the columns a and b.
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,y\n1,2,3\n4,5,6\n")
+        path = tmp_path / "cfg.json"
+        task = {"kind": "dataset", "path": str(data), "target": "y", "features": features}
+        raw = {"task": task, "mode": "monotonicity", "budget": 2, "strategies": ["standard_bo"], "output_dir": str(tmp_path / "run")}
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="features must be a list of column names"):
+            load_config(str(path))
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        task["features"] = ["a", "b"]
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 0
+
     def test_integer_dataset_path_is_a_config_error(self, tmp_path):
         # An integer path names an open file descriptor: here a write-only one, which cannot be read.
         fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)

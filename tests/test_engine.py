@@ -258,11 +258,13 @@ class TestHyperboStep:
 
     @pytest.mark.parametrize("mode", [LENGTH_SCALE, MONOTONICITY])
     def test_per_dimension_prior_factorizes_without_jitter(self, mode):
-        options = ModelSpace(mode, 1)
-        unit = options.to_unit(options.rows(np.arange(options.per_dim)[:, None]))
+        space = ModelSpace(mode, 2)
+        unit = space.to_unit(ModelSpace(mode, 1).rows(np.arange(space.per_dim)[:, None]))
         table = se_kernel_matrix(unit, unit, KernelParams(1.0, (THETA_GP_LS_FRACTION,) * unit.shape[1]))
         assert np.linalg.eigvalsh(table).min() > 0
-        np.linalg.cholesky(table)
+        k1, chol = space.option_prior
+        assert np.array_equal(k1, table) and np.array_equal(chol, np.linalg.cholesky(table))
+        assert space.option_prior is space.option_prior  # factored once per space
 
     @pytest.mark.slow
     @pytest.mark.parametrize("mode, dim", [(LENGTH_SCALE, 2), (MONOTONICITY, 1)])

@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperbo.gp import KernelParams, gp_fit, se_kernel_matrix, standardize
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+
+from hyperbo import gp as gp_module
+from hyperbo.gp import (
+    KernelParams,
+    SingularGramError,
+    _cho_solve_lower,
+    _cholesky_lower,
+    _solve_lower,
+    gp_fit,
+    se_kernel_matrix,
+    standardize,
+)
 
 from kernel_oracles import random_gp_instance, se_kernel
 
@@ -67,6 +79,66 @@ class TestSeKernel:
         X = rng.uniform(0, 1, size=(12, 2))
         K = se_kernel_matrix(X, X, params)
         assert np.array_equal(K, K.T)
+
+
+def random_spd(rng, n):
+    A = rng.normal(size=(n, n))
+    return A @ A.T + n * 1e-3 * np.eye(n)
+
+
+class TestLapackHelpers:
+    """The direct LAPACK calls against the scipy.linalg wrappers they replace, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 55, 120])
+    def test_match_scipy_linalg(self, rng, n):
+        for _ in range(5):
+            A = random_spd(rng, n)
+            L = _cholesky_lower(A)
+            assert np.array_equal(L, cholesky(A, lower=True))
+            for b in (rng.normal(size=n), rng.normal(size=(n, 9))):
+                assert np.array_equal(_solve_lower(L, b), solve_triangular(L, b, lower=True))
+                assert np.array_equal(_cho_solve_lower(L, b), cho_solve((L, True), b))
+
+    def test_fit_and_predictions_match_scipy_linalg(self, rng):
+        params, X, y = random_gp_instance(rng, d=3, t=25, noise=1e-6)
+        model = gp_fit(X, y, params)
+        gram = se_kernel_matrix(X, X, params) + params.noise_variance * np.eye(25)
+        chol = cholesky(gram, lower=True)
+        assert np.array_equal(model.chol, chol)
+        assert np.array_equal(model.weights, cho_solve((chol, True), y))
+        x_star = rng.uniform(0, 1, size=(40, 3))
+        k_star = se_kernel_matrix(X, x_star, params)
+        v = solve_triangular(chol, k_star, lower=True)
+        variances = np.clip(params.signal_variance - np.einsum("ij,ij->j", v, v), 0.0, params.signal_variance)
+        means, got_variances = model.predict_batch(x_star)
+        assert np.array_equal(means, k_star.T @ model.weights) and np.array_equal(got_variances, variances)
+        _, cov = model.predict_joint(x_star)
+        assert np.array_equal(cov, se_kernel_matrix(x_star, x_star, params) - v.T @ v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_value_error(self, rng, bad):
+        A = random_spd(rng, 5)
+        A[3, 1] = bad  # in the triangle LAPACK never reads, as scipy checks the whole matrix
+        with pytest.raises(ValueError):
+            _cholesky_lower(A)
+
+    def test_not_positive_definite_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            _cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_singular_triangle_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _solve_lower(np.array([[1.0, 0.0], [3.0, 0.0]]), np.ones(2))
+
+    def test_zero_noise_duplicates_escalate_jitter(self):
+        model = gp_fit([[0.5, 0.5]] * 3, [1.0, 1.1, 0.9], KernelParams(1.0, (0.3, 0.3)))
+        assert model.jitter > 0
+
+    def test_singular_at_maximum_jitter_raises(self, monkeypatch):
+        # A Gram matrix with eigenvalue -1 stays indefinite at every jitter level.
+        monkeypatch.setattr(gp_module, "se_kernel_matrix", lambda X, Z, params: np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(SingularGramError, match="maximum jitter"):
+            gp_fit([[0.1], [0.9]], [0.0, 1.0], KernelParams(1.0, (0.3,)))
 
 
 class TestGpFit:

@@ -4,7 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+from hyperbo import monotonic
 from hyperbo.engine import RunConfig, run_framework
 from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
@@ -239,6 +241,41 @@ def goldstein_conflict_case():
     locations = virtual_locations(2, r)
     params = KernelParams(1.0, (0.3, 0.3), noise_variance=1e-6)
     return X, y, params, np.array((-5.0, 0.0, -5.0, -4.0)), locations, r.uniform(0, 1, size=(200, 2))
+
+
+def scipy_posterior(K, tau_lat, nat_lat):
+    """The EP posterior refresh through the scipy.linalg wrappers, the reference for the direct LAPACK calls."""
+    sqrt_s = np.sqrt(tau_lat)
+    chol_B = cholesky(np.eye(K.shape[0]) + (sqrt_s[:, None] * K) * sqrt_s[None, :], lower=True)
+    V = solve_triangular(chol_B, sqrt_s[:, None] * K, lower=True)
+    variances = np.maximum(np.diag(K) - np.einsum("ij,ij->j", V, V), 0.0)
+    weights = nat_lat - sqrt_s * cho_solve((chol_B, True), sqrt_s * (K @ nat_lat))
+    return K @ weights, variances, chol_B, sqrt_s, weights
+
+
+class TestDirectLapack:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_fit_and_predictions_match_scipy_linalg(self, monkeypatch, d):
+        r = np.random.default_rng(40 + d)
+        X = r.uniform(0, 1, size=(4 * d + 6, d))
+        y = standardize(X @ np.linspace(-1.0, 1.0, d) + np.sin(3.0 * X[:, 0]))
+        params = KernelParams(1.0, (0.3,) * d, noise_variance=1e-6)
+        locations = virtual_locations(d, r)
+        strictness = r.choice(np.arange(-6.0, 1.0), size=2 * d)
+        grid = r.uniform(0, 1, size=(50, d))
+        ours = fit_monotonic_gp(X, y, params, strictness, locations)
+        monkeypatch.setattr(monotonic, "_posterior", scipy_posterior)
+        ref = fit_monotonic_gp(X, y, params, strictness, locations)
+        assert ours.sweeps == ref.sweeps and ours.converged == ref.converged
+        assert np.array_equal(ours._latent_mean, ref._latent_mean)
+        assert np.array_equal(ours._chol_B, ref._chol_B)
+        assert np.array_equal(ours._mean_weights, ref._mean_weights)
+        k_star = ref._cross_covariances(grid)
+        v = solve_triangular(ref._chol_B, ref._sqrt_S[:, None] * k_star, lower=True)
+        ref_var = np.clip(params.signal_variance - np.einsum("ij,ij->j", v, v), 0.0, params.signal_variance)
+        means, variances = ours.predict_batch(grid)
+        assert np.array_equal(means, k_star.T @ ref._mean_weights)
+        assert np.array_equal(variances, ref_var)
 
 
 class TestParallelEP:

@@ -72,6 +72,25 @@ class TestGoldsteinPrice:
     def test_rejects_out_of_square(self):
         with pytest.raises(ValueError):
             goldstein_price((1.2, 0.0))
+        rows = np.full((5, 2), 0.5)
+        rows[3] = (0.2, -0.1)
+        with pytest.raises(ValueError, match="unit square"):
+            goldstein_price(rows)
+
+    def test_array_form_matches_points_bit_for_bit(self, rng):
+        # Python floats square through pow, not x * x, so the reference keeps them.
+        def python_floats(u):
+            x, y = 4.0 * float(u[0]) - 2.0, 4.0 * float(u[1]) - 2.0
+            a = 1.0 + (x + y + 1.0) ** 2 * (19 - 14 * x + 3 * x * x - 14 * y + 6 * x * y + 3 * y * y)
+            b = 30.0 + (2 * x - 3 * y) ** 2 * (18 - 32 * x + 12 * x * x + 48 * y - 36 * x * y + 27 * y * y)
+            return a * b
+
+        X, y = make_goldstein_price_task().correlation_sample()
+        assert X.shape == (4096, 2)
+        for rows, values in ((X, y), (rng.uniform(0, 1, size=(20_000, 2)), None)):
+            values = goldstein_price(rows) if values is None else values
+            assert np.array_equal(values, [goldstein_price(u) for u in rows])
+            assert np.array_equal(values, [python_floats(u) for u in rows])
 
     def test_hard_coded_maximum_matches_scan(self):
         # Dense grid scan over [-2, 2]^2, then L-BFGS from the five best grid points.
