@@ -123,17 +123,19 @@ def _joint_prior(X, Z, params: KernelParams) -> np.ndarray:
     return np.block([[K_ff, K_fd], [K_fd.T, K_dd]])
 
 
-def _posterior(K, tau_lat, nat_lat):
+def _posterior(K, prior_var, tau_lat, nat_lat):
     """Gaussian posterior of the latents under site precisions and natural means.
 
-    Returns the marginal means and variances, the Cholesky factor of
-    B = I + S^1/2 K S^1/2, S^1/2 and the weights w with mean = K w (GPML
-    Alg. 3.5); the full posterior covariance is never formed.
+    prior_var is the diagonal of K.  Returns the marginal means and variances,
+    the Cholesky factor of B = I + S^1/2 K S^1/2, S^1/2 and the weights w with
+    mean = K w (GPML Alg. 3.5); the full posterior covariance is never formed.
     """
     sqrt_s = np.sqrt(tau_lat)
-    chol_B = _cholesky_lower(np.eye(K.shape[0]) + (sqrt_s[:, None] * K) * sqrt_s[None, :])
+    B = (sqrt_s[:, None] * K) * sqrt_s[None, :]
+    B.flat[:: K.shape[0] + 1] += 1.0
+    chol_B = _cholesky_lower(B)
     V = _solve_lower(chol_B, sqrt_s[:, None] * K)
-    variances = np.maximum(np.diag(K) - np.einsum("ij,ij->j", V, V), 0.0)
+    variances = np.maximum(prior_var - np.einsum("ij,ij->j", V, V), 0.0)
     weights = nat_lat - sqrt_s * _cho_solve_lower(chol_B, sqrt_s * (K @ nat_lat))
     return K @ weights, variances, chol_B, sqrt_s, weights
 
@@ -166,7 +168,8 @@ def fit_monotonic_gp(
 
     t = X.shape[0]
     K = _joint_prior(X, locations, params)
-    prior_sd = np.sqrt(np.diag(K))
+    prior_var = np.diag(K)
+    prior_sd = np.sqrt(prior_var)
 
     obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)
     tau_lat = np.zeros(K.shape[0])
@@ -182,7 +185,7 @@ def fit_monotonic_gp(
     tau = np.zeros(nu2.shape)  # site precisions
     nat = np.zeros(nu2.shape)  # site natural means (precision * mean)
 
-    mean, var, chol_B, sqrt_s, weights = _posterior(K, tau_lat, nat_lat)
+    mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, tau_lat, nat_lat)
     sd = np.sqrt(var)
     converged = False
     sweeps = 0
@@ -216,7 +219,7 @@ def fit_monotonic_gp(
         tau_lat[t:] = tau.sum(axis=0)
         nat_lat[t:] = nat.sum(axis=0)
         old_mean, old_sd = mean, sd
-        mean, var, chol_B, sqrt_s, weights = _posterior(K, tau_lat, nat_lat)
+        mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, tau_lat, nat_lat)
         sd = np.sqrt(var)
         moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
         if np.max(moved / prior_sd) <= _TOL:

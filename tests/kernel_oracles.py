@@ -1,8 +1,9 @@
-"""Scalar reference forms of the SE kernel and its derivative covariances.
+"""Reference forms of the SE kernel and its derivative covariances.
 
 Tests compare the vectorized production matrices in hyperbo.gp and
 hyperbo.monotonic against these one-pair formulas, on random instances
-from `random_gp_instance`.
+from `random_gp_instance`, and the kernel matrix against its einsum form
+bit for bit.
 """
 
 import numpy as np
@@ -54,3 +55,17 @@ def cov_gradient_gradient(x, x_prime, g: int, h: int, params) -> float:
     lh2 = params.length_scales[h] ** 2
     delta = 1.0 / lg2 if g == h else 0.0
     return float(k * (delta - (x[g] - x_prime[g]) * (x[h] - x_prime[h]) / (lg2 * lh2)))
+
+
+def se_kernel_matrix_einsum(X, Z, params) -> np.ndarray:
+    """The SE kernel matrix in its einsum form: one (t, m, d) array of scaled differences, summed over d.
+
+    hyperbo.gp.se_kernel_matrix sums per-dimension planes instead and must
+    match this bit for bit on C-ordered and strided inputs.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    ls = params.scales_array()
+    diff = X[:, None, :] / ls - Z[None, :, :] / ls
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    return params.signal_variance * np.exp(-0.5 * sq)

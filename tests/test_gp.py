@@ -19,7 +19,7 @@ from hyperbo.gp import (
     standardize,
 )
 
-from kernel_oracles import random_gp_instance, se_kernel
+from kernel_oracles import random_gp_instance, se_kernel, se_kernel_matrix_einsum
 
 
 def dense_posterior_oracle(X, y, params, x_star):
@@ -79,6 +79,45 @@ class TestSeKernel:
         X = rng.uniform(0, 1, size=(12, 2))
         K = se_kernel_matrix(X, X, params)
         assert np.array_equal(K, K.T)
+
+
+class TestKernelMatchesEinsum:
+    """se_kernel_matrix against its einsum form, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 25))
+    def test_every_dimension(self, rng, d):
+        # d >= 8 takes einsum's blocks of 8; d = 17..24 ends in each remainder.
+        params, X, _ = random_gp_instance(rng, d, t=40)
+        Z = rng.uniform(0, 1, size=(50, d))
+        assert params.signal_variance != 1.0
+        assert np.array_equal(se_kernel_matrix(X, Z, params), se_kernel_matrix_einsum(X, Z, params))
+
+    @pytest.mark.parametrize("t, m", [(1, 1), (1, 30), (30, 1)])
+    def test_single_rows(self, rng, t, m):
+        for d in (1, 2, 4, 9):
+            params, X, _ = random_gp_instance(rng, d, t)
+            Z = rng.uniform(0, 1, size=(m, d))
+            assert np.array_equal(se_kernel_matrix(X, Z, params), se_kernel_matrix_einsum(X, Z, params))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 11])
+    def test_gram_matches_and_stays_symmetric(self, rng, d):
+        params, X, _ = random_gp_instance(rng, d, t=35)
+        K = se_kernel_matrix(X, X, params)
+        assert np.array_equal(K, se_kernel_matrix_einsum(X, X, params))
+        assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 11])
+    def test_strided_and_fortran_inputs(self, rng, d):
+        params, _, _ = random_gp_instance(rng, d, t=1)
+        X = rng.uniform(0, 1, size=(60, 3 * d))[::2, ::3]
+        Z = rng.uniform(0, 1, size=(25, 2 * d))[:, 1::2]
+        expected = se_kernel_matrix_einsum(X, Z, params)
+        assert np.array_equal(se_kernel_matrix(X, Z, params), expected)
+        # The einsum form follows the memory order of its difference array, so
+        # Fortran-ordered inputs are checked against it on C-ordered copies.
+        expected = se_kernel_matrix_einsum(np.ascontiguousarray(X), np.ascontiguousarray(Z), params)
+        assert np.array_equal(se_kernel_matrix(np.asfortranarray(X), np.asfortranarray(Z), params), expected)
+        assert np.array_equal(se_kernel_matrix(X, np.asfortranarray(Z), params), expected)
 
 
 def random_spd(rng, n):
@@ -142,6 +181,18 @@ class TestLapackHelpers:
 
 
 class TestGpFit:
+    @pytest.mark.parametrize("d, noise", [(1, 0.0), (2, 1e-6), (4, 1e-4), (9, 0.0)])
+    def test_matches_eye_based_factorization(self, rng, d, noise):
+        # The Gram matrix of the einsum kernel with the noise and a zero jitter
+        # added as identity matrices, factorized and solved through scipy.linalg.
+        params, X, y = random_gp_instance(rng, d, t=12, noise=noise)
+        model = gp_fit(X, y, params)
+        assert model.jitter == 0.0
+        gram = se_kernel_matrix_einsum(X, X, params) + noise * np.eye(12)
+        chol = cholesky(gram + 0.0 * np.eye(12), lower=True)
+        assert np.array_equal(model.chol, chol)
+        assert np.array_equal(model.weights, cho_solve((chol, True), y))
+
     def test_single_observation_weights(self):
         # 1x1 system: Gram = [signal_variance], weights = [y / signal_variance].
         params = KernelParams(2.5, (0.3,), noise_variance=0.0)
@@ -235,6 +286,23 @@ class TestStandardize:
         means, variances = gp_fit(X, z, params).predict_batch(X)
         np.testing.assert_allclose(means * scale + np.mean(y), y, atol=1e-4)
         assert np.all(variances >= 0)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (60,), (5, 4)])
+    def test_matches_std_then_mean(self, rng, shape):
+        for _ in range(20):
+            y = rng.normal(loc=rng.uniform(-1e3, 1e3), scale=rng.uniform(1e-3, 1e2), size=shape)
+            z, scale = standardize(y)
+            ref_scale = float(np.std(y))
+            if ref_scale <= 1e-12:
+                assert scale == 1.0 and np.array_equal(z, np.zeros(shape))
+                continue
+            assert scale == ref_scale
+            assert np.array_equal(z, (y - np.mean(y)) / ref_scale)
+
+    def test_spread_below_threshold_gives_zeros(self, rng):
+        z, scale = standardize(3.0 + 1e-14 * rng.normal(size=9))
+        assert scale == 1.0
+        assert np.array_equal(z, np.zeros(9))
 
     def test_constant_outputs_do_not_crash(self):
         params = KernelParams(1.0, (0.3,), noise_variance=1e-6)

@@ -19,7 +19,7 @@ from hyperbo.monotonic import (
 from hyperbo.tasks import goldstein_price, make_goldstein_price_task
 
 from ep_oracle import sequential_ep_fit
-from kernel_oracles import cov_gradient_gradient, cov_value_gradient, se_kernel
+from kernel_oracles import cov_gradient_gradient, cov_value_gradient, random_gp_instance, se_kernel, se_kernel_matrix_einsum
 
 PARAMS_2D = KernelParams(1.0, (0.3, 0.45), noise_variance=1e-6)
 
@@ -90,6 +90,15 @@ class TestDerivativeKernels:
                         assert G[j * 2 + g, jp * 2 + h] == pytest.approx(
                             cov_gradient_gradient(Z[j], Z[jp], g, h, PARAMS_2D), abs=1e-12
                         )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_derivative_matrices_match_einsum_kernel(self, monkeypatch, rng, d):
+        params, X, _ = random_gp_instance(rng, d, t=15)
+        Z = rng.uniform(0, 1, size=(2 * d * d, d))
+        cross, gram = value_gradient_cross_matrix(X, Z, params), gradient_gram_matrix(Z, params)
+        monkeypatch.setattr(monotonic, "se_kernel_matrix", se_kernel_matrix_einsum)
+        assert np.array_equal(cross, value_gradient_cross_matrix(X, Z, params))
+        assert np.array_equal(gram, gradient_gram_matrix(Z, params))
 
     def test_joint_prior_is_positive_semidefinite(self, rng):
         from hyperbo.monotonic import _joint_prior
@@ -243,8 +252,12 @@ def goldstein_conflict_case():
     return X, y, params, np.array((-5.0, 0.0, -5.0, -4.0)), locations, r.uniform(0, 1, size=(200, 2))
 
 
-def scipy_posterior(K, tau_lat, nat_lat):
-    """The EP posterior refresh through the scipy.linalg wrappers, the reference for the direct LAPACK calls."""
+def scipy_posterior(K, prior_var, tau_lat, nat_lat):
+    """The EP posterior refresh through the scipy.linalg wrappers, the reference for the direct LAPACK calls.
+
+    It ignores prior_var and forms diag(K) and the identity on every call, as
+    the refresh did before it took them once per fit.
+    """
     sqrt_s = np.sqrt(tau_lat)
     chol_B = cholesky(np.eye(K.shape[0]) + (sqrt_s[:, None] * K) * sqrt_s[None, :], lower=True)
     V = solve_triangular(chol_B, sqrt_s[:, None] * K, lower=True)
@@ -265,6 +278,7 @@ class TestDirectLapack:
         grid = r.uniform(0, 1, size=(50, d))
         ours = fit_monotonic_gp(X, y, params, strictness, locations)
         monkeypatch.setattr(monotonic, "_posterior", scipy_posterior)
+        monkeypatch.setattr(monotonic, "se_kernel_matrix", se_kernel_matrix_einsum)
         ref = fit_monotonic_gp(X, y, params, strictness, locations)
         assert ours.sweeps == ref.sweeps and ours.converged == ref.converged
         assert np.array_equal(ours._latent_mean, ref._latent_mean)
