@@ -1,13 +1,15 @@
 """Acquisition rules: UCB over a discrete candidate set and Thompson sampling.
 
-Both selectors are pure functions of an immutable fitted model, a candidate
-set, and (for Thompson) an explicit generator, so trials can run in parallel
-with independent streams.  Callers pass at least one unexcluded candidate.
+Both selectors are pure functions of a fitted model's predictions, a
+candidate set, and (for Thompson) an explicit generator, so trials can run in
+parallel with independent streams.  Callers pass at least one unexcluded
+candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +26,11 @@ _THOMPSON_JITTER = 1e-9
 
 @dataclass
 class CandidateSet:
-    """Candidate points with an exclusion mask for already-sampled entries."""
+    """Candidate points with an exclusion mask for already-sampled entries.
+
+    The active indices are computed once, at first use: change the mask
+    before that or build a new set.
+    """
 
     points: np.ndarray
     excluded: np.ndarray = field(default=None)
@@ -38,7 +44,7 @@ class CandidateSet:
             if self.excluded.shape[0] != self.points.shape[0]:
                 raise ValueError("exclusion mask length does not match candidate count")
 
-    @property
+    @cached_property
     def active_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.excluded)
 
@@ -58,12 +64,13 @@ def ucb_select(model, candidates: CandidateSet, beta: float) -> tuple[int, np.nd
     """Index and point maximizing mean + sqrt(beta) * std over active candidates.
 
     Ties break toward the lowest candidate index.  The model only needs a
-    predict_batch(X) -> (means, variances) method.
+    predict_candidates(candidates) -> (means, variances) method that answers
+    for the rows of candidates.active_indices.
     """
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     active = candidates.active_indices
-    means, variances = model.predict_batch(candidates.points[active])
+    means, variances = model.predict_candidates(candidates)
     scores = means + np.sqrt(beta) * np.sqrt(np.maximum(variances, 0.0))
     best = active[int(np.argmax(scores))]
     return best, candidates.points[best]

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from hyperbo.acquisition import CandidateSet, thompson_select, ucb_beta, ucb_select
-from hyperbo.gp import FittedGP, KernelParams, _cho_solve_lower, gp_fit, se_kernel_matrix, standardize
+from hyperbo.gp import FittedGP, KernelParams, PoolPosterior, _cho_solve_lower, gp_fit, se_kernel_matrix, standardize
 from hyperbo.monotonic import FittedMonotonicGP, fit_monotonic_gp
 from hyperbo.tasks import Task, regret_trace
 
@@ -250,26 +250,35 @@ class _RunState:
     rng: np.random.Generator
     locations: np.ndarray | None  # virtual derivative locations of a monotonicity run
     trial_scale: float
+    posterior: PoolPosterior | None = None  # the plain-GP posterior over the pool, with its kernel
     ep_fits: int = 0
     ep_sweeps: int = 0
     ep_nonconverged: int = 0
 
 
 def _fit_window_model(state: _RunState, config: RunConfig, theta: np.ndarray | None):
-    """Fit the inner surrogate on standardized outputs for the current theta.
+    """The inner surrogate on standardized outputs for the current theta.
 
     theta None means the fixed default kernel (the plain-BO baseline); the
-    run's mode says what a theta's values are.  UCB selection is invariant to
-    the output standardization, so predictions are consumed in standardized
-    units.
+    run's mode says what a theta's values are.  A plain GP (theta None, or a
+    length-scale theta) is the run's pool posterior: extended by the rows
+    observed since the last step when its kernel is unchanged, rebuilt when
+    theta changed it.  UCB selection is invariant to the output
+    standardization, so predictions are consumed in standardized units.
     """
     z, _ = standardize(state.y)
-    if theta is not None and config.mode == LENGTH_SCALE:
-        return gp_fit(state.X, z, KernelParams(SIGNAL_VARIANCE, theta, NOISE_VARIANCE))
-    params = KernelParams(SIGNAL_VARIANCE, (DEFAULT_LENGTH_SCALE,) * state.X.shape[1], NOISE_VARIANCE)
-    if theta is None:
-        return gp_fit(state.X, z, params)
-    return fit_monotonic_gp(state.X, z, params, theta, state.locations)
+    default_scales = (DEFAULT_LENGTH_SCALE,) * state.X.shape[1]
+    if theta is not None and config.mode == MONOTONICITY:
+        params = KernelParams(SIGNAL_VARIANCE, default_scales, NOISE_VARIANCE)
+        return fit_monotonic_gp(state.X, z, params, theta, state.locations)
+    params = KernelParams(SIGNAL_VARIANCE, default_scales if theta is None else theta, NOISE_VARIANCE)
+    posterior = state.posterior
+    if posterior is None or posterior.params != params:
+        posterior = state.posterior = PoolPosterior(state.X, state.pool, params)
+    for x in state.X[posterior.n :]:
+        posterior.extend(x)
+    posterior.set_outputs(z)
+    return posterior
 
 
 def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: np.ndarray | None) -> bool:

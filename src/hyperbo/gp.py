@@ -3,14 +3,18 @@
 Inputs are (t, d) arrays in the unit hypercube (one coordinate per search
 dimension; tasks check the range); outputs are arbitrary scalars, usually
 z-scored with `standardize`.  Fitting factorizes the Gram matrix once via
-Cholesky; fitted models are immutable and cheap to query.
+Cholesky; fitted models are immutable and cheap to query.  A `PoolPosterior`
+instead keeps one kernel's posterior over a fixed candidate pool and grows it
+by one observed row at a time.
 
 The factorizations and solves call LAPACK directly (`_cholesky_lower`,
 `_solve_lower`, `_cho_solve_lower`): on the few-dozen-row matrices of an EP
 sweep the fixed cost of scipy.linalg's wrappers outweighs the arithmetic.
 They make the same LAPACK calls as those wrappers, so results are bit for
 bit the same, and keep their errors: ValueError on a non-finite matrix,
-LinAlgError on one that is not positive definite or is singular.
+LinAlgError on one that is not positive definite or is singular.  Only the
+pool posterior's whole-pool solve calls BLAS (`dtrsm`) instead, on a factor
+that `_cholesky_lower` has just made.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import numpy as np
 # Imported as a module: `from scipy.linalg.lapack import ...` as the process's
 # first import of scipy.linalg made each interpreter fault in ~5,000 more
 # pages during `import hyperbo` (+50 ms).
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 __all__ = [
     "KernelParams",
     "FittedGP",
+    "PoolPosterior",
     "SingularGramError",
     "se_kernel_matrix",
     "standardize",
@@ -164,6 +169,10 @@ class FittedGP:
         variances = np.clip(variances, 0.0, self.params.signal_variance)
         return means, variances
 
+    def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
+        """predict_batch at the active rows of an acquisition.CandidateSet."""
+        return self.predict_batch(candidates.points[candidates.active_indices])
+
     def predict_joint(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean vector and full covariance matrix over the rows of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -202,22 +211,20 @@ def as_observations(X, y, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def gp_fit(X, y, params: KernelParams) -> FittedGP:
-    """Factorize the regularized Gram matrix and cache the weight vector.
+def _factor_gram(X: np.ndarray, params: KernelParams) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K(X, X) + (noise + jitter) I, and the jitter it took.
 
     Jitter policy: on Cholesky failure, add jitter starting at 1e-10 *
     signal_variance to the diagonal and escalate tenfold up to 1e-4 *
     signal_variance before giving up.
     """
-    X, y = as_observations(X, y, params.dim)
     gram = se_kernel_matrix(X, X, params)
-    gram.flat[:: len(y) + 1] += params.noise_variance
+    gram.flat[:: len(X) + 1] += params.noise_variance
 
     jitter = 0.0
     while True:
         try:
-            chol = _cholesky_lower(gram if jitter == 0.0 else gram + jitter * np.eye(len(y)))
-            break
+            return _cholesky_lower(gram if jitter == 0.0 else gram + jitter * np.eye(len(X))), jitter
         except np.linalg.LinAlgError:
             if jitter == 0.0:
                 jitter = _JITTER_START * params.signal_variance
@@ -225,5 +232,95 @@ def gp_fit(X, y, params: KernelParams) -> FittedGP:
                 jitter = min(jitter * _JITTER_GROWTH, _JITTER_MAX * params.signal_variance)
             else:
                 raise SingularGramError(f"Cholesky factorization failed at maximum jitter {jitter:g}") from None
+
+
+def gp_fit(X, y, params: KernelParams) -> FittedGP:
+    """Factorize the regularized Gram matrix (under `_factor_gram`'s jitter policy) and cache the weight vector."""
+    X, y = as_observations(X, y, params.dim)
+    chol, jitter = _factor_gram(X, params)
     weights = _cho_solve_lower(chol, y)
     return FittedGP(X=X, params=params, chol=chol, weights=weights, jitter=jitter)
+
+
+class PoolPosterior:
+    """Exact GP posterior of one fixed kernel at every row of a fixed pool, grown one observation at a time.
+
+    It holds the lower Cholesky factor L of the observed rows' Gram matrix plus
+    (noise + jitter) I, V = L^-1 K(X, pool) and the column sums s of V squared
+    (Rasmussen & Williams, GPML Alg. 2.1).  `extend` adds a row in O(t N): one
+    kernel row against the pool and a rank-one update, where a refit rebuilds
+    the (t, N) kernel and solves it whole.  The jitter of the first
+    factorization is added to every later pivot, so L stays the factor of one
+    regularized Gram matrix; a pivot that is not safely positive refactors
+    from scratch.  Means answer for the outputs last given to `set_outputs`.
+    """
+
+    def __init__(self, X, pool, params: KernelParams):
+        self.params = params
+        self.pool = np.atleast_2d(np.asarray(pool, dtype=float))
+        self._factor(np.array(X, dtype=float, ndmin=2))
+
+    def _factor(self, X: np.ndarray) -> None:
+        self.X = X
+        self.chol, self.jitter = _factor_gram(X, self.params)
+        # V = L^-1 K(X, pool), solved in place as K^T L^-T: the transpose of the
+        # row-major kernel is the column-major array BLAS takes, so nothing is
+        # copied (a left-side solve copies it and takes twice as long).
+        # `extend` writes V's later rows into spare rows, doubled when full.
+        kernel_t = se_kernel_matrix(X, self.pool, self.params).T
+        self._rows = blas.dtrsm(1.0, self.chol, kernel_t, side=1, lower=1, trans_a=1, overwrite_b=1).T
+        self._col_sums = np.einsum("ij,ij->j", self._rows, self._rows)
+        self._alpha = None
+
+    @property
+    def n(self) -> int:
+        """The number of observed rows."""
+        return self.X.shape[0]
+
+    def extend(self, x) -> None:
+        """Condition on one more observed row x."""
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        t, params = self.n, self.params
+        k = se_kernel_matrix(x, np.concatenate((self.X, self.pool)), params)[0]  # k(x, X) then k(x, pool)
+        l = _solve_lower(self.chol, k[:t])
+        # The new pivot squared is x's posterior variance plus noise and
+        # jitter, so at or below the noise it holds only rounding error.
+        pivot = params.signal_variance + params.noise_variance + self.jitter - l @ l
+        if not (np.isfinite(pivot) and pivot > params.noise_variance):
+            self._factor(np.vstack((self.X, x)))
+            return
+        pivot = np.sqrt(pivot)
+        if t == len(self._rows):
+            rows = np.empty((2 * t, self.pool.shape[0]))
+            rows[:t] = self._rows
+            self._rows = rows
+        row = self._rows[t]
+        np.subtract(k[t:], l @ self._rows[:t], out=row)
+        row /= pivot
+        self._col_sums += row * row
+        chol = np.zeros((t + 1, t + 1), order="F")
+        chol[:t, :t] = self.chol
+        chol[t, :t] = l
+        chol[t, t] = pivot
+        self.chol = chol
+        self.X = np.vstack((self.X, x))
+        self._alpha = None
+
+    def set_outputs(self, z) -> None:
+        """The outputs at the observed rows, in order, that the means answer for."""
+        z = np.asarray(z, dtype=float).reshape(-1)
+        if z.shape[0] != self.n:
+            raise ValueError(f"{z.shape[0]} outputs for {self.n} observed rows")
+        self._alpha = _solve_lower(self.chol, z)
+
+    def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and variances at the active rows of a CandidateSet over the pool."""
+        if self._alpha is None:
+            raise ValueError("set_outputs must follow the last change of the observed rows")
+        if candidates.points.shape != self.pool.shape:
+            raise ValueError("the candidates are not this posterior's pool")
+        active = candidates.active_indices
+        sv = self.params.signal_variance
+        means = (self._alpha @ self._rows[: self.n])[active]
+        variances = np.clip(sv - self._col_sums[active], 0.0, sv)
+        return means, variances

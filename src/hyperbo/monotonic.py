@@ -115,6 +115,10 @@ class FittedMonotonicGP:
         variances = np.clip(variances, 0.0, self.params.signal_variance)
         return means, variances
 
+    def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
+        """predict_batch at the active rows of an acquisition.CandidateSet."""
+        return self.predict_batch(candidates.points[candidates.active_indices])
+
 
 def _joint_prior(X, Z, params: KernelParams) -> np.ndarray:
     K_ff = se_kernel_matrix(X, X, params)

@@ -27,8 +27,8 @@ class StubModel:
         # Points are encoded as [[0], [1], ...] indices into the fixed tables.
         return np.asarray(X)[:, 0].astype(int)
 
-    def predict_batch(self, X):
-        idx = self._lookup(X)
+    def predict_candidates(self, candidates):
+        idx = self._lookup(candidates.points[candidates.active_indices])
         return self.means[idx], self.variances[idx]
 
     def predict_joint(self, X):

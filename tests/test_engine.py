@@ -23,11 +23,14 @@ from hyperbo.engine import (
     model_score_window,
     rerun_with_best_theta,
     run_framework,
+    _fit_window_model,
     _init_state,
+    _inner_step,
     _pathwise_argmax,
 )
-from hyperbo.gp import KernelParams, gp_fit, se_kernel_matrix, standardize
-from hyperbo.tasks import DiscreteTask, make_goldstein_price_task
+from hyperbo.acquisition import CandidateSet, ucb_select
+from hyperbo.gp import KernelParams, PoolPosterior, gp_fit, se_kernel_matrix, standardize
+from hyperbo.tasks import ContinuousTask, DiscreteTask, make_goldstein_price_task, make_gp_sample_task
 
 
 def make_toy_task(values, n_initial=2, dim=1):
@@ -457,3 +460,145 @@ class TestRerunWithBestTheta:
         assert result.n_samples == 4
         assert np.all(result.regrets >= 0)
         assert np.all(np.diff(result.regrets) <= 0)
+
+
+def make_sine_task(dim, pool_size=200):
+    """A continuous task: initial design off the pool, a fresh uniform pool per trial."""
+    return ContinuousTask(
+        name="sines",
+        dim=dim,
+        optimum=float(dim),
+        fn=lambda x: np.sin(5.0 * np.asarray(x) + 1.0).sum(axis=-1),
+        pool_size=pool_size,
+    )
+
+
+class TestPoolPosteriorInTheEngine:
+    """The plain-GP inner steps grow one pool posterior; gp_fit + predict_batch is their oracle."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_predictions_match_a_refit_every_step(self, dim, kind):
+        task = make_gp_sample_task(dim, 0.2, n_points=200, seed=dim) if kind == "discrete" else make_sine_task(dim)
+        config = RunConfig(mode=LENGTH_SCALE, seed=dim)
+        state = _init_state(task, config)
+        for step in range(50):
+            # Alternate the default kernel and a length-scale theta in blocks,
+            # so the run both extends and rebuilds its posterior.
+            theta = None if (step // 10) % 2 == 0 else np.full(dim, 0.2)
+            model = _fit_window_model(state, config, theta)
+            assert isinstance(model, PoolPosterior) and model.n == len(state.y)
+            candidates = CandidateSet(state.pool, excluded=state.sampled)
+            means, variances = model.predict_candidates(candidates)
+            oracle = gp_fit(state.X, standardize(state.y)[0], model.params)
+            want_means, want_variances = oracle.predict_batch(state.pool[candidates.active_indices])
+            np.testing.assert_allclose(means, want_means, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(variances, want_variances, rtol=0, atol=1e-8)
+            assert _inner_step(task, state, config, theta)
+
+    def test_same_theta_extends_and_a_new_theta_rebuilds(self):
+        task = make_gp_sample_task(2, 0.2, n_points=100, seed=3)
+        config = RunConfig(mode=LENGTH_SCALE, seed=3)
+        state = _init_state(task, config)
+        first, second = np.array([0.2, 0.3]), np.array([0.4, 0.3])
+        _inner_step(task, state, config, first)
+        posterior = state.posterior
+        _inner_step(task, state, config, first)
+        assert state.posterior is posterior and posterior.n == len(state.y) - 1
+        _inner_step(task, state, config, second)
+        assert state.posterior is not posterior
+        assert state.posterior.params.length_scales == (0.4, 0.3)
+        z, _ = standardize(state.y[:-1])
+        oracle = gp_fit(state.X[:-1], z, state.posterior.params)
+        assert np.array_equal(state.posterior.chol, oracle.chol)
+
+    def test_default_kernel_and_its_explicit_theta_share_one_posterior(self):
+        task = make_gp_sample_task(1, 0.2, n_points=60, seed=4)
+        config = RunConfig(mode=LENGTH_SCALE, seed=4)
+        state = _init_state(task, config)
+        _inner_step(task, state, config, None)
+        posterior = state.posterior
+        _inner_step(task, state, config, np.array([0.3]))
+        assert state.posterior is posterior and posterior.n == len(state.y) - 1
+
+    def test_monotonic_steps_leave_the_posterior_alone(self):
+        task = make_goldstein_price_task(pool_size=60)
+        config = RunConfig(mode=MONOTONICITY, seed=2)
+        state = _init_state(task, config)
+        _inner_step(task, state, config, np.array([-6.0, 0.0, 0.0, -6.0]))
+        assert state.posterior is None and state.ep_fits == 1
+
+    def test_exhaustion_ends_a_plain_bo_run(self):
+        task = make_toy_task([0.0, 1.0, 2.0, 3.0, 4.0], n_initial=2)
+        result = rerun_with_best_theta(task, None, 10, RunConfig(mode=LENGTH_SCALE, seed=0))
+        assert result.exhausted
+        assert result.n_samples == 3
+        assert result.best_y == 4.0
+
+
+def _selections(monkeypatch, run, refit):
+    """The pool indices one run selects, through the pool posterior or, with refit, through gp_fit.
+
+    With refit, also the smallest gap between the two best UCB scores of any
+    step and the largest difference between the two paths' scores.
+    """
+    import hyperbo.engine as engine
+
+    picks, margins, differences = [], [], []
+    posterior_model = _fit_window_model
+
+    def refit_model(state, config, theta):
+        model = posterior_model(state, config, theta)
+        if isinstance(model, PoolPosterior):
+            refit_model.posterior = model
+            return gp_fit(state.X, standardize(state.y)[0], model.params)
+        return model
+
+    def recording_ucb(model, candidates, beta):
+        index, x = ucb_select(model, candidates, beta)
+        picks.append(int(index))
+        if refit:
+            def scores(m):
+                means, variances = m.predict_candidates(candidates)
+                return means + np.sqrt(beta) * np.sqrt(np.maximum(variances, 0.0))
+
+            ours = scores(model)
+            top = np.sort(ours)[-2:]
+            margins.append(top[1] - top[0] if len(ours) > 1 else np.inf)
+            differences.append(np.abs(ours - scores(refit_model.posterior)).max())
+        return index, x
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "ucb_select", recording_ucb)
+        if refit:
+            patch.setattr(engine, "_fit_window_model", refit_model)
+        run()
+    return picks, margins, differences
+
+
+@pytest.mark.slow
+def test_pool_posterior_selects_as_refits_over_a_seed_panel(monkeypatch):
+    # The shipped length-scale and Goldstein-Price configs, 10 trial seeds each:
+    # plain BO under the default kernel, and length-scale hyperbo (a new theta
+    # at almost every step, so mostly rebuilds).
+    gp_task = make_gp_sample_task(2, 0.2, n_points=300, seed=42)
+    goldstein = make_goldstein_price_task(pool_size=500)
+    runs = []
+    for seed in range(10):
+        ls = RunConfig(mode=LENGTH_SCALE, m=5, K=1, R=50, seed=9000 + seed, ucb_delta=5.0)
+        mono = RunConfig(mode=MONOTONICITY, m=5, K=1, R=50, seed=7000 + seed)
+        runs.append(lambda c=ls: rerun_with_best_theta(gp_task, None, 50, c))
+        runs.append(lambda c=ls: run_framework(gp_task, c))
+        runs.append(lambda c=mono: rerun_with_best_theta(goldstein, None, 50, c))
+        runs.append(lambda s=seed: run_framework(goldstein, RunConfig(mode=LENGTH_SCALE, m=5, K=5, R=10, seed=s)))
+    margins, differences = [], []
+    for run in runs:
+        ours, _, _ = _selections(monkeypatch, run, refit=False)
+        oracle, run_margins, run_differences = _selections(monkeypatch, run, refit=True)
+        assert ours == oracle
+        margins += run_margins
+        differences += run_differences
+    print(
+        f"POOL POSTERIOR: {len(runs)} runs, {len(margins)} steps, identical selections; "
+        f"smallest top-2 UCB margin {min(margins):.2e}, largest score difference from a refit {max(differences):.2e}"
+    )

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from hyperbo import gp as gp_module
+from hyperbo.acquisition import CandidateSet
 from hyperbo.gp import (
     KernelParams,
+    PoolPosterior,
     SingularGramError,
     _cho_solve_lower,
     _cholesky_lower,
@@ -178,6 +180,50 @@ class TestLapackHelpers:
         monkeypatch.setattr(gp_module, "se_kernel_matrix", lambda X, Z, params: np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(SingularGramError, match="maximum jitter"):
             gp_fit([[0.1], [0.9]], [0.0, 1.0], KernelParams(1.0, (0.3,)))
+
+
+class TestPoolPosterior:
+    POOL = np.random.default_rng(0).uniform(0.0, 1.0, size=(20, 2))
+
+    def test_a_jittered_start_carries_its_jitter_into_later_pivots(self):
+        # Duplicate rows at zero noise need jitter; every later pivot, including
+        # another duplicate's, is then one of the factor of K + jitter * I.
+        params = KernelParams(1.0, (0.3, 0.3))
+        posterior = PoolPosterior([[0.5, 0.5]] * 3, self.POOL, params)
+        assert posterior.jitter > 0
+        posterior.extend([0.2, 0.7])
+        posterior.extend([0.5, 0.5])
+        X = np.array([[0.5, 0.5]] * 3 + [[0.2, 0.7], [0.5, 0.5]])
+        want = _cholesky_lower(se_kernel_matrix(X, X, params) + posterior.jitter * np.eye(5))
+        np.testing.assert_allclose(posterior.chol, want, rtol=0, atol=1e-9)
+
+    def test_a_non_positive_pivot_refactors_from_scratch(self):
+        # A repeated row at zero noise leaves the pivot 1 - 1 * 1 = 0 exactly.
+        params = KernelParams(1.0, (0.3,))
+        posterior = PoolPosterior([[0.3]], self.POOL[:, :1], params)
+        assert posterior.jitter == 0.0
+        posterior.extend([0.3])
+        oracle = gp_fit([[0.3], [0.3]], [0.0, 0.0], params)
+        assert posterior.jitter == oracle.jitter > 0
+        assert np.array_equal(posterior.chol, oracle.chol)
+        posterior.set_outputs([1.0, 1.0])
+        means, variances = posterior.predict_candidates(CandidateSet(self.POOL[:, :1]))
+        assert np.all(np.isfinite(means)) and np.all(np.isfinite(variances))
+
+    def test_means_answer_for_the_outputs_set_after_the_last_row(self):
+        posterior = PoolPosterior([[0.1, 0.2]], self.POOL, KernelParams(1.0, (0.3, 0.3), 1e-6))
+        candidates = CandidateSet(self.POOL)
+        with pytest.raises(ValueError, match="set_outputs"):
+            posterior.predict_candidates(candidates)
+        with pytest.raises(ValueError, match="2 outputs for 1 observed rows"):
+            posterior.set_outputs([1.0, 2.0])
+        posterior.set_outputs([1.0])
+        posterior.extend([0.8, 0.9])
+        with pytest.raises(ValueError, match="set_outputs"):
+            posterior.predict_candidates(candidates)
+        posterior.set_outputs([1.0, -1.0])
+        with pytest.raises(ValueError, match="pool"):
+            posterior.predict_candidates(CandidateSet(self.POOL[:5]))
 
 
 class TestGpFit:
