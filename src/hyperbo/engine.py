@@ -19,7 +19,7 @@ import numpy as np
 
 from hyperbo.acquisition import CandidateSet, thompson_select, ucb_beta, ucb_select
 from hyperbo.gp import FittedGP, KernelParams, PoolPosterior, _cho_solve_lower, gp_fit, se_kernel_matrix, standardize
-from hyperbo.monotonic import FittedMonotonicGP, fit_monotonic_gp
+from hyperbo.monotonic import FittedMonotonicGP, MonotonicWorkspace, fit_monotonic_gp
 from hyperbo.tasks import Task, regret_trace
 
 __all__ = [
@@ -251,6 +251,7 @@ class _RunState:
     locations: np.ndarray | None  # virtual derivative locations of a monotonicity run
     trial_scale: float
     posterior: PoolPosterior | None = None  # the plain-GP posterior over the pool, with its kernel
+    monotonic: MonotonicWorkspace | None = None  # the monotonic fits' kernel blocks, from the first monotonic step
     ep_fits: int = 0
     ep_sweeps: int = 0
     ep_nonconverged: int = 0
@@ -263,14 +264,18 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: np.ndarray | N
     run's mode says what a theta's values are.  A plain GP (theta None, or a
     length-scale theta) is the run's pool posterior: extended by the rows
     observed since the last step when its kernel is unchanged, rebuilt when
-    theta changed it.  UCB selection is invariant to the output
-    standardization, so predictions are consumed in standardized units.
+    theta changed it.  A monotonic fit keeps the default kernel, so one
+    workspace serves every monotonic step of the run: each fit extends it by
+    the rows observed since the last one.  UCB selection is invariant to the
+    output standardization, so predictions are consumed in standardized units.
     """
     z, _ = standardize(state.y)
     default_scales = (DEFAULT_LENGTH_SCALE,) * state.X.shape[1]
     if theta is not None and config.mode == MONOTONICITY:
         params = KernelParams(SIGNAL_VARIANCE, default_scales, NOISE_VARIANCE)
-        return fit_monotonic_gp(state.X, z, params, theta, state.locations)
+        if state.monotonic is None:
+            state.monotonic = MonotonicWorkspace(params, state.locations, state.pool)
+        return fit_monotonic_gp(state.X, z, params, theta, state.locations, state.monotonic)
     params = KernelParams(SIGNAL_VARIANCE, default_scales if theta is None else theta, NOISE_VARIANCE)
     posterior = state.posterior
     if posterior is None or posterior.params != params:

@@ -1,10 +1,15 @@
-"""Sequential-EP reference for the monotonic GP.
+"""Reference fits for the monotonic GP.
 
-This is the per-site damped EP loop that hyperbo.monotonic used before it
-moved to parallel EP: one probit site at a time, a rank-1 update of the full
-posterior covariance after each site, a refresh from scratch after each
-sweep, and convergence judged on the site parameters.  Tests compare the
+`sequential_ep_fit` is the per-site damped EP loop that hyperbo.monotonic used
+before it moved to parallel EP: one probit site at a time, a rank-1 update of
+the full posterior covariance after each site, a refresh from scratch after
+each sweep, and convergence judged on the site parameters.  Tests compare the
 parallel fit against it.
+
+`unstacked_parallel_ep_fit` is the parallel fit with the site precisions and
+natural means in two arrays, each updated on its own, from the joint prior
+computed whole (`joint_prior`): the fit's arithmetic before it stacked the
+two and kept its kernel blocks in a workspace.  The fit must match it bit for bit.
 """
 
 from dataclasses import dataclass
@@ -13,14 +18,29 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import log_ndtr
 
-from hyperbo.gp import as_observations
+from hyperbo.gp import as_observations, se_kernel_matrix
 from hyperbo.monotonic import (
+    _DAMPING,
     _LOG_SQRT_2PI,
+    _MAX_SWEEPS,
     _MIN_OBS_NOISE,
     _SITE_PRECISION_CAP,
+    _TOL,
     FittedMonotonicGP,
-    _joint_prior,
+    MonotonicWorkspace,
+    _posterior,
+    _probit_moments as _parallel_probit_moments,
+    gradient_gram_matrix,
+    value_gradient_cross_matrix,
 )
+
+
+def joint_prior(X, Z, params):
+    """The prior covariance of [f(X), derivatives at Z], computed whole."""
+    K_ff = se_kernel_matrix(X, X, params)
+    K_fd = value_gradient_cross_matrix(X, Z, params)
+    K_dd = gradient_gram_matrix(Z, params)
+    return np.block([[K_ff, K_fd], [K_fd.T, K_dd]])
 
 
 def _probit_moments(cav_mean, cav_var, sign, nu):
@@ -99,7 +119,7 @@ def sequential_ep_fit(
 
     t = X.shape[0]
     n_latent = t + locations.size
-    K = _joint_prior(X, locations, params)
+    K = joint_prior(X, locations, params)
 
     obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)
     tau_fixed = np.zeros(n_latent)
@@ -188,4 +208,79 @@ def sequential_ep_fit(
         _chol_B=chol_B,
         _sqrt_S=sqrt_s,
         _latent_mean=mu,
+        _workspace=MonotonicWorkspace(params, locations),
+    )
+
+
+def unstacked_parallel_ep_fit(X, y, params, strictness, locations) -> FittedMonotonicGP:
+    """Damped parallel EP with separate precision and natural-mean site arrays."""
+    X, y = as_observations(X, y, params.dim)
+    strictness = np.asarray(strictness, dtype=float)
+    locations = np.asarray(locations, dtype=float)
+    t = X.shape[0]
+    K = joint_prior(X, locations, params)
+    prior_var = np.diag(K)
+    prior_sd = np.sqrt(prior_var)
+
+    obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)
+    tau_lat = np.zeros(K.shape[0])
+    nat_lat = np.zeros(K.shape[0])
+    tau_lat[:t] = 1.0 / obs_noise
+    nat_lat[:t] = y / obs_noise
+
+    sign = np.array([[1.0], [-1.0]])
+    nu_pair = 10.0 ** strictness.reshape(-1, 2)[:, ::-1].T
+    nu2 = np.tile(nu_pair * nu_pair, (1, locations.shape[0]))
+    tau = np.zeros(nu2.shape)
+    nat = np.zeros(nu2.shape)
+
+    mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, tau_lat, nat_lat)
+    sd = np.sqrt(var)
+    converged = False
+    sweeps = 0
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        sweeps = sweep
+        mean_d, var_d = mean[t:], var[t:]
+        with np.errstate(all="ignore"):
+            tau_cav = 1.0 / var_d - tau
+            nat_cav = mean_d / var_d - nat
+            cav_var = 1.0 / tau_cav
+            cav_mean = nat_cav * cav_var
+            new_mean, new_var = _parallel_probit_moments(cav_mean, cav_var, sign, nu2)
+            tau_target = 1.0 / new_var - tau_cav
+            nat_target = new_mean / new_var - nat_cav
+            valid = (
+                (var_d > 0)
+                & (tau_cav > 1e-12)
+                & np.isfinite(cav_mean)
+                & np.isfinite(new_mean)
+                & (new_var > 0)
+                & np.isfinite(tau_target)
+                & np.isfinite(nat_target)
+            )
+            shrink = np.where(tau_target > 0.0, np.minimum(1.0, _SITE_PRECISION_CAP / tau_target), 0.0)
+        tau = np.where(valid, (1.0 - _DAMPING) * tau + _DAMPING * shrink * tau_target, tau)
+        nat = np.where(valid, (1.0 - _DAMPING) * nat + _DAMPING * shrink * nat_target, nat)
+
+        tau_lat[t:] = tau.sum(axis=0)
+        nat_lat[t:] = nat.sum(axis=0)
+        old_mean, old_sd = mean, sd
+        mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, tau_lat, nat_lat)
+        sd = np.sqrt(var)
+        moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
+        if np.max(moved / prior_sd) <= _TOL:
+            converged = True
+            break
+
+    return FittedMonotonicGP(
+        X=X,
+        params=params,
+        locations=locations,
+        converged=converged,
+        sweeps=sweeps,
+        _mean_weights=weights,
+        _chol_B=chol_B,
+        _sqrt_S=sqrt_s,
+        _latent_mean=mean,
+        _workspace=MonotonicWorkspace(params, locations),
     )

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +30,12 @@ from hyperbo.engine import (
     _pathwise_argmax,
 )
 from hyperbo.acquisition import CandidateSet, ucb_select
+from hyperbo.bench import ExperimentConfig, run_experiment
 from hyperbo.gp import KernelParams, PoolPosterior, gp_fit, se_kernel_matrix, standardize
+from hyperbo.monotonic import MonotonicWorkspace
 from hyperbo.tasks import ContinuousTask, DiscreteTask, make_goldstein_price_task, make_gp_sample_task
+
+from ep_oracle import joint_prior
 
 
 def make_toy_task(values, n_initial=2, dim=1):
@@ -536,6 +541,34 @@ class TestPoolPosteriorInTheEngine:
         assert result.best_y == 4.0
 
 
+class TestMonotonicWorkspaceInTheEngine:
+    """The monotonic inner steps of a run share one workspace over its pool."""
+
+    def test_one_workspace_serves_every_monotonic_step_of_a_run(self):
+        task = make_goldstein_price_task(pool_size=80)
+        config = RunConfig(mode=MONOTONICITY, seed=5)
+        state = _init_state(task, config)
+        thetas = [np.array([-6.0, 0.0, 0.0, -6.0]), None, np.array([0.0, -2.0, -1.0, 0.0])]
+        workspace = None
+        for theta in thetas * 2:
+            assert _inner_step(task, state, config, theta)
+            if theta is not None:
+                workspace = workspace or state.monotonic
+                assert state.monotonic is workspace and workspace.pool is state.pool
+                assert np.array_equal(workspace.X, state.X[:-1])
+        assert state.ep_fits == 4
+        assert _init_state(task, config).monotonic is None
+
+    @pytest.mark.parametrize("mode", [LENGTH_SCALE, MONOTONICITY])
+    def test_plain_gp_steps_build_no_workspace(self, mode):
+        task = make_goldstein_price_task(pool_size=60)
+        config = RunConfig(mode=mode, seed=2)
+        state = _init_state(task, config)
+        for theta in (None, np.array([0.2, 0.3]) if mode == LENGTH_SCALE else None):
+            assert _inner_step(task, state, config, theta)
+        assert state.monotonic is None and state.posterior is not None
+
+
 def _selections(monkeypatch, run, refit):
     """The pool indices one run selects, through the pool posterior or, with refit, through gp_fit.
 
@@ -602,3 +635,46 @@ def test_pool_posterior_selects_as_refits_over_a_seed_panel(monkeypatch):
         f"POOL POSTERIOR: {len(runs)} runs, {len(margins)} steps, identical selections; "
         f"smallest top-2 UCB margin {min(margins):.2e}, largest score difference from a refit {max(differences):.2e}"
     )
+
+
+@pytest.mark.slow
+def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tmp_path, monkeypatch):
+    # Goldstein-Price trial seeds 7000-7009 and a d=3 GP draw.  The fresh
+    # path fits every step from the joint prior computed whole and predicts
+    # through predict_batch, as monotonic steps did before the workspace.
+    import hyperbo.engine as engine
+
+    panels = {
+        "goldstein": dict(task={"kind": "goldstein_price", "pool_size": 500}, trials=10, budget=30, seed=7000),
+        "gp-d3": dict(
+            task={"kind": "gp_sample", "dim": 3, "length_scale": 0.2, "n_points": 300, "seed": 3},
+            trials=2,
+            budget=20,
+            seed=500,
+        ),
+    }
+    fit = engine.fit_monotonic_gp
+
+    def fresh_fit(X, y, params, strictness, locations, workspace=None):
+        return fit(X, y, params, strictness, locations)
+
+    for name, panel in panels.items():
+        outputs = {}
+        for path in ("workspace", "fresh"):
+            config = ExperimentConfig(
+                mode=MONOTONICITY,
+                m=5,
+                K=1,
+                strategies=("standard_bo", "hyperbo", "best_theta_rerun"),
+                output_dir=str(tmp_path / name / path),
+                **panel,
+            )
+            with monkeypatch.context() as patch:
+                if path == "fresh":
+                    patch.setattr(engine, "fit_monotonic_gp", fresh_fit)
+                    patch.setattr(MonotonicWorkspace, "joint_prior", lambda ws: joint_prior(ws.X, ws.locations, ws.params))
+                outcome = run_experiment(config)
+            assert outcome.ok
+            outputs[path] = {p.name: p.read_bytes() for p in sorted(Path(outcome.output_dir).iterdir())}
+        assert outputs["workspace"] == outputs["fresh"]
+        assert sum(n.startswith("trace_") for n in outputs["workspace"]) == 3 * panel["trials"]
