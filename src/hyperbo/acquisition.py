@@ -28,8 +28,10 @@ _THOMPSON_JITTER = 1e-9
 class CandidateSet:
     """Candidate points with an exclusion mask for already-sampled entries.
 
-    The active indices are computed once, at first use: change the mask
-    before that or build a new set.
+    A 2-D float array of points is held as is, not copied or viewed, so a set
+    over a pool array holds that very object.  The active indices are
+    computed once, at first use: change the mask before that or build a new
+    set.
     """
 
     points: np.ndarray
@@ -65,7 +67,9 @@ def ucb_select(model, candidates: CandidateSet, beta: float) -> tuple[int, np.nd
 
     Ties break toward the lowest candidate index.  The model only needs a
     predict_candidates(candidates) -> (means, variances) method that answers
-    for the rows of candidates.active_indices.
+    for the rows of candidates.active_indices.  The engine's models (a
+    gp.PoolPosterior or a monotonic fit) answer only for sets whose points are
+    their own pool array, and raise ValueError for any other.
     """
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")

@@ -7,7 +7,9 @@ sqrt((ln T)^(d+1) / T), the shape of the average GP-UCB regret bound at T
 samples, so windows of different stages compare, times a norm regularizer set
 by the grid; an outer Thompson-sampling loop over the model grid proposes the
 next theta from a GP fit to the ledger of scores.  The first m windows use
-uniformly random thetas to seed the ledger.
+uniformly random thetas to seed the ledger.  The inner steps of a run share
+one pool array and two caches over it, the only source of their predictions:
+a pool posterior for plain-GP steps and a workspace for monotonic fits.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from hyperbo.acquisition import CandidateSet, thompson_select, ucb_beta, ucb_select
 from hyperbo.gp import FittedGP, KernelParams, PoolPosterior, _cho_solve_lower, gp_fit, se_kernel_matrix, standardize
-from hyperbo.monotonic import FittedMonotonicGP, MonotonicWorkspace, fit_monotonic_gp
+from hyperbo.monotonic import MonotonicWorkspace, fit_monotonic_gp
 from hyperbo.tasks import Task, regret_trace
 
 __all__ = [
@@ -123,10 +125,6 @@ class ModelSpace:
         """Affine map of theta coordinates onto [0, 1] for the model-space GP."""
         lo, hi = self._options.min(), self._options.max()
         return (np.asarray(theta_array, dtype=float) - lo) / (hi - lo)
-
-    def grid_indices(self) -> np.ndarray:
-        """Every grid point as an index row, in lexicographic (C) order."""
-        return np.indices((self.per_dim,) * self.dim).reshape(self.dim, -1).T
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """The thetas of index rows: one theta for a 1-D row, one theta per row of a 2-D array."""
@@ -262,28 +260,34 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: np.ndarray | N
 
     theta None means the fixed default kernel (the plain-BO baseline); the
     run's mode says what a theta's values are.  A plain GP (theta None, or a
-    length-scale theta) is the run's pool posterior: extended by the rows
-    observed since the last step when its kernel is unchanged, rebuilt when
-    theta changed it.  A monotonic fit keeps the default kernel, so one
-    workspace serves every monotonic step of the run: each fit extends it by
-    the rows observed since the last one.  UCB selection is invariant to the
-    output standardization, so predictions are consumed in standardized units.
+    length-scale theta) is the run's pool posterior, rebuilt when theta
+    changed its kernel.  A monotonic fit keeps the default kernel, so one
+    workspace serves every monotonic step of the run, and the fit's EP health
+    is counted here.  Either cache is first extended by the rows observed
+    since it last saw them.  UCB selection is invariant to the output
+    standardization, so predictions are consumed in standardized units.
     """
     z, _ = standardize(state.y)
-    default_scales = (DEFAULT_LENGTH_SCALE,) * state.X.shape[1]
-    if theta is not None and config.mode == MONOTONICITY:
-        params = KernelParams(SIGNAL_VARIANCE, default_scales, NOISE_VARIANCE)
+    monotonic = theta is not None and config.mode == MONOTONICITY
+    scales = (DEFAULT_LENGTH_SCALE,) * state.X.shape[1] if monotonic or theta is None else theta
+    params = KernelParams(SIGNAL_VARIANCE, scales, NOISE_VARIANCE)
+    if monotonic:
         if state.monotonic is None:
             state.monotonic = MonotonicWorkspace(params, state.locations, state.pool)
-        return fit_monotonic_gp(state.X, z, params, theta, state.locations, state.monotonic)
-    params = KernelParams(SIGNAL_VARIANCE, default_scales if theta is None else theta, NOISE_VARIANCE)
-    posterior = state.posterior
-    if posterior is None or posterior.params != params:
-        posterior = state.posterior = PoolPosterior(state.X, state.pool, params)
-    for x in state.X[posterior.n :]:
-        posterior.extend(x)
-    posterior.set_outputs(z)
-    return posterior
+        cache = state.monotonic
+    else:
+        if state.posterior is None or state.posterior.params != params:
+            state.posterior = PoolPosterior(state.X, state.pool, params)
+        cache = state.posterior
+    cache.extend(state.X[cache.n :])
+    if not monotonic:
+        cache.set_outputs(z)
+        return cache
+    model = fit_monotonic_gp(cache, z, theta)
+    state.ep_fits += 1
+    state.ep_sweeps += model.sweeps
+    state.ep_nonconverged += not model.converged
+    return model
 
 
 def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: np.ndarray | None) -> bool:
@@ -293,10 +297,6 @@ def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: np.ndarr
     if n_active == 0:
         return False
     model = _fit_window_model(state, config, theta)
-    if isinstance(model, FittedMonotonicGP):
-        state.ep_fits += 1
-        state.ep_sweeps += model.sweeps
-        state.ep_nonconverged += not model.converged
     beta = ucb_beta(len(state.y) - state.n0 + 1, n_active, config.ucb_delta)
     index, x = ucb_select(model, candidates, beta)
     y = task.observe(index, x)
@@ -357,11 +357,8 @@ def hyperbo_step(ledger: list[LedgerRecord], space: ModelSpace, rng: np.random.G
     if not ledger:
         raise ValueError("hyperbo_step needs at least one scored window")
     z, _ = standardize([rec.score for rec in ledger])
-    params = KernelParams(
-        max(float(np.var(z)), 1e-6),
-        (THETA_GP_LS_FRACTION,) * space.theta_dim,
-        THETA_GP_NOISE,
-    )
+    # z-scored scores have unit variance, or are all zero when the scores tie.
+    params = KernelParams(1.0 if z.any() else 1e-6, (THETA_GP_LS_FRACTION,) * space.theta_dim, THETA_GP_NOISE)
     thetas = np.vstack([rec.theta for rec in ledger])
     model = gp_fit(space.to_unit(thetas), z, params)
     if space.size <= ENUMERATION_LIMIT:
@@ -410,7 +407,10 @@ def _init_state(task: Task, config: RunConfig) -> _RunState:
     init_child, virtual_child, run_child = seq.spawn(3)
     init_rng = np.random.default_rng(init_child)
     indices, X0, y0 = task.initial_design(init_rng)
-    pool = task.build_pool(init_rng)
+    # The one pool object of the run: every CandidateSet over it and both
+    # inner-loop caches hold this very array (an unpickled task's array would
+    # otherwise be wrapped in a fresh view by each CandidateSet).
+    pool = np.asarray(task.build_pool(init_rng), dtype=float)
     # Initial-design entries that are pool members (dataset rows) are excluded
     # from re-sampling; synthetic designs live off-pool and flag nothing.
     sampled = np.zeros(pool.shape[0], dtype=bool)

@@ -4,8 +4,8 @@ Inputs are (t, d) arrays in the unit hypercube (one coordinate per search
 dimension; tasks check the range); outputs are arbitrary scalars, usually
 z-scored with `standardize`.  Fitting factorizes the Gram matrix once via
 Cholesky; fitted models are immutable and cheap to query.  A `PoolPosterior`
-instead keeps one kernel's posterior over a fixed candidate pool and grows it
-by one observed row at a time.
+instead keeps one kernel's posterior over a fixed candidate pool, grows it by
+observed rows, and answers only for candidate sets over that very pool array.
 
 The factorizations and solves call LAPACK directly (`_cholesky_lower`,
 `_solve_lower`, `_cho_solve_lower`): on the few-dozen-row matrices of an EP
@@ -169,10 +169,6 @@ class FittedGP:
         variances = np.clip(variances, 0.0, self.params.signal_variance)
         return means, variances
 
-    def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
-        """predict_batch at the active rows of an acquisition.CandidateSet."""
-        return self.predict_batch(candidates.points[candidates.active_indices])
-
     def predict_joint(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean vector and full covariance matrix over the rows of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -252,7 +248,8 @@ class PoolPosterior:
     the (t, N) kernel and solves it whole.  The jitter of the first
     factorization is added to every later pivot, so L stays the factor of one
     regularized Gram matrix; a pivot that is not safely positive refactors
-    from scratch.  Means answer for the outputs last given to `set_outputs`.
+    from scratch.  Means answer for the outputs last given to `set_outputs`,
+    at the active rows of a CandidateSet whose points are the pool array itself.
     """
 
     def __init__(self, X, pool, params: KernelParams):
@@ -277,34 +274,35 @@ class PoolPosterior:
         """The number of observed rows."""
         return self.X.shape[0]
 
-    def extend(self, x) -> None:
-        """Condition on one more observed row x."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        t, params = self.n, self.params
-        k = se_kernel_matrix(x, np.concatenate((self.X, self.pool)), params)[0]  # k(x, X) then k(x, pool)
-        l = _solve_lower(self.chol, k[:t])
-        # The new pivot squared is x's posterior variance plus noise and
-        # jitter, so at or below the noise it holds only rounding error.
-        pivot = params.signal_variance + params.noise_variance + self.jitter - l @ l
-        if not (np.isfinite(pivot) and pivot > params.noise_variance):
-            self._factor(np.vstack((self.X, x)))
-            return
-        pivot = np.sqrt(pivot)
-        if t == len(self._rows):
-            rows = np.empty((2 * t, self.pool.shape[0]))
-            rows[:t] = self._rows
-            self._rows = rows
-        row = self._rows[t]
-        np.subtract(k[t:], l @ self._rows[:t], out=row)
-        row /= pivot
-        self._col_sums += row * row
-        chol = np.zeros((t + 1, t + 1), order="F")
-        chol[:t, :t] = self.chol
-        chol[t, :t] = l
-        chol[t, t] = pivot
-        self.chol = chol
-        self.X = np.vstack((self.X, x))
-        self._alpha = None
+    def extend(self, rows) -> None:
+        """Condition on more observed rows, in order: one row x, or a (k, d) array of them."""
+        for x in np.array(rows, dtype=float, ndmin=2):
+            x = x[None]
+            t, params = self.n, self.params
+            k = se_kernel_matrix(x, np.concatenate((self.X, self.pool)), params)[0]  # k(x, X) then k(x, pool)
+            l = _solve_lower(self.chol, k[:t])
+            # The new pivot squared is x's posterior variance plus noise and
+            # jitter, so at or below the noise it holds only rounding error.
+            pivot = params.signal_variance + params.noise_variance + self.jitter - l @ l
+            if not (np.isfinite(pivot) and pivot > params.noise_variance):
+                self._factor(np.vstack((self.X, x)))
+                continue
+            pivot = np.sqrt(pivot)
+            if t == len(self._rows):
+                grown = np.empty((2 * t, self.pool.shape[0]))
+                grown[:t] = self._rows
+                self._rows = grown
+            row = self._rows[t]
+            np.subtract(k[t:], l @ self._rows[:t], out=row)
+            row /= pivot
+            self._col_sums += row * row
+            chol = np.zeros((t + 1, t + 1), order="F")
+            chol[:t, :t] = self.chol
+            chol[t, :t] = l
+            chol[t, t] = pivot
+            self.chol = chol
+            self.X = np.vstack((self.X, x))
+            self._alpha = None
 
     def set_outputs(self, z) -> None:
         """The outputs at the observed rows, in order, that the means answer for."""
@@ -314,11 +312,11 @@ class PoolPosterior:
         self._alpha = _solve_lower(self.chol, z)
 
     def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and variances at the active rows of a CandidateSet over the pool."""
+        """Posterior means and variances at the active rows of a CandidateSet over this very pool array."""
+        if candidates.points is not self.pool:
+            raise ValueError("the candidates are not this posterior's pool")
         if self._alpha is None:
             raise ValueError("set_outputs must follow the last change of the observed rows")
-        if candidates.points.shape != self.pool.shape:
-            raise ValueError("the candidates are not this posterior's pool")
         active = candidates.active_indices
         sv = self.params.signal_variance
         means = (self._alpha @ self._rows[: self.n])[active]

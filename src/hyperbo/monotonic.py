@@ -10,10 +10,11 @@ approximated by damped parallel expectation propagation: every sweep updates
 all probit sites at once from the current posterior marginals and then
 refreshes the posterior with one Cholesky factorization.
 
-A `MonotonicWorkspace` holds the prior kernel blocks of one trial's fits: in a
-monotonicity run the locations, the candidate pool and the kernel are fixed
-and only the strictness changes, so each observed row adds one row to the
-blocks and nothing is recomputed.
+A `MonotonicWorkspace` holds the observed rows and the prior kernel blocks of
+one trial's fits, and every fit is made from one: in a monotonicity run the
+locations, the candidate pool and the kernel are fixed and only the strictness
+changes, so each observed row adds one row to the blocks and nothing is
+recomputed.  A fit predicts over the workspace's pool array only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr
 
-from hyperbo.gp import KernelParams, _cho_solve_lower, _cholesky_lower, _solve_lower, as_observations, se_kernel_matrix
+from hyperbo.gp import KernelParams, _cho_solve_lower, _cholesky_lower, _solve_lower, se_kernel_matrix
 
 __all__ = [
     "FittedMonotonicGP",
@@ -91,19 +92,21 @@ def _probit_moments(cav_mean, cav_var, sign, nu2):
 class MonotonicWorkspace:
     """The prior kernel blocks of a run of monotonic fits, grown as rows are observed.
 
-    The fits share the kernel params, the virtual locations and the candidate
-    pool: the array that the run's CandidateSets hold, or none.  The
-    derivative-derivative block K_dd and the pool's cross-covariances with the
-    derivative latents are computed once; each observed row x adds its row of
-    K_ff (and, by symmetry, its column), its row of K_fd and k(x, pool), one
-    kernel call for each batch of rows.  The kernel is elementwise and
-    symmetric bit for bit, so every block holds the bits that computing it
-    whole gives.
+    The fits share the kernel params, the virtual locations (rows of d
+    coordinates) and the candidate pool: the array that the run's
+    CandidateSets hold, or none.  The derivative-derivative block K_dd and
+    the pool's cross-covariances with the derivative latents are computed
+    once; each observed row x adds its row of K_ff (and, by symmetry, its
+    column), its row of K_fd and k(x, pool), one kernel call for each batch
+    of rows.  The kernel is elementwise and symmetric bit for bit, so every
+    block holds the bits that computing it whole gives.
     """
 
     def __init__(self, params: KernelParams, locations, pool=None):
         self.params = params
         self.locations = np.asarray(locations, dtype=float)
+        if self.locations.ndim != 2 or self.locations.shape[1] != params.dim:
+            raise ValueError("kernel and location dimensions must agree")
         self.pool = np.empty((0, params.dim)) if pool is None else pool
         self._K_dd = gradient_gram_matrix(self.locations, params)
         self._pool_grad = np.ascontiguousarray(value_gradient_cross_matrix(self.pool, self.locations, params).T)
@@ -205,15 +208,13 @@ class FittedMonotonicGP:
         return self._predict(self._cross_covariances(np.atleast_2d(np.asarray(X, dtype=float))))
 
     def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
-        """predict_batch at the active rows of an acquisition.CandidateSet.
+        """predict_batch at the active rows of a CandidateSet over the workspace's pool array.
 
-        When the candidates are the workspace's pool, the cross-covariances
-        are the active columns of its blocks.
+        The cross-covariances are the active columns of the workspace's blocks.
         """
-        active = candidates.active_indices
         if candidates.points is not self._workspace.pool:
-            return self.predict_batch(candidates.points[active])
-        return self._predict(self._workspace.pool_cross_covariances(self.X.shape[0], active))
+            raise ValueError("the candidates are not the workspace's pool")
+        return self._predict(self._workspace.pool_cross_covariances(self.X.shape[0], candidates.active_indices))
 
 
 def _posterior(K, prior_var, tau_lat, nat_lat):
@@ -235,22 +236,13 @@ def _posterior(K, prior_var, tau_lat, nat_lat):
     return K @ weights, variances, chol_B, sqrt_s, weights
 
 
-def fit_monotonic_gp(
-    X,
-    y,
-    params: KernelParams,
-    strictness,
-    locations,
-    workspace: MonotonicWorkspace | None = None,
-) -> FittedMonotonicGP:
+def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness) -> FittedMonotonicGP:
     """Fit the probit derivative sites by damped parallel EP and freeze the posterior.
 
-    strictness holds the 2d exponents [theta_1_minus, theta_1_plus, ...]; the
-    probit scale of each direction is nu = 10^theta.  locations holds the
-    virtual derivative locations, one row of d coordinates each.  workspace,
-    built for params and locations, holds the prior kernel blocks of earlier
-    rows of X; the fit extends it by the rest of X.  Without one the fit
-    builds its own.
+    workspace holds the observed rows, the kernel params, the virtual
+    derivative locations and their prior kernel blocks; y holds one output per
+    observed row.  strictness holds the 2d exponents [theta_1_minus,
+    theta_1_plus, ...]; the probit scale of each direction is nu = 10^theta.
     Each sweep takes every site's cavity from the current marginals, matches
     moments for all sites at once, applies the damped site updates and
     refreshes the posterior with one Cholesky.  The fit has converged when, in
@@ -259,21 +251,14 @@ def fit_monotonic_gp(
     _MAX_SWEEPS is not fatal: the last damped iterate is returned with
     converged=False.
     """
-    X, y = as_observations(X, y, params.dim)
+    params, locations, t = workspace.params, workspace.locations, workspace.n
+    y = np.asarray(y, dtype=float)
     strictness = np.asarray(strictness, dtype=float)
-    locations = np.asarray(locations, dtype=float)
-    if strictness.shape != (2 * params.dim,) or locations.ndim != 2 or locations.shape[1] != params.dim:
-        raise ValueError("kernel, strictness and location dimensions must agree")
-    if workspace is None:
-        workspace = MonotonicWorkspace(params, locations)
-    elif workspace.params != params or not np.array_equal(workspace.locations, locations):
-        raise ValueError("the workspace was built for other kernel params or locations")
-    if not np.array_equal(workspace.X, X[: workspace.n]):
-        raise ValueError("the workspace's rows are not the first rows of X")
-    if workspace.n < len(X):
-        workspace.extend(X[workspace.n :])
+    if t < 1 or y.shape != (t,):
+        raise ValueError(f"outputs of shape {y.shape} for {t} observed rows; a fit needs at least one")
+    if strictness.shape != (2 * params.dim,):
+        raise ValueError("kernel and strictness dimensions must agree")
 
-    t = X.shape[0]
     K = workspace.joint_prior()
     prior_var = np.diag(K)
     prior_sd = np.sqrt(prior_var)
@@ -335,7 +320,7 @@ def fit_monotonic_gp(
             break
 
     return FittedMonotonicGP(
-        X=X,
+        X=workspace.X,
         params=params,
         locations=locations,
         converged=converged,

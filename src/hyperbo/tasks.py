@@ -124,7 +124,7 @@ class ContinuousTask(Task):
 
     def initial_design(self, rng: np.random.Generator):
         X = latin_hypercube(3 * self.dim, self.dim, rng)
-        y = np.array([self.fn(x) for x in X])
+        y = self.fn(X)
         return [-1] * len(y), X, y
 
     def build_pool(self, rng: np.random.Generator) -> np.ndarray:

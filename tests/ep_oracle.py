@@ -10,6 +10,9 @@ parallel fit against it.
 natural means in two arrays, each updated on its own, from the joint prior
 computed whole (`joint_prior`): the fit's arithmetic before it stacked the
 two and kept its kernel blocks in a workspace.  The fit must match it bit for bit.
+
+`fit_rows` is the fit's call form on plain arrays: a fresh workspace holding
+the rows of X.
 """
 
 from dataclasses import dataclass
@@ -30,9 +33,17 @@ from hyperbo.monotonic import (
     MonotonicWorkspace,
     _posterior,
     _probit_moments as _parallel_probit_moments,
+    fit_monotonic_gp,
     gradient_gram_matrix,
     value_gradient_cross_matrix,
 )
+
+
+def fit_rows(X, y, params, strictness, locations, pool=None) -> FittedMonotonicGP:
+    """fit_monotonic_gp from a new workspace over pool (or none) that holds the rows of X."""
+    workspace = MonotonicWorkspace(params, locations, pool)
+    workspace.extend(X)
+    return fit_monotonic_gp(workspace, y, strictness)
 
 
 def joint_prior(X, Z, params):

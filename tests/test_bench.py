@@ -354,6 +354,29 @@ class TestRunExperiment:
         b = (Path(pooled.output_dir) / "aggregate.csv").read_bytes()
         assert a == b
 
+    def test_pooled_monotonic_run_matches_serial_bytes(self, tmp_path):
+        # Pooled workers unpickle the task; their monotonic fits must take the
+        # serial path, so every artifact is the same file.
+        outputs = {}
+        for name, workers in (("serial", 1), ("pooled", 2)):
+            config = ExperimentConfig(
+                task={"kind": "gp_sample", "dim": 2, "length_scale": 0.2, "n_points": 60, "seed": 3},
+                mode="monotonicity",
+                trials=2,
+                m=2,
+                K=1,
+                budget=4,
+                seed=40,
+                strategies=("standard_bo", "hyperbo", "best_theta_rerun"),
+                output_dir=str(tmp_path / name),
+                workers=workers,
+            )
+            outcome = run_experiment(config)
+            assert set(outcome.failure_rates.values()) == {0.0}
+            outputs[name] = {p.name: p.read_bytes() for p in sorted(Path(outcome.output_dir).iterdir())}
+        assert outputs["serial"] == outputs["pooled"]
+        assert "report.csv" in outputs["serial"] and len(outputs["serial"]) == 3 * 2 + 3
+
     def test_pooled_workers_start_with_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "4")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

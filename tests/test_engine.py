@@ -1,6 +1,7 @@
 """Model grid, scoring windows, outer proposals, and full-run contracts."""
 
 import itertools
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -32,10 +33,32 @@ from hyperbo.engine import (
 from hyperbo.acquisition import CandidateSet, ucb_select
 from hyperbo.bench import ExperimentConfig, run_experiment
 from hyperbo.gp import KernelParams, PoolPosterior, gp_fit, se_kernel_matrix, standardize
-from hyperbo.monotonic import MonotonicWorkspace
+from hyperbo.monotonic import FittedMonotonicGP, MonotonicWorkspace
 from hyperbo.tasks import ContinuousTask, DiscreteTask, make_goldstein_price_task, make_gp_sample_task
 
-from ep_oracle import joint_prior
+from ep_oracle import fit_rows, joint_prior
+
+
+def grid_indices(space):
+    """Every grid point of a ModelSpace as an index row, in lexicographic (C) order."""
+    return np.indices((space.per_dim,) * space.dim).reshape(space.dim, -1).T
+
+
+class BatchPredictions:
+    """A fitted model whose predict_candidates goes through its predict_batch at the active rows.
+
+    The refit oracle of the inner loop's caches, which answer from their own
+    pool blocks; every other attribute is the model's.
+    """
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def predict_candidates(self, candidates):
+        return self.model.predict_batch(candidates.points[candidates.active_indices])
 
 
 def make_toy_task(values, n_initial=2, dim=1):
@@ -108,7 +131,7 @@ class TestModelTheta:
 class TestModelSpace:
     def test_length_scale_1d_enumeration(self):
         space = ModelSpace(LENGTH_SCALE, 1)
-        thetas = space.rows(space.grid_indices())
+        thetas = space.rows(grid_indices(space))
         assert len(thetas) == 11
         assert sorted(t[0] for t in thetas) == list(LENGTH_SCALE_GRID)
 
@@ -117,7 +140,7 @@ class TestModelSpace:
         assert ModelSpace(MONOTONICITY, 1).size == 48
         space2 = ModelSpace(MONOTONICITY, 2)
         assert space2.size == 2304
-        assert len(space2.grid_indices()) == 2304
+        assert len(grid_indices(space2)) == 2304
 
     def test_large_spaces_report_size_without_enumeration(self):
         space = ModelSpace(LENGTH_SCALE, 8)
@@ -152,7 +175,7 @@ class TestModelSpace:
             assert batch.bit_generator.state == scalar.bit_generator.state
             thetas = np.vstack([space.theta(space.rows(row)) for row in indices])
             np.testing.assert_array_equal(space.rows(indices), thetas)
-        grid = ModelSpace(LENGTH_SCALE, 2).grid_indices()
+        grid = grid_indices(ModelSpace(LENGTH_SCALE, 2))
         assert [tuple(row) for row in grid] == list(itertools.product(range(11), repeat=2))
 
     def test_unit_mapping(self):
@@ -285,7 +308,7 @@ class TestHyperboStep:
         z, _ = standardize(rng.exponential(size=len(ledger)))
         params = KernelParams(max(float(np.var(z)), 1e-6), (THETA_GP_LS_FRACTION,) * space.theta_dim, THETA_GP_NOISE)
         model = gp_fit(space.to_unit(ledger), z, params)
-        grid = space.grid_indices()
+        grid = grid_indices(space)
         means, cov = model.predict_joint(space.to_unit(space.rows(grid)))
         n = 20_000
         joint_rng, path_rng = np.random.default_rng(1), np.random.default_rng(2)
@@ -403,7 +426,7 @@ class TestRunFramework:
 
                 cands = CandidateSet(X, excluded=mask)
                 beta = beta_fn(inner_t + 1, int((~mask).sum()), 0.1)
-                pick, x_pick = ucb_select(model, cands, beta)
+                pick, x_pick = ucb_select(BatchPredictions(model), cands, beta)
                 obs_idx.append(pick)
                 xs.append(X[pick])
                 ys.append(values[pick])
@@ -559,6 +582,20 @@ class TestMonotonicWorkspaceInTheEngine:
         assert state.ep_fits == 4
         assert _init_state(task, config).monotonic is None
 
+    def test_an_unpickled_task_keeps_one_pool_object(self, monkeypatch):
+        # A pooled worker runs an unpickled task, whose pool array a
+        # CandidateSet would otherwise wrap in a new view at every step.
+        task = pickle.loads(pickle.dumps(make_gp_sample_task(2, 0.2, n_points=80, seed=6)))
+        config = RunConfig(mode=MONOTONICITY, m=2, K=2, R=3, seed=6)
+        state = _init_state(task, config)
+        assert CandidateSet(state.pool).points is state.pool
+        monkeypatch.setattr(FittedMonotonicGP, "predict_batch", lambda model, X: pytest.fail("predict_batch was called"))
+        for theta in (np.array([-6.0, 0.0, 0.0, -6.0]), np.array([0.0, -2.0, -1.0, 0.0])):
+            assert _inner_step(task, state, config, theta)
+        assert state.monotonic.pool is state.pool and state.ep_fits == 2
+        result = run_framework(task, config)
+        assert result.ep_fits == 6 and result.n_samples == 6
+
     @pytest.mark.parametrize("mode", [LENGTH_SCALE, MONOTONICITY])
     def test_plain_gp_steps_build_no_workspace(self, mode):
         task = make_goldstein_price_task(pool_size=60)
@@ -584,7 +621,7 @@ def _selections(monkeypatch, run, refit):
         model = posterior_model(state, config, theta)
         if isinstance(model, PoolPosterior):
             refit_model.posterior = model
-            return gp_fit(state.X, standardize(state.y)[0], model.params)
+            return BatchPredictions(gp_fit(state.X, standardize(state.y)[0], model.params))
         return model
 
     def recording_ucb(model, candidates, beta):
@@ -640,8 +677,9 @@ def test_pool_posterior_selects_as_refits_over_a_seed_panel(monkeypatch):
 @pytest.mark.slow
 def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tmp_path, monkeypatch):
     # Goldstein-Price trial seeds 7000-7009 and a d=3 GP draw.  The fresh
-    # path fits every step from the joint prior computed whole and predicts
-    # through predict_batch, as monotonic steps did before the workspace.
+    # path fits every step from a new workspace and the joint prior computed
+    # whole, and predicts through predict_batch, as monotonic steps did before
+    # the workspace.
     import hyperbo.engine as engine
 
     panels = {
@@ -653,10 +691,9 @@ def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tm
             seed=500,
         ),
     }
-    fit = engine.fit_monotonic_gp
 
-    def fresh_fit(X, y, params, strictness, locations, workspace=None):
-        return fit(X, y, params, strictness, locations)
+    def fresh_fit(workspace, y, strictness):
+        return BatchPredictions(fit_rows(workspace.X, y, workspace.params, strictness, workspace.locations))
 
     for name, panel in panels.items():
         outputs = {}

@@ -207,7 +207,7 @@ class TestPoolPosterior:
         assert posterior.jitter == oracle.jitter > 0
         assert np.array_equal(posterior.chol, oracle.chol)
         posterior.set_outputs([1.0, 1.0])
-        means, variances = posterior.predict_candidates(CandidateSet(self.POOL[:, :1]))
+        means, variances = posterior.predict_candidates(CandidateSet(posterior.pool))
         assert np.all(np.isfinite(means)) and np.all(np.isfinite(variances))
 
     def test_means_answer_for_the_outputs_set_after_the_last_row(self):
@@ -224,6 +224,30 @@ class TestPoolPosterior:
         posterior.set_outputs([1.0, -1.0])
         with pytest.raises(ValueError, match="pool"):
             posterior.predict_candidates(CandidateSet(self.POOL[:5]))
+
+    def test_candidates_over_another_array_are_refused(self):
+        # Same shape and values, but not the posterior's pool array.
+        posterior = PoolPosterior([[0.1, 0.2]], self.POOL, KernelParams(1.0, (0.3, 0.3), 1e-6))
+        posterior.set_outputs([1.0])
+        assert posterior.predict_candidates(CandidateSet(self.POOL))[0].shape == (len(self.POOL),)
+        for points in (self.POOL.copy(), self.POOL[:], self.POOL[::-1]):
+            with pytest.raises(ValueError, match="not this posterior's pool"):
+                posterior.predict_candidates(CandidateSet(points))
+
+    def test_a_batch_of_rows_extends_as_one_row_at_a_time(self):
+        params = KernelParams(1.0, (0.3, 0.3), 1e-6)
+        rows = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 2))
+        batch, single = (PoolPosterior(rows[:2], self.POOL, params) for _ in range(2))
+        batch.extend(rows[2:])
+        batch.extend(rows[:0])
+        for x in rows[2:]:
+            single.extend(x)
+        for posterior in (batch, single):
+            posterior.set_outputs(np.arange(6.0))
+        assert batch.n == single.n == 6 and np.array_equal(batch.X, rows)
+        assert np.array_equal(batch.chol, single.chol)
+        candidates = CandidateSet(self.POOL)
+        assert all(map(np.array_equal, batch.predict_candidates(candidates), single.predict_candidates(candidates)))
 
 
 class TestGpFit:

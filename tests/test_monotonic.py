@@ -27,7 +27,7 @@ from hyperbo.monotonic import (
 
 from hyperbo.tasks import goldstein_price, make_goldstein_price_task
 
-from ep_oracle import joint_prior, sequential_ep_fit, unstacked_parallel_ep_fit
+from ep_oracle import fit_rows, joint_prior, sequential_ep_fit, unstacked_parallel_ep_fit
 from kernel_oracles import cov_gradient_gradient, cov_value_gradient, random_gp_instance, se_kernel, se_kernel_matrix_einsum
 
 PARAMS_2D = KernelParams(1.0, (0.3, 0.45), noise_variance=1e-6)
@@ -143,7 +143,7 @@ class TestMonotonicFit:
         xs = [0.0, 0.25, 0.5, 0.75, 1.0]
         X, y = make_1d_data(xs, standardize(xs))
         locations = virtual_locations(1, np.random.default_rng(7))
-        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, -6.0)), locations)
+        model = fit_rows(X, y, PARAMS_1D, np.array((0.0, -6.0)), locations)
         grid = np.linspace(0, 1, 50).reshape(-1, 1)
         means, _ = model.predict_batch(grid)
         slopes = np.diff(means) / np.diff(grid[:, 0])
@@ -155,7 +155,7 @@ class TestMonotonicFit:
         X, y = make_1d_data(xs, ys)
         locations = virtual_locations(1, np.random.default_rng(7))
         # Strict *decreasing* constraint against increasing data.
-        wrong = fit_monotonic_gp(X, y, PARAMS_1D, np.array((-6.0, 0.0)), locations)
+        wrong = fit_rows(X, y, PARAMS_1D, np.array((-6.0, 0.0)), locations)
         plain = gp_fit(X, y, PARAMS_1D)
         rmse_wrong = np.sqrt(np.mean((wrong.predict_batch(X)[0] - ys) ** 2))
         rmse_plain = np.sqrt(np.mean((plain.predict_batch(X)[0] - ys) ** 2))
@@ -167,7 +167,7 @@ class TestMonotonicFit:
         ys = standardize([-2.0, -0.7, 0.0, 0.7, 2.0])
         X, y = make_1d_data(xs, ys)
         locations = virtual_locations(1, np.random.default_rng(3))
-        mono = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, 0.0)), locations)
+        mono = fit_rows(X, y, PARAMS_1D, np.array((0.0, 0.0)), locations)
         plain = gp_fit(X, y, PARAMS_1D)
         assert abs(mono.predict_batch([0.5])[0][0] - plain.predict_batch([0.5])[0][0]) < 0.05
 
@@ -178,7 +178,7 @@ class TestMonotonicFit:
             ys = standardize(np.sin(2.2 * xs + r.uniform(0, 1)))
             X, y = make_1d_data(xs, ys)
             locations = virtual_locations(1, r)
-            mono = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, 0.0)), locations)
+            mono = fit_rows(X, y, PARAMS_1D, np.array((0.0, 0.0)), locations)
             plain = gp_fit(X, y, PARAMS_1D)
             x_test = r.uniform(0, 1, size=(20, 1))
             delta = mono.predict_batch(x_test)[0] - plain.predict_batch(x_test)[0]
@@ -188,7 +188,7 @@ class TestMonotonicFit:
         xs = np.linspace(0, 1, 6)
         X, y = make_1d_data(xs, standardize(xs))
         locations = virtual_locations(1, np.random.default_rng(11))
-        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((0.0, -6.0)), locations)
+        model = fit_rows(X, y, PARAMS_1D, np.array((0.0, -6.0)), locations)
         frac_positive = np.mean(model.derivative_means >= 0)
         assert frac_positive >= 0.9
 
@@ -197,8 +197,8 @@ class TestMonotonicFit:
         X, y = make_1d_data(xs, standardize([0.0, 1.0, 0.5]))
         locations = virtual_locations(1, np.random.default_rng(5))
         sv = np.array((-2.0, -1.0))
-        a = fit_monotonic_gp(X, y, PARAMS_1D, sv, locations)
-        b = fit_monotonic_gp(X, y, PARAMS_1D, sv, locations)
+        a = fit_rows(X, y, PARAMS_1D, sv, locations)
+        b = fit_rows(X, y, PARAMS_1D, sv, locations)
         grid = np.linspace(0, 1, 17).reshape(-1, 1)
         np.testing.assert_array_equal(a.predict_batch(grid)[0], b.predict_batch(grid)[0])
         np.testing.assert_array_equal(a.predict_batch(grid)[1], b.predict_batch(grid)[1])
@@ -209,7 +209,7 @@ class TestMonotonicFit:
         xs = np.linspace(0, 1, 8)
         X, y = make_1d_data(xs, standardize(xs**2))
         locations = virtual_locations(1, np.random.default_rng(2))
-        model = fit_monotonic_gp(X, y, PARAMS_1D, np.array((-6.0, 0.0)), locations)
+        model = fit_rows(X, y, PARAMS_1D, np.array((-6.0, 0.0)), locations)
         assert isinstance(model, FittedMonotonicGP)
         assert model.sweeps <= 100
         means, variances = model.predict_batch(np.linspace(0, 1, 9).reshape(-1, 1))
@@ -221,21 +221,33 @@ class TestMonotonicFit:
         locations = virtual_locations(2, rng)
         for strictness in ([0.0, -3.0], [0.0, -3.0, -3.0], [0.0, -3.0, -3.0, 0.0, 0.0, 0.0]):
             with pytest.raises(ValueError, match="dimensions must agree"):
-                fit_monotonic_gp(X, y, PARAMS_2D, np.array(strictness), locations)
+                fit_rows(X, y, PARAMS_2D, np.array(strictness), locations)
 
     def test_location_columns_must_match_dimension(self, rng):
+        # Checked where the locations enter: the workspace.
+        for locations in (rng.uniform(0, 1, size=(10, 1)), rng.uniform(0, 1, size=(10, 3)), rng.uniform(0, 1, size=2)):
+            with pytest.raises(ValueError, match="dimensions must agree"):
+                MonotonicWorkspace(PARAMS_2D, locations)
+
+    def test_outputs_must_match_the_workspace_rows(self, rng):
         X = rng.uniform(0, 1, size=(6, 2))
         y = standardize(X[:, 0] - X[:, 1])
-        for locations in (rng.uniform(0, 1, size=(10, 1)), rng.uniform(0, 1, size=(10, 3))):
-            with pytest.raises(ValueError, match="dimensions must agree"):
-                fit_monotonic_gp(X, y, PARAMS_2D, np.array((0.0, -3.0, -3.0, 0.0)), locations)
+        strictness = np.array((0.0, -3.0, -3.0, 0.0))
+        workspace = MonotonicWorkspace(PARAMS_2D, virtual_locations(2, rng))
+        with pytest.raises(ValueError, match="for 0 observed rows"):
+            fit_monotonic_gp(workspace, y[:0], strictness)
+        workspace.extend(X)
+        for wrong in (y[:5], np.append(y, 0.0), y[:, None]):
+            with pytest.raises(ValueError, match="for 6 observed rows"):
+                fit_monotonic_gp(workspace, wrong, strictness)
+        assert fit_monotonic_gp(workspace, y, strictness).X.shape == (6, 2)
 
     def test_2d_fit_predict_shapes(self, rng):
         X = rng.uniform(0, 1, size=(6, 2))
         y = standardize(X[:, 0] - X[:, 1])
         locations = virtual_locations(2, rng)
         sv = np.array((0.0, -3.0, -3.0, 0.0))
-        model = fit_monotonic_gp(X, y, PARAMS_2D, sv, locations)
+        model = fit_rows(X, y, PARAMS_2D, sv, locations)
         means, variances = model.predict_batch(rng.uniform(0, 1, size=(7, 2)))
         assert means.shape == (7,) and variances.shape == (7,)
         assert np.all(variances >= 0) and np.all(variances <= PARAMS_2D.signal_variance)
@@ -283,10 +295,10 @@ class TestDirectLapack:
         locations = virtual_locations(d, r)
         strictness = r.choice(np.arange(-6.0, 1.0), size=2 * d)
         grid = r.uniform(0, 1, size=(50, d))
-        ours = fit_monotonic_gp(X, y, params, strictness, locations)
+        ours = fit_rows(X, y, params, strictness, locations)
         monkeypatch.setattr(monotonic, "_posterior", scipy_posterior)
         monkeypatch.setattr(monotonic, "se_kernel_matrix", se_kernel_matrix_einsum)
-        ref = fit_monotonic_gp(X, y, params, strictness, locations)
+        ref = fit_rows(X, y, params, strictness, locations)
         assert ours.sweeps == ref.sweeps and ours.converged == ref.converged
         assert np.array_equal(ours._latent_mean, ref._latent_mean)
         assert np.array_equal(ours._chol_B, ref._chol_B)
@@ -307,7 +319,7 @@ class TestParallelEP:
     )
     def test_matches_sequential_oracle(self, case):
         X, y, params, strictness, locations, grid = case()
-        ours = fit_monotonic_gp(X, y, params, strictness, locations)
+        ours = fit_rows(X, y, params, strictness, locations)
         oracle = sequential_ep_fit(X, y, params, strictness, locations)
         assert ours.converged
         ours_mean, ours_var = ours.predict_batch(grid)
@@ -336,7 +348,7 @@ class TestParallelEP:
             import json, time
             import numpy as np
             from hyperbo.gp import KernelParams, standardize
-            from hyperbo.monotonic import fit_monotonic_gp
+            from hyperbo.monotonic import MonotonicWorkspace, fit_monotonic_gp
 
             r = np.random.default_rng(8)
             X = r.uniform(0, 1, size=(50, 8))
@@ -345,7 +357,9 @@ class TestParallelEP:
             locations = r.uniform(0.0, 1.0, size=(40, 8))
             strictness = np.array((-6.0, 0.0, -3.0, -1.0) * 4)
             start = time.perf_counter()
-            model = fit_monotonic_gp(X, y, params, strictness, locations)
+            workspace = MonotonicWorkspace(params, locations)
+            workspace.extend(X)
+            model = fit_monotonic_gp(workspace, y, strictness)
             print(json.dumps({"elapsed": time.perf_counter() - start, "converged": model.converged}))
             """
         )
@@ -398,13 +412,14 @@ class TestWorkspace:
         fits = []
         for t in range(3, len(X) + 1):
             strictness = r.choice(np.arange(-6.0, 1.0), size=2 * d)
-            fits.append((fit_monotonic_gp(X[:t], y[:t], params, strictness, locations, workspace), strictness))
+            workspace.extend(X[workspace.n : t])
+            fits.append((fit_monotonic_gp(workspace, y[:t], strictness), strictness))
         assert workspace.n == len(X)
         # Every fit predicts from the grown workspace.  The unstacked reference
         # takes the joint prior computed whole and predicts through predict_batch.
         for ours, strictness in fits:
             t = ours.X.shape[0]
-            fresh = fit_monotonic_gp(X[:t], y[:t], params, strictness, locations)
+            fresh = fit_rows(X[:t], y[:t], params, strictness, locations)
             reference = unstacked_parallel_ep_fit(X[:t], y[:t], params, strictness, locations)
             for other in (fresh, reference):
                 assert (ours.sweeps, ours.converged) == (other.sweeps, other.converged)
@@ -415,21 +430,12 @@ class TestWorkspace:
             want_means, want_variances = reference.predict_batch(pool[candidates.active_indices])
             assert np.array_equal(means, want_means)
             assert np.array_equal(variances, want_variances)
-            other_pool = CandidateSet(pool.copy(), excluded=candidates.excluded)
-            assert all(map(np.array_equal, ours.predict_candidates(other_pool), (means, variances)))
 
-    def test_a_workspace_of_other_rows_or_params_is_refused(self):
+    def test_candidates_over_another_array_are_refused(self):
+        # Same shape and values, but not the workspace's pool array.
         params, X, locations, pool, _ = growing_case(2, 5)
-        y = standardize(X[:, 0])
-        strictness = np.array((0.0, -3.0, -3.0, 0.0))
-        workspace = MonotonicWorkspace(params, locations, pool)
-        fit_monotonic_gp(X[:6], y[:6], params, strictness, locations, workspace)
-        with pytest.raises(ValueError, match="not the first rows"):
-            fit_monotonic_gp(X[1:8], y[1:8], params, strictness, locations, workspace)
-        with pytest.raises(ValueError, match="not the first rows"):
-            fit_monotonic_gp(X[:4], y[:4], params, strictness, locations, workspace)
-        with pytest.raises(ValueError, match="other kernel params or locations"):
-            fit_monotonic_gp(X[:8], y[:8], KernelParams(1.0, (0.3, 0.3), 1e-6), strictness, locations, workspace)
-        with pytest.raises(ValueError, match="other kernel params or locations"):
-            fit_monotonic_gp(X[:8], y[:8], params, strictness, locations + 0.01, workspace)
-        assert workspace.n == 6
+        model = fit_rows(X, standardize(X[:, 0]), params, np.array((0.0, -3.0, -3.0, 0.0)), locations, pool)
+        assert model.predict_candidates(CandidateSet(pool))[0].shape == (len(pool),)
+        for points in (pool.copy(), pool[:]):
+            with pytest.raises(ValueError, match="workspace's pool"):
+                model.predict_candidates(CandidateSet(points))

@@ -7,6 +7,7 @@ import pytest
 
 from hyperbo.tasks import (
     GOLDSTEIN_PRICE_MAXIMUM,
+    ContinuousTask,
     DatasetError,
     DiscreteTask,
     UndefinedCorrelationError,
@@ -111,6 +112,21 @@ class TestGoldsteinPrice:
             best = max(best, float(-res.fun))
         assert GOLDSTEIN_PRICE_MAXIMUM == pytest.approx(best, rel=1e-12)
         assert make_goldstein_price_task().optimum == GOLDSTEIN_PRICE_MAXIMUM
+
+
+class TestContinuousTask:
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_initial_design_values_equal_point_by_point_values(self, dim):
+        # One call of fn on the design gives the bits that one call per point gives.
+        sines = ContinuousTask(
+            name="sines", dim=dim, optimum=float(dim), fn=lambda x: np.sin(5.0 * np.asarray(x) + 1.0).sum(axis=-1)
+        )
+        tasks = [sines] + ([make_goldstein_price_task()] if dim == 2 else [])
+        for task in tasks:
+            for seed in range(5):
+                indices, X, y = task.initial_design(np.random.default_rng(seed))
+                assert indices == [-1] * 3 * dim and X.shape == (3 * dim, dim)
+                assert np.array_equal(y, [task.fn(x) for x in X])
 
 
 class TestDiscreteTask:
