@@ -250,6 +250,7 @@ class _RunState:
     trial_scale: float
     posterior: PoolPosterior | None = None  # the plain-GP posterior over the pool, with its kernel
     monotonic: MonotonicWorkspace | None = None  # the monotonic fits' kernel blocks, from the first monotonic step
+    ep_start: tuple[np.ndarray, np.ndarray] | None = None  # the last monotonic fit's strictness and final sites
     ep_fits: int = 0
     ep_sweeps: int = 0
     ep_nonconverged: int = 0
@@ -263,7 +264,11 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: np.ndarray | N
     length-scale theta) is the run's pool posterior, rebuilt when theta
     changed its kernel.  A monotonic fit keeps the default kernel, so one
     workspace serves every monotonic step of the run, and the fit's EP health
-    is counted here.  Either cache is first extended by the rows observed
+    is counted here.  A monotonic step whose strictness is the previous
+    monotonic step's starts EP from that fit's sites: every step after the
+    first of a fixed-theta rerun, steps 2..K of a window, and a window whose
+    theta repeats the one before it.  Every other monotonic step starts from
+    zero sites.  Either cache is first extended by the rows observed
     since it last saw them.  UCB selection is invariant to the output
     standardization, so predictions are consumed in standardized units.
     """
@@ -283,7 +288,9 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: np.ndarray | N
     if not monotonic:
         cache.set_outputs(z)
         return cache
-    model = fit_monotonic_gp(cache, z, theta)
+    warm = state.ep_start is not None and np.array_equal(state.ep_start[0], theta)
+    model = fit_monotonic_gp(cache, z, theta, start=state.ep_start[1] if warm else None)
+    state.ep_start = (theta, model.sites)
     state.ep_fits += 1
     state.ep_sweeps += model.sweeps
     state.ep_nonconverged += not model.converged

@@ -231,17 +231,22 @@ def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray
             raise DatasetError(f"{path}: missing feature columns {missing}")
         if not features:
             raise DatasetError(f"{path}: no feature columns besides the target {target!r}")
-        col_idx = [header.index(f) for f in features]
-        tgt_idx = header.index(target)
+        columns = [*features, target]
+        col_idx = [header.index(c) for c in columns]
         X_rows, y_rows = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                X_rows.append([float(row[i]) for i in col_idx])
-                y_rows.append(float(row[tgt_idx]))
+                values = [float(row[i]) for i in col_idx]
             except (ValueError, IndexError) as exc:
                 raise DatasetError(f"{path}: line {line_no}: non-numeric or short row ({exc})") from None
+            # float() also reads nan and inf, which no kernel or regret takes.
+            for column, i, value in zip(columns, col_idx, values):
+                if not math.isfinite(value):
+                    raise DatasetError(f"{path}: line {line_no}: column {column!r} holds {row[i]!r}, not a finite number")
+            X_rows.append(values[:-1])
+            y_rows.append(values[-1])
     if not X_rows:
         raise DatasetError(f"{path}: no data rows")
     return list(features), np.asarray(X_rows), np.asarray(y_rows)

@@ -39,11 +39,11 @@ from hyperbo.monotonic import (
 )
 
 
-def fit_rows(X, y, params, strictness, locations, pool=None) -> FittedMonotonicGP:
+def fit_rows(X, y, params, strictness, locations, pool=None, start=None) -> FittedMonotonicGP:
     """fit_monotonic_gp from a new workspace over pool (or none) that holds the rows of X."""
     workspace = MonotonicWorkspace(params, locations, pool)
     workspace.extend(X)
-    return fit_monotonic_gp(workspace, y, strictness)
+    return fit_monotonic_gp(workspace, y, strictness, start)
 
 
 def joint_prior(X, Z, params):
@@ -215,6 +215,7 @@ def sequential_ep_fit(
         locations=locations,
         converged=converged,
         sweeps=sweeps,
+        sites=np.stack([sites.tau.reshape(-1, 2).T, sites.nu_nat.reshape(-1, 2).T]),
         _mean_weights=mean_weights,
         _chol_B=chol_B,
         _sqrt_S=sqrt_s,
@@ -289,6 +290,7 @@ def unstacked_parallel_ep_fit(X, y, params, strictness, locations) -> FittedMono
         locations=locations,
         converged=converged,
         sweeps=sweeps,
+        sites=np.stack([tau, nat]),
         _mean_weights=weights,
         _chol_B=chol_B,
         _sqrt_S=sqrt_s,

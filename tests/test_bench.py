@@ -202,6 +202,23 @@ class TestConfigValidation:
         assert cli_main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("csv_text", ["a,y\n1,2\nnan,4\n", "a,y\n1,2\n3,inf\n"], ids=["nan-feature", "inf-target"])
+    def test_non_finite_dataset_cell_is_a_config_error(self, tmp_path, capsys, csv_text):
+        # Unchecked, a nan feature failed every trial of a run that validate
+        # passed, and an inf target made a run whose regrets read inf.
+        data = tmp_path / "data.csv"
+        data.write_text(csv_text)
+        path = tmp_path / "cfg.json"
+        task = {"kind": "dataset", "path": str(data), "target": "y", "n_initial": 1}
+        raw = {"task": task, "mode": "monotonicity", "budget": 1, "strategies": ["standard_bo"], "output_dir": str(tmp_path / "run")}
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="line 3: column '[ay]' holds '(nan|inf)', not a finite number"):
+            load_config(str(path))
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("features", ["ab", ["a", 1]], ids=json.dumps)
     def test_features_must_be_a_list_of_column_names(self, tmp_path, capsys, features):
         # A string would otherwise be read as its characters: "ab" as the columns a and b.

@@ -1,6 +1,7 @@
 """Model grid, scoring windows, outer proposals, and full-run contracts."""
 
 import itertools
+import json
 import pickle
 from collections import Counter
 from pathlib import Path
@@ -33,7 +34,7 @@ from hyperbo.engine import (
 from hyperbo.acquisition import CandidateSet, ucb_select
 from hyperbo.bench import ExperimentConfig, run_experiment
 from hyperbo.gp import KernelParams, PoolPosterior, gp_fit, se_kernel_matrix, standardize
-from hyperbo.monotonic import FittedMonotonicGP, MonotonicWorkspace
+from hyperbo.monotonic import FittedMonotonicGP, MonotonicWorkspace, fit_monotonic_gp
 from hyperbo.tasks import ContinuousTask, DiscreteTask, make_goldstein_price_task, make_gp_sample_task
 
 from ep_oracle import fit_rows, joint_prior
@@ -606,6 +607,69 @@ class TestMonotonicWorkspaceInTheEngine:
         assert state.monotonic is None and state.posterior is not None
 
 
+class TestWarmStartInTheEngine:
+    """A monotonic step starts EP from the previous monotonic fit's sites when it keeps that fit's strictness."""
+
+    @staticmethod
+    def warm_steps(monkeypatch, run):
+        """Run under a spy on engine.fit_monotonic_gp; per fit after the first, whether it was warm-started.
+
+        Checks the contract at every fit: start is None at the run's first
+        fit and wherever the strictness changed, else the previous fit's sites.
+        """
+        import hyperbo.engine as engine
+
+        calls = []
+
+        def recording_fit(workspace, y, strictness, start=None):
+            model = fit_monotonic_gp(workspace, y, strictness, start)
+            calls.append((strictness.copy(), start, model))
+            return model
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "fit_monotonic_gp", recording_fit)
+            run()
+        assert calls and calls[0][1] is None
+        warm = []
+        for (previous, _, previous_model), (strictness, start, _) in zip(calls, calls[1:]):
+            if np.array_equal(strictness, previous):
+                assert start is previous_model.sites
+            else:
+                assert start is None
+            warm.append(start is not None)
+        return warm, [strictness for strictness, _, _ in calls]
+
+    def test_a_fixed_theta_rerun_warm_starts_after_its_first_step(self, monkeypatch):
+        task = make_goldstein_price_task(pool_size=120)
+        config = RunConfig(mode=MONOTONICITY, seed=3)
+        theta = np.array([-6.0, 0.0, 0.0, -6.0])
+        warm, _ = self.warm_steps(monkeypatch, lambda: rerun_with_best_theta(task, theta, 10, config))
+        assert warm == [True] * 9
+        # Another run at the same theta starts cold: nothing outlives a run.
+        warm, _ = self.warm_steps(monkeypatch, lambda: rerun_with_best_theta(task, theta, 3, config))
+        assert warm == [True] * 2
+
+    def test_a_k1_run_warm_starts_only_where_thompson_repeats_a_theta(self, monkeypatch):
+        # One dimension: 48 thetas, so the outer loop repeats some.
+        task = make_gp_sample_task(1, 0.2, n_points=80, seed=4)
+        config = RunConfig(mode=MONOTONICITY, m=3, K=1, R=20, seed=4)
+        warm, thetas = self.warm_steps(monkeypatch, lambda: run_framework(task, config))
+        assert len(thetas) == 20
+        assert warm == [np.array_equal(a, b) for a, b in zip(thetas, thetas[1:])]
+        assert any(warm) and not all(warm)
+
+    def test_steps_after_the_first_of_a_window_warm_start(self, monkeypatch):
+        task = make_goldstein_price_task(pool_size=120)
+        config = RunConfig(mode=MONOTONICITY, m=2, K=3, R=4, seed=8)
+        warm, thetas = self.warm_steps(monkeypatch, lambda: run_framework(task, config))
+        assert len(thetas) == 12
+        for step in range(1, 12):
+            if step % 3:
+                assert warm[step - 1]
+            else:
+                assert warm[step - 1] == np.array_equal(thetas[step], thetas[step - 1])
+
+
 def _selections(monkeypatch, run, refit):
     """The pool indices one run selects, through the pool posterior or, with refit, through gp_fit.
 
@@ -678,8 +742,9 @@ def test_pool_posterior_selects_as_refits_over_a_seed_panel(monkeypatch):
 def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tmp_path, monkeypatch):
     # Goldstein-Price trial seeds 7000-7009 and a d=3 GP draw.  The fresh
     # path fits every step from a new workspace and the joint prior computed
-    # whole, and predicts through predict_batch, as monotonic steps did before
-    # the workspace.
+    # whole, from zero sites, and predicts through predict_batch, as
+    # monotonic steps did before the workspace and the warm start.  Only the
+    # manifests' EP sweep counts may differ, and the warm start takes fewer.
     import hyperbo.engine as engine
 
     panels = {
@@ -692,11 +757,11 @@ def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tm
         ),
     }
 
-    def fresh_fit(workspace, y, strictness):
+    def fresh_fit(workspace, y, strictness, start=None):
         return BatchPredictions(fit_rows(workspace.X, y, workspace.params, strictness, workspace.locations))
 
     for name, panel in panels.items():
-        outputs = {}
+        outputs, sweeps = {}, {}
         for path in ("workspace", "fresh"):
             config = ExperimentConfig(
                 mode=MONOTONICITY,
@@ -713,5 +778,10 @@ def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tm
                 outcome = run_experiment(config)
             assert outcome.ok
             outputs[path] = {p.name: p.read_bytes() for p in sorted(Path(outcome.output_dir).iterdir())}
+            manifest = outputs[path]["manifest.json"] = json.loads(outputs[path]["manifest.json"])
+            runs = [run for trial in manifest["trials"] for run in trial["strategies"].values()]
+            sweeps[path] = sum(run.pop("ep_sweeps") for run in runs)
         assert outputs["workspace"] == outputs["fresh"]
+        assert sweeps["workspace"] < sweeps["fresh"]
+        print(f"WARM START {name}: {sweeps['fresh']} EP sweeps cold, {sweeps['workspace']} warm")
         assert sum(n.startswith("trace_") for n in outputs["workspace"]) == 3 * panel["trials"]

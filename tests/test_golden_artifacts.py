@@ -62,7 +62,7 @@ CONFIGS = {
 GOLDEN = {
     "dataset-mono": {
         "aggregate.csv": "cfde5c76a1e7e59eada22837327fb89be1cd740751a6e3f0cb8ac102f17b0bd7",
-        "manifest.json": "e6e34386e824fa87fd1ec4ad2bb9ba2c6273b3ff9b6cde9ebb3a0be85031f393",
+        "manifest.json": "f4b3ee9aa21a50e8eecbac062008a93eebbc9f1de4c240b92b340fe745d097e7",
         "report.csv": "f7900240dcd1015641f313fce8d9d5e87ab983d5a05e79f193196862558dce33",
         "trace_best_theta_rerun_trial000.csv": "46adefc9fd7ee27d53c87d45bd3d44331a0de58ddf7676c694fa31cdb05ff20d",
         "trace_best_theta_rerun_trial001.csv": "27a01ff90a6a6e2a554ef608ae57009dcac869943a44b17aa3cba256eeca6c8e",
@@ -75,7 +75,7 @@ GOLDEN = {
     },
     "goldstein-mono": {
         "aggregate.csv": "1de2b6f8e56406586b98c4e8498b6029bd530a0a80b6552798db509e57549b4c",
-        "manifest.json": "f724ac8573b1bfcce592b48be7e46a36deb2690f455f1a97c382b4b9131cb06e",
+        "manifest.json": "1bfbca9ef5e6b3123eb995890fa38206775dd90fed0d9692e1d658b07b845f0c",
         "report.csv": "43b32284107fdaedffe3701862ba443b7cd4543bc93f7ca6f054f82955c0bb81",
         "trace_best_theta_rerun_trial000.csv": "6ab3301ebd1e5a29d7bb1ff3153cd6513667d169923d0c05652ff4a22452dc75",
         "trace_best_theta_rerun_trial001.csv": "e5b06d7180624d4648b6a74f9a3e5ec1bd657b5c708f372c63b9aac4a6c50c61",

@@ -439,3 +439,93 @@ class TestWorkspace:
         for points in (pool.copy(), pool[:]):
             with pytest.raises(ValueError, match="workspace's pool"):
                 model.predict_candidates(CandidateSet(points))
+
+
+def latent_sds(model, K):
+    """The posterior standard deviations of a fit's latents, from its factor of B and the joint prior K."""
+    V = solve_triangular(model._chol_B, model._sqrt_S[:, None] * K, lower=True)
+    return np.sqrt(np.maximum(np.diag(K) - np.einsum("ij,ij->j", V, V), 0.0))
+
+
+class TestWarmStart:
+    """fit_monotonic_gp's start: the sites of an earlier fit on the same workspace."""
+
+    # Pre-registered in CHANGES.md from a calibration panel of other seeds,
+    # whose largest deviation was 7.03.
+    DEVIATION_BOUND = 25.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_cold_fit_keeps_the_zero_site_arithmetic(self, d):
+        params, X, locations, pool, r = growing_case(d, 50 + d)
+        y = standardize(np.sin(3.0 * X).sum(axis=1))
+        strictness = r.choice(np.arange(-6.0, 1.0), size=2 * d)
+        reference = unstacked_parallel_ep_fit(X, y, params, strictness, locations)
+        zeros = np.zeros_like(reference.sites)
+        for start in (None, zeros):
+            ours = fit_rows(X, y, params, strictness, locations, start=start)
+            assert (ours.sweeps, ours.converged) == (reference.sweeps, reference.converged)
+            for name in ("sites", "_mean_weights", "_chol_B", "_sqrt_S", "_latent_mean"):
+                assert np.array_equal(getattr(ours, name), getattr(reference, name)), name
+        assert not zeros.any()
+
+    @pytest.mark.parametrize("case", [lambda: criterion_3_case((0.0, -6.0)), goldstein_conflict_case], ids=["1d", "2d"])
+    def test_a_refit_from_its_own_sites_starts_at_its_posterior(self, monkeypatch, case):
+        X, y, params, strictness, locations, _ = case()
+        posteriors = []
+        monotonic_posterior = monotonic._posterior
+
+        def recording_posterior(*args):
+            posteriors.append(monotonic_posterior(*args))
+            return posteriors[-1]
+
+        monkeypatch.setattr(monotonic, "_posterior", recording_posterior)
+        workspace = MonotonicWorkspace(params, locations)
+        workspace.extend(X)
+        model = fit_monotonic_gp(workspace, y, strictness)
+        final, sites = posteriors[-1], model.sites.copy()
+        posteriors.clear()
+        refit = fit_monotonic_gp(workspace, y, strictness, start=model.sites)
+        for ours, want in zip(posteriors[0], final):
+            assert np.array_equal(ours, want)
+        assert np.array_equal(model.sites, sites) and refit.sites is not model.sites
+        assert refit.converged and refit.sweeps < model.sweeps
+
+    def test_start_must_have_the_workspace_sites_shape(self):
+        X, y, params, strictness, locations, _ = criterion_3_case((0.0, -6.0))
+        model = fit_rows(X, y, params, strictness, locations)
+        with pytest.raises(ValueError, match="start sites"):
+            fit_rows(X, y, params, strictness, locations, start=model.sites[:, :, 1:])
+
+    def test_warm_fits_over_growing_rows_land_near_cold_fits_in_fewer_sweeps(self):
+        # Growing fits at d=1..3 over all their rows, and at d=8 over rows 20..30,
+        # each at one grid strictness; outputs re-standardized at every row
+        # count, as in a run.  Each warm fit starts from the previous row
+        # count's warm fit.
+        panel = [(growing_case(d, 60 + d), 3, 4 * d + 6) for d in (1, 2, 3)] + [(growing_case(8, 68), 20, 30)]
+        cold_sweeps = warm_sweeps = 0
+        worst = 0.0
+        for (params, X, locations, _, r), first, rows in panel:
+            f = X @ np.linspace(1.0, -1.0, params.dim) + np.cos(4.0 * X[:, -1])
+            strictness = r.choice(np.arange(-6.0, 1.0), size=2 * params.dim)
+            workspace = MonotonicWorkspace(params, locations)
+            warm = None
+            for t in range(first, rows + 1):
+                workspace.extend(X[workspace.n : t])
+                y = standardize(f[:t])
+                cold = fit_monotonic_gp(workspace, y, strictness)
+                start = None if warm is None else warm.sites
+                warm = fit_monotonic_gp(workspace, y, strictness, start=start)
+                assert cold.converged and warm.converged
+                cold_sweeps += cold.sweeps
+                warm_sweeps += warm.sweeps
+                if start is None:
+                    continue
+                K = workspace.joint_prior()
+                prior_sd = np.sqrt(np.diag(K))
+                moved = np.maximum(
+                    np.abs(warm._latent_mean - cold._latent_mean), np.abs(latent_sds(warm, K) - latent_sds(cold, K))
+                )
+                worst = max(worst, (moved / prior_sd).max() / monotonic._TOL)
+        print(f"WARM START: largest deviation {worst:.2f} x _TOL x prior sd; sweeps {cold_sweeps} cold, {warm_sweeps} warm")
+        assert worst <= self.DEVIATION_BOUND
+        assert warm_sweeps < cold_sweeps

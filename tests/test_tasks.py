@@ -203,6 +203,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 3"):
             load_dataset(str(path), target="target")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("column", ["b", "target"])
+    def test_non_finite_cell(self, tmp_path, cell, column):
+        path = tmp_path / "bad.csv"
+        rows = [[0.0, 10.0, 1.0], [2.0, 30.0, 5.0], [4.0, 20.0, 3.0]]
+        rows[2][["a", "b", "target"].index(column)] = cell
+        write_csv(path, ["a", "b", "target"], rows)
+        with pytest.raises(DatasetError, match=f"line 4: column '{column}' holds '{cell}', not a finite number"):
+            load_dataset(str(path), target="target")
+
     def test_keep_first_max_only_filter(self, tmp_path):
         path = tmp_path / "dupmax.csv"
         write_csv(path, ["a", "target"], [[0.0, 9.0], [1.0, 9.0], [2.0, 5.0], [3.0, 9.0]])
