@@ -249,7 +249,7 @@ class _RunState:
     locations: np.ndarray | None  # virtual derivative locations of a monotonicity run
     trial_scale: float
     posterior: PoolPosterior | None = None  # the plain-GP posterior over the pool, with its kernel
-    monotonic: MonotonicWorkspace | None = None  # the monotonic fits' kernel blocks, from the first monotonic step
+    monotonic: MonotonicWorkspace | None = None  # the monotonic fits' prior blocks, from the first monotonic step
     ep_start: tuple[np.ndarray, np.ndarray] | None = None  # the last monotonic fit's strictness and final sites
     ep_fits: int = 0
     ep_sweeps: int = 0

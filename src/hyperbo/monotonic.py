@@ -1,20 +1,24 @@
 """GP regression with soft monotonicity constraints via virtual derivative observations.
 
-The latent vector stacks the function values at the observed inputs with the
-partial derivatives at a fixed set of virtual locations.  Each virtual
-derivative carries two probit factors, one per direction: Phi(+df / nu_plus)
-rewards positive slope, Phi(-df / nu_minus) rewards negative slope, and the
+The latents are the function values at the observed inputs and the partial
+derivatives at a fixed set of virtual locations.  Each virtual derivative
+carries two probit factors, one per direction: Phi(+df / nu_plus) rewards
+positive slope, Phi(-df / nu_minus) rewards negative slope, and the
 strictness nu = 10^theta interpolates between a near-hard sign constraint
-(theta = -6) and a weak preference (theta = 0).  The non-Gaussian posterior is
-approximated by damped parallel expectation propagation: every sweep updates
-all probit sites at once from the current posterior marginals and then
-refreshes the posterior with one Cholesky factorization.
+(theta = -6) and a weak preference (theta = 0).  The observations are fixed
+Gaussian sites, so a fit conditions the derivative latents on them once and
+approximates the rest of the posterior by damped parallel expectation
+propagation over the derivative latents alone: every sweep updates all
+probit sites at once from the current posterior marginals and then refreshes
+the posterior with one Cholesky factorization.
 
-A `MonotonicWorkspace` holds the observed rows and the prior kernel blocks of
-one trial's fits, and every fit is made from one: in a monotonicity run the
-locations, the candidate pool and the kernel are fixed and only the strictness
-changes, so each observed row adds one row to the blocks and nothing is
-recomputed.  A fit predicts over the workspace's pool array only.
+A `MonotonicWorkspace` holds one trial's observed rows, the kernel's plain GP
+posterior over the candidate pool and the derivative latents' kernel blocks,
+and every fit is made from one: in a monotonicity run the locations, the
+candidate pool and the kernel are fixed and only the strictness changes, so
+each observed row extends the pool posterior and adds one row of K_fd, and
+nothing is recomputed.  A fit predicts a candidate set over the workspace's
+pool array as the pool posterior's prediction plus the sites' correction.
 
 A fit may start from the probit sites of an earlier fit on the same workspace
 instead of from zero sites.  The engine passes them when a step keeps the
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr
 
-from hyperbo.gp import KernelParams, _cho_solve_lower, _cholesky_lower, _solve_lower, se_kernel_matrix
+from hyperbo.gp import KernelParams, PoolPosterior, _cho_solve_lower, _cholesky_lower, _solve_lower, se_kernel_matrix
 
 __all__ = [
     "FittedMonotonicGP",
@@ -41,7 +45,6 @@ __all__ = [
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _SITE_PRECISION_CAP = 1e8
-_MIN_OBS_NOISE = 1e-8
 # EP: damped site updates, at most _MAX_SWEEPS sweeps, converged at _TOL.
 _DAMPING = 0.8
 _MAX_SWEEPS = 100
@@ -95,16 +98,18 @@ def _probit_moments(cav_mean, cav_var, sign, nu2):
 
 
 class MonotonicWorkspace:
-    """The prior kernel blocks of a run of monotonic fits, grown as rows are observed.
+    """The prior blocks of a run of monotonic fits, grown as rows are observed.
 
     The fits share the kernel params, the virtual locations (rows of d
     coordinates) and the candidate pool: the array that the run's
-    CandidateSets hold, or none.  The derivative-derivative block K_dd and
-    the pool's cross-covariances with the derivative latents are computed
-    once; each observed row x adds its row of K_ff (and, by symmetry, its
-    column), its row of K_fd and k(x, pool), one kernel call for each batch
-    of rows.  The kernel is elementwise and symmetric bit for bit, so every
-    block holds the bits that computing it whole gives.
+    CandidateSets hold, or none.  `posterior` is the kernel's plain GP
+    posterior over the pool (a gp.PoolPosterior, built at the first `extend`
+    and extended by every later one); it holds the observed rows and the
+    factor L of their Gram matrix plus noise.  Beside it the workspace keeps
+    the observed rows' cross-covariances with the derivative latents K_fd,
+    one kernel call for each batch of rows, and the derivative-derivative
+    block K_dd and the pool's derivative cross-covariances K_pd, computed
+    once.
     """
 
     def __init__(self, params: KernelParams, locations, pool=None):
@@ -113,72 +118,45 @@ class MonotonicWorkspace:
         if self.locations.ndim != 2 or self.locations.shape[1] != params.dim:
             raise ValueError("kernel and location dimensions must agree")
         self.pool = np.empty((0, params.dim)) if pool is None else pool
-        self._K_dd = gradient_gram_matrix(self.locations, params)
-        self._pool_grad = np.ascontiguousarray(value_gradient_cross_matrix(self.pool, self.locations, params).T)
-        self.n = 0
-        self._X = np.empty((0, params.dim))
-        self._K_ff = np.empty((0, 0))
-        self._K_fd = np.empty((0, self._K_dd.shape[0]))
-        self._pool_obs = np.empty((0, self.pool.shape[0]))
+        self.posterior: PoolPosterior | None = None
+        self.K_dd = gradient_gram_matrix(self.locations, params)
+        # (m, N), C order: the layout in which a fit gathers the active columns.
+        self.K_pd = np.ascontiguousarray(value_gradient_cross_matrix(self.pool, self.locations, params).T)
+        self.K_fd = np.empty((0, len(self.K_dd)))
+
+    @property
+    def n(self) -> int:
+        """The number of observed rows."""
+        return len(self.K_fd)
 
     @property
     def X(self) -> np.ndarray:
         """The observed rows, in order."""
-        return self._X[: self.n]
+        return np.empty((0, self.params.dim)) if self.posterior is None else self.posterior.X
 
     def extend(self, rows) -> None:
         """Add observed rows, in order: one row x, or a (k, d) array of them."""
-        t = self.n
-        n = t + len(np.atleast_2d(rows))
-        if n > len(self._X):
-            self._grow(max(2 * n, 8))
-        self._X[t:n] = rows
-        new = self._X[t:n]
-        k = se_kernel_matrix(new, np.concatenate((self._X[:n], self.pool)), self.params)
-        self._K_ff[t:n, :n] = k[:, :n]
-        self._K_ff[:t, t:n] = k[:, :t].T
-        self._pool_obs[t:n] = k[:, n:]
-        self._K_fd[t:n] = value_gradient_cross_matrix(new, self.locations, self.params)
-        self.n = n
-
-    def _grow(self, rows: int) -> None:
-        """Move the blocks into arrays with room for this many observed rows."""
-        t = self.n
-
-        def grown(block):
-            out = np.empty((rows, block.shape[1]))
-            out[:t] = block[:t]
-            return out
-
-        K_ff = np.empty((rows, rows))
-        K_ff[:t, :t] = self._K_ff[:t, :t]
-        self._K_ff = K_ff
-        self._X, self._K_fd, self._pool_obs = grown(self._X), grown(self._K_fd), grown(self._pool_obs)
-
-    def joint_prior(self) -> np.ndarray:
-        """The prior covariance of the latents [f(X), derivatives at the locations]."""
-        t = self.n
-        K_fd = self._K_fd[:t]
-        K = np.empty((t + K_fd.shape[1],) * 2)
-        K[:t, :t] = self._K_ff[:t, :t]
-        K[:t, t:] = K_fd
-        K[t:, :t] = K_fd.T
-        K[t:, t:] = self._K_dd
-        return K
-
-    def pool_cross_covariances(self, t: int, columns: np.ndarray) -> np.ndarray:
-        """The cross-covariances of the latents of the first t rows with the pool rows in columns."""
-        # C order, the layout of predict_batch's stacked cross-covariances: in
-        # another layout the means' matrix-vector product rounds differently.
-        out = np.empty((t + len(self._pool_grad), len(columns)))
-        out[:t] = self._pool_obs[:t, columns]
-        out[t:] = self._pool_grad[:, columns]
-        return out
+        rows = np.array(rows, dtype=float, ndmin=2)
+        if self.posterior is None:
+            self.posterior = PoolPosterior(rows, self.pool, self.params)
+        else:
+            self.posterior.extend(rows)
+        self.K_fd = np.vstack((self.K_fd, value_gradient_cross_matrix(rows, self.locations, self.params)))
 
 
 @dataclass(frozen=True)
 class FittedMonotonicGP:
-    """Gaussian EP approximation to the monotonicity-constrained posterior."""
+    """Gaussian EP approximation to the monotonicity-constrained posterior.
+
+    It answers for the t rows observed at the fit, also after the workspace
+    has grown: the factor L, V = L^-1 K(X, pool) and V's squared column sums
+    are those of the pool posterior at the fit.  W = L^-1 K_fd; S and w are
+    the derivative sites' precisions and the EP weights.  At a point x the
+    observations give the pool posterior's mean and variance and the
+    derivative latents' cross-covariances c = k_d(x) - W^T v, v = L^-1 k(X, x);
+    the sites add c^T w to the mean and take |L_B^-1 S^1/2 c|^2 from the
+    variance (GPML Alg. 3.5 and 3.6 on the conditioned derivative prior).
+    """
 
     X: np.ndarray
     params: KernelParams
@@ -186,49 +164,57 @@ class FittedMonotonicGP:
     converged: bool
     sweeps: int
     sites: np.ndarray = field(repr=False)  # the final probit sites, a start for fit_monotonic_gp
-    _mean_weights: np.ndarray = field(repr=False)
+    derivative_means: np.ndarray = field(repr=False)  # posterior means of the derivative latents (location-major)
+    _chol: np.ndarray = field(repr=False)  # L
+    _alpha: np.ndarray = field(repr=False)  # L^-1 y
+    _W: np.ndarray = field(repr=False)
+    _pool_rows: np.ndarray = field(repr=False)  # V
+    _pool_col_sums: np.ndarray = field(repr=False)
+    _weights: np.ndarray = field(repr=False)
     _chol_B: np.ndarray = field(repr=False)
     _sqrt_S: np.ndarray = field(repr=False)
-    _latent_mean: np.ndarray = field(repr=False)
     _workspace: MonotonicWorkspace = field(repr=False)
 
-    @property
-    def derivative_means(self) -> np.ndarray:
-        """Posterior means of the virtual derivative latents (location-major)."""
-        return self._latent_mean[self.X.shape[0]:]
-
-    def _cross_covariances(self, X_star: np.ndarray) -> np.ndarray:
-        k_obs = se_kernel_matrix(self.X, X_star, self.params)  # (t, m)
-        k_grad = value_gradient_cross_matrix(X_star, self.locations, self.params).T
-        return np.vstack([k_obs, k_grad])  # (n_latent, m)
-
-    def _predict(self, k_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        means = k_star.T @ self._mean_weights
-        v = _solve_lower(self._chol_B, self._sqrt_S[:, None] * k_star)
-        # einsum, not (v * v).sum(0): the two round differently.
-        variances = self.params.signal_variance - np.einsum("ij,ij->j", v, v)
-        variances = np.clip(variances, 0.0, self.params.signal_variance)
+    def _predict(self, v: np.ndarray, explained: np.ndarray, K_dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Means and variances at points with V columns v, their column sums squared, and derivative columns K_dx."""
+        C = K_dx - self._W.T @ v
+        means = self._alpha @ v + self._weights @ C
+        u = _solve_lower(self._chol_B, self._sqrt_S[:, None] * C)
+        # einsum, not (u * u).sum(0): the two round differently.
+        sv = self.params.signal_variance
+        variances = np.clip(sv - explained - np.einsum("ij,ij->j", u, u), 0.0, sv)
         return means, variances
 
     def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        return self._predict(self._cross_covariances(np.atleast_2d(np.asarray(X, dtype=float))))
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        v = _solve_lower(self._chol, se_kernel_matrix(self.X, X, self.params))
+        K_dx = value_gradient_cross_matrix(X, self.locations, self.params).T
+        return self._predict(v, np.einsum("ij,ij->j", v, v), K_dx)
 
     def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
         """predict_batch at the active rows of a CandidateSet over the workspace's pool array.
 
-        The cross-covariances are the active columns of the workspace's blocks.
+        The kernel columns are the active columns of the pool posterior's V
+        and of the workspace's K_pd.
         """
         if candidates.points is not self._workspace.pool:
             raise ValueError("the candidates are not the workspace's pool")
-        return self._predict(self._workspace.pool_cross_covariances(self.X.shape[0], candidates.active_indices))
+        active = candidates.active_indices
+        return self._predict(self._pool_rows[:, active], self._pool_col_sums[active], self._workspace.K_pd[:, active])
 
 
-def _posterior(K, prior_var, tau_lat, nat_lat):
-    """Gaussian posterior of the latents under site precisions and natural means.
+def _posterior(K, prior_var, prior_mean, tau_lat, nat_lat):
+    """Gaussian posterior of latents with prior N(prior_mean, K) under site precisions and natural means.
 
     prior_var is the diagonal of K.  Returns the marginal means and variances,
-    the Cholesky factor of B = I + S^1/2 K S^1/2, S^1/2 and the weights w with
-    mean = K w (GPML Alg. 3.5); the full posterior covariance is never formed.
+    the Cholesky factor of B = I + S^1/2 K S^1/2, S^1/2 and the weights
+    w = (K + S^-1)^-1 (S^-1 nat - prior_mean), with mean = prior_mean + K w
+    (GPML Alg. 3.5); the full posterior covariance is never formed.  w is
+    formed as S^1/2 B^-1 S^1/2 (S^-1 nat - prior_mean), not as GPML's
+    nat' - S^1/2 B^-1 S^1/2 K nat' with nat' = nat - S prior_mean: at site
+    precisions near the 1e8 cap that difference cancels terms thousands of
+    times larger than w.  A latent without a site (precision 0, natural
+    mean 0) takes a residual of 0.
     """
     sqrt_s = np.sqrt(tau_lat)
     SK = sqrt_s[:, None] * K
@@ -238,8 +224,9 @@ def _posterior(K, prior_var, tau_lat, nat_lat):
     V = _solve_lower(chol_B, SK)
     # einsum, not (V * V).sum(0): the two round differently.
     variances = np.maximum(prior_var - np.einsum("ij,ij->j", V, V), 0.0)
-    weights = nat_lat - sqrt_s * _cho_solve_lower(chol_B, sqrt_s * (K @ nat_lat))
-    return K @ weights, variances, chol_B, sqrt_s, weights
+    residual = np.divide(nat_lat, sqrt_s, out=np.zeros_like(nat_lat), where=sqrt_s > 0.0) - sqrt_s * prior_mean
+    weights = sqrt_s * _cho_solve_lower(chol_B, residual)
+    return prior_mean + K @ weights, variances, chol_B, sqrt_s, weights
 
 
 def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -> FittedMonotonicGP:
@@ -249,13 +236,20 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     derivative locations and their prior kernel blocks; y holds one output per
     observed row.  strictness holds the 2d exponents [theta_1_minus,
     theta_1_plus, ...]; the probit scale of each direction is nu = 10^theta.
-    Each sweep takes every site's cavity from the current marginals, matches
-    moments for all sites at once, applies the damped site updates and
-    refreshes the posterior with one Cholesky.  The fit has converged when, in
-    one sweep, no latent's posterior mean or standard deviation moves by more
-    than _TOL times its prior standard deviation.  Non-convergence within
-    _MAX_SWEEPS is not fatal: the last damped iterate is returned with
-    converged=False.
+
+    The observation sites are fixed Gaussians (the kernel's noise), so the
+    derivative latents are conditioned on the outputs once: with L the pool
+    posterior's factor and W = L^-1 K_fd, their prior given y is N(mu_c, K_c),
+    K_c = K_dd - W^T W and mu_c = W^T L^-1 y.  EP runs on K_c alone, with the
+    site natural means shifted by -tau * mu_c (the sites act on the latents'
+    offsets from mu_c).  Each sweep takes every site's cavity from the current
+    marginals, matches moments for all sites at once, applies the damped site
+    updates and refreshes the posterior with one Cholesky.  The fit has
+    converged when, in one sweep, no derivative latent's posterior mean or
+    standard deviation moves by more than _TOL times its prior standard
+    deviation (sqrt of K_dd's diagonal); the derivative latents are the only
+    ones whose sites move.  Non-convergence within _MAX_SWEEPS is not fatal:
+    the last damped iterate is returned with converged=False.
 
     start None begins from zero sites.  Otherwise it is the `sites` array of
     an earlier fit on this workspace (the derivative latents do not change as
@@ -272,16 +266,15 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     if strictness.shape != (2 * params.dim,):
         raise ValueError("kernel and strictness dimensions must agree")
 
-    K = workspace.joint_prior()
+    posterior = workspace.posterior
+    W = _solve_lower(posterior.chol, workspace.K_fd)
+    alpha = _solve_lower(posterior.chol, y)
+    K = workspace.K_dd - W.T @ W
+    mean_c = alpha @ W
     prior_var = np.diag(K)
-    prior_sd = np.sqrt(prior_var)
+    prior_sd = np.sqrt(np.diag(workspace.K_dd))
 
-    obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)
-    lat = np.zeros((2, K.shape[0]))  # per latent: total site precision, total natural mean
-    lat[0, :t] = 1.0 / obs_noise
-    lat[1, :t] = y / obs_noise
-
-    # One (+, -) pair of probit sites per derivative latent t + j*d + g: row 0
+    # One (+, -) pair of probit sites per derivative latent j*d + g: row 0
     # rewards a positive slope in dimension g, row 1 a negative one.  sites[0]
     # holds the pairs' precisions and sites[1] their natural means (precision *
     # mean), so each step of the update below runs once on both.
@@ -295,25 +288,28 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     # parameters [1 / v, m / v] of means m and variances v.
     marginal_num = np.ones((2, nu2.shape[1]))
     matched_num = np.ones(sites.shape)
+    lat = np.empty(marginal_num.shape)  # per latent: total site precision, total natural mean
 
-    np.add(sites[:, 0], sites[:, 1], out=lat[:, t:])
-    mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, lat[0], lat[1])
-    sd = np.sqrt(var)
+    def refresh():
+        np.add(sites[:, 0], sites[:, 1], out=lat)
+        mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, mean_c, lat[0], lat[1])
+        return mean, var, np.sqrt(var), chol_B, sqrt_s, weights
+
+    mean, var, sd, chol_B, sqrt_s, weights = refresh()
     converged = False
     sweeps = 0
     for sweep in range(1, _MAX_SWEEPS + 1):
         sweeps = sweep
-        var_d = var[t:]
-        marginal_num[1] = mean[t:]
+        marginal_num[1] = mean
         with np.errstate(all="ignore"):  # invalid entries are masked out below
-            cavity = (marginal_num / var_d)[:, None, :] - sites
+            cavity = (marginal_num / var)[:, None, :] - sites
             cav_var = 1.0 / cavity[0]
             cav_mean = cavity[1] * cav_var
             new_mean, new_var = _probit_moments(cav_mean, cav_var, sign, nu2)
             matched_num[1] = new_mean
             target = matched_num / new_var - cavity
             valid = (
-                (var_d > 0)
+                (var > 0)
                 & (cavity[0] > 1e-12)
                 & np.isfinite(cav_mean)
                 & np.isfinite(new_mean)
@@ -326,25 +322,28 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
             shrink = np.where(target[0] > 0.0, np.minimum(1.0, _SITE_PRECISION_CAP / target[0]), 0.0)
         np.copyto(sites, (1.0 - _DAMPING) * sites + (_DAMPING * shrink) * target, where=valid)
 
-        np.add(sites[:, 0], sites[:, 1], out=lat[:, t:])
         old_mean, old_sd = mean, sd
-        mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, lat[0], lat[1])
-        sd = np.sqrt(var)
+        mean, var, sd, chol_B, sqrt_s, weights = refresh()
         moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
         if (moved / prior_sd).max() <= _TOL:
             converged = True
             break
 
     return FittedMonotonicGP(
-        X=workspace.X,
+        X=posterior.X,
         params=params,
         locations=locations,
         converged=converged,
         sweeps=sweeps,
         sites=sites,
-        _mean_weights=weights,
+        derivative_means=mean,
+        _chol=posterior.chol,
+        _alpha=alpha,
+        _W=W,
+        _pool_rows=posterior._rows[:t],
+        _pool_col_sums=posterior._col_sums.copy(),
+        _weights=weights,
         _chol_B=chol_B,
         _sqrt_S=sqrt_s,
-        _latent_mean=mean,
         _workspace=workspace,
     )

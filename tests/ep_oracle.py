@@ -1,37 +1,38 @@
 """Reference fits for the monotonic GP.
 
+`joint_ep_fit` is the damped parallel EP fit over the joint latents
+[f(X), derivatives at the locations] with the joint prior computed whole
+(`joint_prior`), the observations entering as fixed Gaussian sites: the fit's
+arithmetic before it conditioned the derivative latents on the observations
+once per fit.  It returns a `JointFit`, which predicts from the joint
+posterior; `joint_posterior` is that posterior at given sites, with no sweep.
+The fit is tested against both at pre-registered tolerances.
+
 `sequential_ep_fit` is the per-site damped EP loop that hyperbo.monotonic used
 before it moved to parallel EP: one probit site at a time, a rank-1 update of
 the full posterior covariance after each site, a refresh from scratch after
 each sweep, and convergence judged on the site parameters.  Tests compare the
 parallel fit against it.
 
-`unstacked_parallel_ep_fit` is the parallel fit with the site precisions and
-natural means in two arrays, each updated on its own, from the joint prior
-computed whole (`joint_prior`): the fit's arithmetic before it stacked the
-two and kept its kernel blocks in a workspace.  The fit must match it bit for bit.
-
 `fit_rows` is the fit's call form on plain arrays: a fresh workspace holding
 the rows of X.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import log_ndtr
 
-from hyperbo.gp import as_observations, se_kernel_matrix
+from hyperbo.gp import KernelParams, _cho_solve_lower, _cholesky_lower, _solve_lower, as_observations, se_kernel_matrix
 from hyperbo.monotonic import (
     _DAMPING,
     _LOG_SQRT_2PI,
     _MAX_SWEEPS,
-    _MIN_OBS_NOISE,
     _SITE_PRECISION_CAP,
     _TOL,
     FittedMonotonicGP,
     MonotonicWorkspace,
-    _posterior,
     _probit_moments as _parallel_probit_moments,
     fit_monotonic_gp,
     gradient_gram_matrix,
@@ -52,6 +53,142 @@ def joint_prior(X, Z, params):
     K_fd = value_gradient_cross_matrix(X, Z, params)
     K_dd = gradient_gram_matrix(Z, params)
     return np.block([[K_ff, K_fd], [K_fd.T, K_dd]])
+
+
+def _posterior(K, prior_var, tau_lat, nat_lat):
+    """Gaussian posterior of zero-mean latents under site precisions and natural means.
+
+    prior_var is the diagonal of K.  Returns the marginal means and variances,
+    the Cholesky factor of B = I + S^1/2 K S^1/2, S^1/2 and the weights w with
+    mean = K w (GPML Alg. 3.5); the full posterior covariance is never formed.
+    """
+    sqrt_s = np.sqrt(tau_lat)
+    SK = sqrt_s[:, None] * K
+    B = SK * sqrt_s[None, :]
+    B.flat[:: K.shape[0] + 1] += 1.0
+    chol_B = _cholesky_lower(B)
+    V = _solve_lower(chol_B, SK)
+    # einsum, not (V * V).sum(0): the two round differently.
+    variances = np.maximum(prior_var - np.einsum("ij,ij->j", V, V), 0.0)
+    weights = nat_lat - sqrt_s * _cho_solve_lower(chol_B, sqrt_s * (K @ nat_lat))
+    return K @ weights, variances, chol_B, sqrt_s, weights
+
+
+@dataclass(frozen=True)
+class JointFit:
+    """A Gaussian EP approximation over the joint latents [f(X), derivatives], predicting from the joint posterior."""
+
+    X: np.ndarray
+    params: KernelParams
+    locations: np.ndarray
+    converged: bool
+    sweeps: int
+    sites: np.ndarray = field(repr=False)
+    mean_weights: np.ndarray = field(repr=False)
+    chol_B: np.ndarray = field(repr=False)
+    sqrt_S: np.ndarray = field(repr=False)
+    latent_mean: np.ndarray = field(repr=False)
+
+    @property
+    def derivative_means(self) -> np.ndarray:
+        return self.latent_mean[self.X.shape[0]:]
+
+    def cross_covariances(self, X_star: np.ndarray) -> np.ndarray:
+        k_obs = se_kernel_matrix(self.X, X_star, self.params)  # (t, m)
+        k_grad = value_gradient_cross_matrix(X_star, self.locations, self.params).T
+        return np.vstack([k_obs, k_grad])  # (n_latent, m)
+
+    def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
+        k_star = self.cross_covariances(np.atleast_2d(np.asarray(X, dtype=float)))
+        means = k_star.T @ self.mean_weights
+        v = _solve_lower(self.chol_B, self.sqrt_S[:, None] * k_star)
+        variances = self.params.signal_variance - np.einsum("ij,ij->j", v, v)
+        variances = np.clip(variances, 0.0, self.params.signal_variance)
+        return means, variances
+
+
+def joint_posterior(X, y, params, locations, sites) -> JointFit:
+    """The joint posterior under given probit sites, with no EP sweep."""
+    X, y = as_observations(X, y, params.dim)
+    t = X.shape[0]
+    K = joint_prior(X, locations, params)
+    lat = np.zeros((2, K.shape[0]))
+    lat[0, :t] = 1.0 / params.noise_variance
+    lat[1, :t] = y / params.noise_variance
+    lat[:, t:] = sites[:, 0] + sites[:, 1]
+    mean, _, chol_B, sqrt_s, weights = _posterior(K, np.diag(K), lat[0], lat[1])
+    return JointFit(X, params, locations, True, 0, sites, weights, chol_B, sqrt_s, mean)
+
+
+def joint_ep_fit(X, y, params, strictness, locations, start=None) -> JointFit:
+    """Damped parallel EP over the joint latents, from zero sites or a copy of start."""
+    X, y = as_observations(X, y, params.dim)
+    strictness = np.asarray(strictness, dtype=float)
+    locations = np.asarray(locations, dtype=float)
+    t = X.shape[0]
+    K = joint_prior(X, locations, params)
+    prior_var = np.diag(K)
+    prior_sd = np.sqrt(prior_var)
+
+    lat = np.zeros((2, K.shape[0]))  # per latent: total site precision, total natural mean
+    lat[0, :t] = 1.0 / params.noise_variance
+    lat[1, :t] = y / params.noise_variance
+
+    sign = np.array([[1.0], [-1.0]])
+    nu_pair = 10.0 ** strictness.reshape(-1, 2)[:, ::-1].T  # (2, d): nu_plus, nu_minus
+    nu2 = np.tile(nu_pair * nu_pair, (1, locations.shape[0]))
+    sites = np.zeros((2,) + nu2.shape) if start is None else np.array(start, dtype=float)
+    marginal_num = np.ones((2, nu2.shape[1]))
+    matched_num = np.ones(sites.shape)
+
+    np.add(sites[:, 0], sites[:, 1], out=lat[:, t:])
+    mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, lat[0], lat[1])
+    sd = np.sqrt(var)
+    converged = False
+    sweeps = 0
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        sweeps = sweep
+        var_d = var[t:]
+        marginal_num[1] = mean[t:]
+        with np.errstate(all="ignore"):
+            cavity = (marginal_num / var_d)[:, None, :] - sites
+            cav_var = 1.0 / cavity[0]
+            cav_mean = cavity[1] * cav_var
+            new_mean, new_var = _parallel_probit_moments(cav_mean, cav_var, sign, nu2)
+            matched_num[1] = new_mean
+            target = matched_num / new_var - cavity
+            valid = (
+                (var_d > 0)
+                & (cavity[0] > 1e-12)
+                & np.isfinite(cav_mean)
+                & np.isfinite(new_mean)
+                & (new_var > 0)
+                & np.isfinite(target).all(axis=0)
+            )
+            shrink = np.where(target[0] > 0.0, np.minimum(1.0, _SITE_PRECISION_CAP / target[0]), 0.0)
+        np.copyto(sites, (1.0 - _DAMPING) * sites + (_DAMPING * shrink) * target, where=valid)
+
+        np.add(sites[:, 0], sites[:, 1], out=lat[:, t:])
+        old_mean, old_sd = mean, sd
+        mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, lat[0], lat[1])
+        sd = np.sqrt(var)
+        moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
+        if (moved / prior_sd).max() <= _TOL:
+            converged = True
+            break
+
+    return JointFit(
+        X=X,
+        params=params,
+        locations=locations,
+        converged=converged,
+        sweeps=sweeps,
+        sites=sites,
+        mean_weights=weights,
+        chol_B=chol_B,
+        sqrt_S=sqrt_s,
+        latent_mean=mean,
+    )
 
 
 def _probit_moments(cav_mean, cav_var, sign, nu):
@@ -116,7 +253,7 @@ def sequential_ep_fit(
     damping: float = 0.8,
     max_sweeps: int = 100,
     tol: float = 1e-4,
-) -> FittedMonotonicGP:
+) -> "JointFit":
     """Run damped sequential EP over the probit derivative sites and freeze the posterior.
 
     Non-convergence within max_sweeps is not fatal: the last damped iterate is
@@ -132,7 +269,7 @@ def sequential_ep_fit(
     n_latent = t + locations.size
     K = joint_prior(X, locations, params)
 
-    obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)
+    obs_noise = params.noise_variance
     tau_fixed = np.zeros(n_latent)
     nu_fixed = np.zeros(n_latent)
     tau_fixed[:t] = 1.0 / obs_noise
@@ -209,91 +346,15 @@ def sequential_ep_fit(
     z = sqrt_s * solve_triangular(chol_B.T, solve_triangular(chol_B, sqrt_s * (K @ nu_lat), lower=True), lower=False)
     mean_weights = nu_lat - z
 
-    return FittedMonotonicGP(
+    return JointFit(
         X=X,
         params=params,
         locations=locations,
         converged=converged,
         sweeps=sweeps,
         sites=np.stack([sites.tau.reshape(-1, 2).T, sites.nu_nat.reshape(-1, 2).T]),
-        _mean_weights=mean_weights,
-        _chol_B=chol_B,
-        _sqrt_S=sqrt_s,
-        _latent_mean=mu,
-        _workspace=MonotonicWorkspace(params, locations),
-    )
-
-
-def unstacked_parallel_ep_fit(X, y, params, strictness, locations) -> FittedMonotonicGP:
-    """Damped parallel EP with separate precision and natural-mean site arrays."""
-    X, y = as_observations(X, y, params.dim)
-    strictness = np.asarray(strictness, dtype=float)
-    locations = np.asarray(locations, dtype=float)
-    t = X.shape[0]
-    K = joint_prior(X, locations, params)
-    prior_var = np.diag(K)
-    prior_sd = np.sqrt(prior_var)
-
-    obs_noise = max(params.noise_variance, _MIN_OBS_NOISE)
-    tau_lat = np.zeros(K.shape[0])
-    nat_lat = np.zeros(K.shape[0])
-    tau_lat[:t] = 1.0 / obs_noise
-    nat_lat[:t] = y / obs_noise
-
-    sign = np.array([[1.0], [-1.0]])
-    nu_pair = 10.0 ** strictness.reshape(-1, 2)[:, ::-1].T
-    nu2 = np.tile(nu_pair * nu_pair, (1, locations.shape[0]))
-    tau = np.zeros(nu2.shape)
-    nat = np.zeros(nu2.shape)
-
-    mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, tau_lat, nat_lat)
-    sd = np.sqrt(var)
-    converged = False
-    sweeps = 0
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        sweeps = sweep
-        mean_d, var_d = mean[t:], var[t:]
-        with np.errstate(all="ignore"):
-            tau_cav = 1.0 / var_d - tau
-            nat_cav = mean_d / var_d - nat
-            cav_var = 1.0 / tau_cav
-            cav_mean = nat_cav * cav_var
-            new_mean, new_var = _parallel_probit_moments(cav_mean, cav_var, sign, nu2)
-            tau_target = 1.0 / new_var - tau_cav
-            nat_target = new_mean / new_var - nat_cav
-            valid = (
-                (var_d > 0)
-                & (tau_cav > 1e-12)
-                & np.isfinite(cav_mean)
-                & np.isfinite(new_mean)
-                & (new_var > 0)
-                & np.isfinite(tau_target)
-                & np.isfinite(nat_target)
-            )
-            shrink = np.where(tau_target > 0.0, np.minimum(1.0, _SITE_PRECISION_CAP / tau_target), 0.0)
-        tau = np.where(valid, (1.0 - _DAMPING) * tau + _DAMPING * shrink * tau_target, tau)
-        nat = np.where(valid, (1.0 - _DAMPING) * nat + _DAMPING * shrink * nat_target, nat)
-
-        tau_lat[t:] = tau.sum(axis=0)
-        nat_lat[t:] = nat.sum(axis=0)
-        old_mean, old_sd = mean, sd
-        mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, tau_lat, nat_lat)
-        sd = np.sqrt(var)
-        moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
-        if np.max(moved / prior_sd) <= _TOL:
-            converged = True
-            break
-
-    return FittedMonotonicGP(
-        X=X,
-        params=params,
-        locations=locations,
-        converged=converged,
-        sweeps=sweeps,
-        sites=np.stack([tau, nat]),
-        _mean_weights=weights,
-        _chol_B=chol_B,
-        _sqrt_S=sqrt_s,
-        _latent_mean=mean,
-        _workspace=MonotonicWorkspace(params, locations),
+        mean_weights=mean_weights,
+        chol_B=chol_B,
+        sqrt_S=sqrt_s,
+        latent_mean=mu,
     )

@@ -34,10 +34,10 @@ from hyperbo.engine import (
 from hyperbo.acquisition import CandidateSet, ucb_select
 from hyperbo.bench import ExperimentConfig, run_experiment
 from hyperbo.gp import KernelParams, PoolPosterior, gp_fit, se_kernel_matrix, standardize
-from hyperbo.monotonic import FittedMonotonicGP, MonotonicWorkspace, fit_monotonic_gp
+from hyperbo.monotonic import FittedMonotonicGP, fit_monotonic_gp
 from hyperbo.tasks import ContinuousTask, DiscreteTask, make_goldstein_price_task, make_gp_sample_task
 
-from ep_oracle import fit_rows, joint_prior
+from ep_oracle import joint_ep_fit
 
 
 def grid_indices(space):
@@ -740,11 +740,14 @@ def test_pool_posterior_selects_as_refits_over_a_seed_panel(monkeypatch):
 
 @pytest.mark.slow
 def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tmp_path, monkeypatch):
-    # Goldstein-Price trial seeds 7000-7009 and a d=3 GP draw.  The fresh
-    # path fits every step from a new workspace and the joint prior computed
-    # whole, from zero sites, and predicts through predict_batch, as
-    # monotonic steps did before the workspace and the warm start.  Only the
-    # manifests' EP sweep counts may differ, and the warm start takes fewer.
+    # Goldstein-Price trial seeds 7000-7009, a d=3 GP draw and a d=4 one,
+    # whose theta grid is above ENUMERATION_LIMIT, so its outer proposals
+    # take the subsampled path.  The fresh path fits every step with the
+    # joint EP oracle (the joint prior computed whole, the observations as
+    # fixed sites), from zero sites, and predicts through predict_batch, as
+    # monotonic steps did before the workspace, the warm start and the
+    # conditioning on the observations.  Only the manifests' EP sweep counts
+    # may differ, and the warm start takes fewer.
     import hyperbo.engine as engine
 
     panels = {
@@ -755,10 +758,16 @@ def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tm
             budget=20,
             seed=500,
         ),
+        "gp-d4": dict(
+            task={"kind": "gp_sample", "dim": 4, "length_scale": 0.3, "n_points": 300, "seed": 4},
+            trials=2,
+            budget=15,
+            seed=600,
+        ),
     }
 
     def fresh_fit(workspace, y, strictness, start=None):
-        return BatchPredictions(fit_rows(workspace.X, y, workspace.params, strictness, workspace.locations))
+        return BatchPredictions(joint_ep_fit(workspace.X, y, workspace.params, strictness, workspace.locations))
 
     for name, panel in panels.items():
         outputs, sweeps = {}, {}
@@ -774,7 +783,6 @@ def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tm
             with monkeypatch.context() as patch:
                 if path == "fresh":
                     patch.setattr(engine, "fit_monotonic_gp", fresh_fit)
-                    patch.setattr(MonotonicWorkspace, "joint_prior", lambda ws: joint_prior(ws.X, ws.locations, ws.params))
                 outcome = run_experiment(config)
             assert outcome.ok
             outputs[path] = {p.name: p.read_bytes() for p in sorted(Path(outcome.output_dir).iterdir())}
