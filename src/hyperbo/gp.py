@@ -304,6 +304,10 @@ class PoolPosterior:
             self.X = np.vstack((self.X, x))
             self._alpha = None
 
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L, V and V's squared column sums as they are now, unchanged by later `extend` calls."""
+        return self.chol, self._rows[: self.n], self._col_sums.copy()
+
     def set_outputs(self, z) -> None:
         """The outputs at the observed rows, in order, that the means answer for."""
         z = np.asarray(z, dtype=float).reshape(-1)

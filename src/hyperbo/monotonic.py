@@ -238,18 +238,23 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     theta_1_plus, ...]; the probit scale of each direction is nu = 10^theta.
 
     The observation sites are fixed Gaussians (the kernel's noise), so the
-    derivative latents are conditioned on the outputs once: with L the pool
-    posterior's factor and W = L^-1 K_fd, their prior given y is N(mu_c, K_c),
-    K_c = K_dd - W^T W and mu_c = W^T L^-1 y.  EP runs on K_c alone, with the
-    site natural means shifted by -tau * mu_c (the sites act on the latents'
-    offsets from mu_c).  Each sweep takes every site's cavity from the current
-    marginals, matches moments for all sites at once, applies the damped site
-    updates and refreshes the posterior with one Cholesky.  The fit has
-    converged when, in one sweep, no derivative latent's posterior mean or
-    standard deviation moves by more than _TOL times its prior standard
-    deviation (sqrt of K_dd's diagonal); the derivative latents are the only
-    ones whose sites move.  Non-convergence within _MAX_SWEEPS is not fatal:
-    the last damped iterate is returned with converged=False.
+    latents are conditioned on the outputs once: with L the pool posterior's
+    factor and W = L^-1 K_fd, the derivative latents' prior given y is
+    N(mu_c, K_c), K_c = K_dd - W^T W and mu_c = W^T L^-1 y, and their
+    covariances with f(X) given y are C_X = K_fd^T - W^T L^-1 K(X, X).  EP
+    runs on K_c alone, with the site natural means shifted by -tau * mu_c
+    (the sites act on the latents' offsets from mu_c).  Each sweep takes
+    every site's cavity from the current marginals, matches moments for all
+    sites at once, applies the damped site updates and refreshes the
+    posterior with one Cholesky.  The fit has converged when, in one sweep,
+    no latent's posterior mean or standard deviation moves by more than _TOL
+    times its prior standard deviation.  That covers f(X) as well as the
+    derivative latents: only the derivative sites move, but at d = 1 f(X)
+    can still move by more than that in a sweep in which no derivative
+    latent does.  The marginals of f(X) follow from C_X, and are computed
+    only for sweeps that the derivative latents pass.  Non-convergence
+    within _MAX_SWEEPS is not fatal: the last damped iterate is returned
+    with converged=False.
 
     start None begins from zero sites.  Otherwise it is the `sites` array of
     an earlier fit on this workspace (the derivative latents do not change as
@@ -267,12 +272,23 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
         raise ValueError("kernel and strictness dimensions must agree")
 
     posterior = workspace.posterior
-    W = _solve_lower(posterior.chol, workspace.K_fd)
-    alpha = _solve_lower(posterior.chol, y)
+    chol, pool_rows, pool_col_sums = posterior.snapshot()
+    W = _solve_lower(chol, workspace.K_fd)
+    alpha = _solve_lower(chol, y)
     K = workspace.K_dd - W.T @ W
     mean_c = alpha @ W
     prior_var = np.diag(K)
     prior_sd = np.sqrt(np.diag(workspace.K_dd))
+    # f(X) given y, and its covariances with the derivative latents.
+    V_X = _solve_lower(chol, se_kernel_matrix(posterior.X, posterior.X, params))
+    C_X = workspace.K_fd.T - W.T @ V_X
+    sv = params.signal_variance
+    obs_mean, obs_var = alpha @ V_X, sv - np.einsum("ij,ij->j", V_X, V_X)
+
+    def observed_marginals(chol_B, sqrt_s, weights):
+        """The posterior means and standard deviations of f(X) (GPML Alg. 3.6 at the observed rows)."""
+        u = _solve_lower(chol_B, sqrt_s[:, None] * C_X)
+        return obs_mean + weights @ C_X, np.sqrt(np.maximum(obs_var - np.einsum("ij,ij->j", u, u), 0.0))
 
     # One (+, -) pair of probit sites per derivative latent j*d + g: row 0
     # rewards a positive slope in dimension g, row 1 a negative one.  sites[0]
@@ -322,12 +338,16 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
             shrink = np.where(target[0] > 0.0, np.minimum(1.0, _SITE_PRECISION_CAP / target[0]), 0.0)
         np.copyto(sites, (1.0 - _DAMPING) * sites + (_DAMPING * shrink) * target, where=valid)
 
-        old_mean, old_sd = mean, sd
+        old_mean, old_sd, old_state = mean, sd, (chol_B, sqrt_s, weights)
         mean, var, sd, chol_B, sqrt_s, weights = refresh()
         moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
         if (moved / prior_sd).max() <= _TOL:
-            converged = True
-            break
+            old_f = observed_marginals(*old_state)
+            new_f = observed_marginals(chol_B, sqrt_s, weights)
+            f_moved = np.maximum(np.abs(new_f[0] - old_f[0]), np.abs(new_f[1] - old_f[1]))
+            if (f_moved / np.sqrt(sv)).max() <= _TOL:
+                converged = True
+                break
 
     return FittedMonotonicGP(
         X=posterior.X,
@@ -337,11 +357,11 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
         sweeps=sweeps,
         sites=sites,
         derivative_means=mean,
-        _chol=posterior.chol,
+        _chol=chol,
         _alpha=alpha,
         _W=W,
-        _pool_rows=posterior._rows[:t],
-        _pool_col_sums=posterior._col_sums.copy(),
+        _pool_rows=pool_rows,
+        _pool_col_sums=pool_col_sums,
         _weights=weights,
         _chol_B=chol_B,
         _sqrt_S=sqrt_s,

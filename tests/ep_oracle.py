@@ -5,8 +5,10 @@
 (`joint_prior`), the observations entering as fixed Gaussian sites: the fit's
 arithmetic before it conditioned the derivative latents on the observations
 once per fit.  It returns a `JointFit`, which predicts from the joint
-posterior; `joint_posterior` is that posterior at given sites, with no sweep.
-The fit is tested against both at pre-registered tolerances.
+posterior; `joint_posterior` is that posterior at given sites, with no sweep,
+and `joint_moves` is joint_ep_fit's convergence measure along a given
+sequence of sites.  The fit is tested against all three at pre-registered
+tolerances.
 
 `sequential_ep_fit` is the per-site damped EP loop that hyperbo.monotonic used
 before it moved to parallel EP: one probit site at a time, a rank-1 update of
@@ -118,6 +120,35 @@ def joint_posterior(X, y, params, locations, sites) -> JointFit:
     lat[:, t:] = sites[:, 0] + sites[:, 1]
     mean, _, chol_B, sqrt_s, weights = _posterior(K, np.diag(K), lat[0], lat[1])
     return JointFit(X, params, locations, True, 0, sites, weights, chol_B, sqrt_s, mean)
+
+
+def joint_moves(X, y, params, locations, site_totals) -> np.ndarray:
+    """joint_ep_fit's convergence measure along a sequence of derivative site totals.
+
+    site_totals holds one (precisions, natural means) pair per posterior
+    refresh, summed over each latent's two sites.  Entry k is the largest move
+    of any joint latent's posterior mean or standard deviation from refresh k
+    to refresh k + 1, in units of _TOL times its prior standard deviation:
+    joint_ep_fit stops at the first entry at most 1.
+    """
+    X, y = as_observations(X, y, params.dim)
+    t = X.shape[0]
+    K = joint_prior(X, np.asarray(locations, dtype=float), params)
+    prior_var = np.diag(K)
+    lat = np.zeros((2, K.shape[0]))
+    lat[0, :t] = 1.0 / params.noise_variance
+    lat[1, :t] = y / params.noise_variance
+    marginals = []
+    for tau, nat in site_totals:
+        lat[0, t:], lat[1, t:] = tau, nat
+        mean, var, *_ = _posterior(K, prior_var, lat[0], lat[1])
+        marginals.append((mean, np.sqrt(var)))
+    return np.array(
+        [
+            (np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd)) / np.sqrt(prior_var)).max() / _TOL
+            for (old_mean, old_sd), (mean, sd) in zip(marginals, marginals[1:])
+        ]
+    )
 
 
 def joint_ep_fit(X, y, params, strictness, locations, start=None) -> JointFit:

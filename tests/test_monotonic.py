@@ -27,7 +27,7 @@ from hyperbo.monotonic import (
 
 from hyperbo.tasks import goldstein_price, make_goldstein_price_task
 
-from ep_oracle import fit_rows, joint_ep_fit, joint_posterior, joint_prior, sequential_ep_fit
+from ep_oracle import fit_rows, joint_ep_fit, joint_moves, joint_posterior, joint_prior, sequential_ep_fit
 from kernel_oracles import cov_gradient_gradient, cov_value_gradient, random_gp_instance, se_kernel, se_kernel_matrix_einsum
 
 PARAMS_2D = KernelParams(1.0, (0.3, 0.45), noise_variance=1e-6)
@@ -271,17 +271,20 @@ def goldstein_conflict_case():
     return X, y, params, np.array((-5.0, 0.0, -5.0, -4.0)), locations, r.uniform(0, 1, size=(200, 2))
 
 
-# Gaps from the joint oracle, fixed before these tests first ran from
-# calibration panels that they do not use (CHANGES.md gives the panels).
-# SITES_TOL bounds a fit's predictions (means, variances) and derivative means
-# against the joint posterior at the fit's own final sites: the panels' largest
-# gaps were 2.3e-6, 2.0e-10 and 1.4e-7.  FIT_TOL bounds whole fits against the
-# joint EP oracle at d >= 3, where every panel fit took the oracle's sweeps:
-# largest gaps 1.7e-8 and 1.6e-9.  At d = 1 and 2, 78 of the panels' 1,360
-# whole fits took other sweep counts than the oracle and predicted means up
-# to 4e-2 apart, so there whole fits meet only the sequential oracle, at its
-# tolerances (TestParallelEP).
+# Gaps from the joint oracle, fixed from calibration panels that these tests
+# do not use (CHANGES.md gives the panels).  SITES_TOL bounds a fit's
+# predictions (means, variances) and derivative means against the joint
+# posterior at the fit's own final sites: the panels' largest gaps were
+# 1.2e-6, 1.2e-10 and 1.4e-7.  RULE_TOL bounds the joint oracle's convergence
+# measure along the fit's own sites against the fit's own, in units of the
+# threshold: largest gap 3.4e-3.  FIT_TOL bounds whole fits against the joint
+# EP oracle at d >= 3, where every panel fit took the oracle's sweeps: largest
+# gaps 1.7e-8 and 1.6e-9.  At d = 1 and 2 whole fits are not compared: there
+# the sweep at which EP stops is decided by rounding (perturbing y by 1e-15
+# relative changes the joint oracle's own sweep count in 64 of 1,360 panel
+# fits), so the fit is held to the oracle's stopping rule along its own sites.
 SITES_TOL = (1e-5, 1e-9, 1e-6)
+RULE_TOL = 1e-2
 FIT_TOL = (1e-7, 1e-8)
 
 
@@ -293,6 +296,35 @@ def assert_matches_joint_posterior(model, y, candidates):
     np.testing.assert_allclose(means, want_means, rtol=0, atol=SITES_TOL[0])
     np.testing.assert_allclose(variances, want_variances, rtol=0, atol=SITES_TOL[1])
     np.testing.assert_allclose(model.derivative_means, joint.derivative_means, rtol=0, atol=SITES_TOL[2])
+
+
+def recorded_refreshes(monkeypatch) -> list:
+    """From now on, the site totals (precisions, natural means) of every posterior refresh of a fit, in order."""
+    refreshes = []
+    refresh = monotonic._posterior
+
+    def recording(K, prior_var, prior_mean, tau_lat, nat_lat):
+        refreshes.append((tau_lat.copy(), nat_lat.copy()))
+        return refresh(K, prior_var, prior_mean, tau_lat, nat_lat)
+
+    monkeypatch.setattr(monotonic, "_posterior", recording)
+    return refreshes
+
+
+def assert_stops_where_the_joint_rule_does(model, y, refreshes):
+    """The joint oracle's convergence test, run on the fit's own refreshes, stops at the fit's sweep.
+
+    Every earlier sweep moves some joint latent, f(X) included, by more than
+    the threshold and the last by at most it (or more, for a fit that did not
+    converge), each within RULE_TOL of the threshold.
+    """
+    moves = joint_moves(model.X, y, model.params, model.locations, refreshes)
+    assert len(moves) == model.sweeps
+    assert (moves[:-1] > 1.0 - RULE_TOL).all()
+    if model.converged:
+        assert moves[-1] <= 1.0 + RULE_TOL
+    else:
+        assert moves[-1] > 1.0 - RULE_TOL
 
 
 def assert_matches_joint_fit(model, y, strictness, candidates):
@@ -380,7 +412,10 @@ class TestParallelEP:
     @pytest.mark.slow
     def test_goldstein_trial_seed_7064_converges(self):
         # Fitted over the joint latents [f(X), derivatives], one of this
-        # run's 50 fits stopped at _MAX_SWEEPS.
+        # run's 50 fits stopped at _MAX_SWEEPS.  Where that fit stops is
+        # decided by rounding: with its outputs changed by 1e-15 relative,
+        # the joint fit converges in 32 sweeps.  So this pins the present
+        # arithmetic, not a mended fault.
         task = make_goldstein_price_task(pool_size=500)
         result = run_framework(task, RunConfig(mode="monotonicity", m=5, K=1, R=50, seed=7064))
         assert result.ep_fits == 50
@@ -451,39 +486,55 @@ class TestWorkspace:
         assert np.array_equal(workspace.K_pd, value_gradient_cross_matrix(pool, locations, params).T)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_fits_match_the_joint_oracle_after_the_workspace_grows(self, d):
+    def test_fits_match_the_joint_oracle_after_the_workspace_grows(self, monkeypatch, d):
         params, X, locations, pool, r = growing_case(d, 10 + d)
         y = standardize(X @ np.linspace(1.0, -1.0, d) + np.cos(4.0 * X[:, -1]))
         workspace = MonotonicWorkspace(params, locations, pool)
+        refreshes = recorded_refreshes(monkeypatch)
         fits = []
         for t in range(3, len(X) + 1):
             strictness = r.choice(np.arange(-6.0, 1.0), size=2 * d)
             workspace.extend(X[workspace.n : t])
+            refreshes.clear()
             model = fit_monotonic_gp(workspace, y[:t], strictness)
             candidates = CandidateSet(pool, excluded=r.uniform(size=len(pool)) < 0.3)
-            fits.append((model, strictness, candidates, model.predict_candidates(candidates)))
+            fits.append((model, strictness, candidates, model.predict_candidates(candidates), list(refreshes)))
         assert workspace.n == len(X)
         # Every fit answers for its own rows from the grown workspace, as it did when it was made.
-        for model, strictness, candidates, (means, variances) in fits:
+        for model, strictness, candidates, (means, variances), fit_refreshes in fits:
             t = model.X.shape[0]
             assert np.array_equal(model.X, X[:t])
             ours = model.predict_candidates(candidates)
             assert np.array_equal(ours[0], means) and np.array_equal(ours[1], variances)
             assert_matches_joint_posterior(model, y[:t], candidates)
+            assert_stops_where_the_joint_rule_does(model, y[:t], fit_refreshes)
             if d >= 3:
                 assert_matches_joint_fit(model, y[:t], strictness, candidates)
 
-    def test_a_d8_fit_matches_the_joint_oracle(self):
+    def test_a_d8_fit_matches_the_joint_oracle(self, monkeypatch):
         params, X, locations, pool, r = growing_case(8, 18)
         y = standardize(X @ np.linspace(1.0, -1.0, 8) + np.cos(4.0 * X[:, -1]))
         strictness = r.choice(np.arange(-6.0, 1.0), size=16)
         workspace = MonotonicWorkspace(params, locations, pool)
         workspace.extend(X[:20])
         workspace.extend(X[20:30])
+        refreshes = recorded_refreshes(monkeypatch)
         model = fit_monotonic_gp(workspace, y[:30], strictness)
         candidates = CandidateSet(pool, excluded=r.uniform(size=len(pool)) < 0.3)
         assert_matches_joint_posterior(model, y[:30], candidates)
+        assert_stops_where_the_joint_rule_does(model, y[:30], refreshes)
         assert_matches_joint_fit(model, y[:30], strictness, candidates)
+
+    def test_the_convergence_test_covers_the_observed_rows(self, monkeypatch):
+        # Both slopes held strictly at d=1: three sweeps in, no derivative
+        # latent moves by more than _TOL x its prior sd, but f(X) still moves
+        # by 8 times that, and the fit must go on.
+        params, X, locations, _, _ = growing_case(1, 100)
+        y = standardize(X[:, 0] + np.cos(4.0 * X[:, 0]))[:9]
+        refreshes = recorded_refreshes(monkeypatch)
+        model = fit_rows(X[:9], y, params, np.array((-5.0, -5.0)), locations)
+        assert model.sweeps > 3
+        assert_stops_where_the_joint_rule_does(model, y, refreshes)
 
     def test_candidates_over_another_array_are_refused(self):
         # Same shape and values, but not the workspace's pool array.
@@ -510,13 +561,15 @@ class TestWarmStart:
     DEVIATION_BOUND = 25.0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_a_cold_fit_keeps_the_zero_site_arithmetic(self, d):
+    def test_a_cold_fit_keeps_the_zero_site_arithmetic(self, monkeypatch, d):
         params, X, locations, pool, r = growing_case(d, 50 + d)
         y = standardize(np.sin(3.0 * X).sum(axis=1))
         strictness = r.choice(np.arange(-6.0, 1.0), size=2 * d)
+        refreshes = recorded_refreshes(monkeypatch)
         cold = fit_rows(X, y, params, strictness, locations, pool)
         candidates = CandidateSet(pool, excluded=r.uniform(size=len(pool)) < 0.3)
         assert_matches_joint_posterior(cold, y, candidates)
+        assert_stops_where_the_joint_rule_does(cold, y, refreshes)
         if d >= 3:
             assert_matches_joint_fit(cold, y, strictness, candidates)
         zeros = np.zeros_like(cold.sites)
