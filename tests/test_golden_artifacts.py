@@ -1,4 +1,4 @@
-"""Golden artifacts: three tiny runs whose every output file has a fixed sha256.
+"""Golden artifacts: four tiny runs whose every output file has a fixed sha256.
 
 A change that keeps random streams must leave these hashes alone.  A change
 that alters streams on purpose updates the constants and says so in
@@ -14,8 +14,10 @@ from hyperbo.bench import ExperimentConfig, run_experiment
 
 STRATEGIES = ("standard_bo", "hyperbo", "best_theta_rerun", "gold_standard_theta")
 
-# Both grids are within ENUMERATION_LIMIT (48^2 monotonicity thetas, 11
-# length scales), so each outer proposal is an exact whole-grid draw.
+# The first three grids are within ENUMERATION_LIMIT (48^2 monotonicity
+# thetas, 11 length scales), so each of their outer proposals is an exact
+# whole-grid draw.  "gp-sample-mono-d4" has 48^4 thetas, beyond the limit, so
+# its proposals go through the subsample branch.
 # The dataset run reads a CSV the test writes under a relative path (the
 # manifest records the path), so it also pins ingestion, the filter, the
 # on-pool initial design and the feature names in report.csv.
@@ -57,6 +59,16 @@ CONFIGS = {
         seed=31,
         gold_standard_theta=(0, -6, -6, 0),
     ),
+    "gp-sample-mono-d4": dict(
+        task={"kind": "gp_sample", "dim": 4, "length_scale": 0.3, "n_points": 120, "seed": 3},
+        mode="monotonicity",
+        trials=2,
+        m=2,
+        K=1,
+        budget=6,
+        seed=41,
+        gold_standard_theta=(0, -6, -6, 0, 0, -6, -6, 0),
+    ),
 }
 
 GOLDEN = {
@@ -85,6 +97,19 @@ GOLDEN = {
         "trace_hyperbo_trial001.csv": "3414d148dd671ce3f6265722d3f280ca362a2bb5bc7b2942add08fab10c8c1c5",
         "trace_standard_bo_trial000.csv": "33c06f8e6528083f722cd85c1c80823800852f71239adabfa691a139ed8f8b9b",
         "trace_standard_bo_trial001.csv": "4a4a3167bbcd40ca052b69c07dea722c2828bad01cc74f3438e64dd78692a13c",
+    },
+    "gp-sample-mono-d4": {
+        "aggregate.csv": "d587e01a1d5777ab3035bc6dbdb095bbf6bd9dbe0dfed2175ed6c17cd68ae3c0",
+        "manifest.json": "6d653259cbfaa54f085d7031d3deed3dfff7e63e7be378b895ab33aaba077271",
+        "report.csv": "20de79ba26664a299447fa40bce7bff7cad0dd588b2b877a336d867124e43dd9",
+        "trace_best_theta_rerun_trial000.csv": "5c81f2af5d080b9273fc688bd72de687355226975bb53461d6c63c98288068c5",
+        "trace_best_theta_rerun_trial001.csv": "5f9f97a19d919180ecbf4f1e795c6849244a62b127ada68b27965581007ed9a7",
+        "trace_gold_standard_theta_trial000.csv": "988e0e958ef053518936173d01b8b24090b4ce3add0c4cd19de28d6e713aa4c2",
+        "trace_gold_standard_theta_trial001.csv": "5f9f97a19d919180ecbf4f1e795c6849244a62b127ada68b27965581007ed9a7",
+        "trace_hyperbo_trial000.csv": "988e0e958ef053518936173d01b8b24090b4ce3add0c4cd19de28d6e713aa4c2",
+        "trace_hyperbo_trial001.csv": "5f9f97a19d919180ecbf4f1e795c6849244a62b127ada68b27965581007ed9a7",
+        "trace_standard_bo_trial000.csv": "5c81f2af5d080b9273fc688bd72de687355226975bb53461d6c63c98288068c5",
+        "trace_standard_bo_trial001.csv": "bb0e4c42a8665097f6b15fcdffe9cfdb2d12b399ae598bd6bd1297f21b234fab",
     },
     "gp-sample-lengthscale": {
         "aggregate.csv": "a7b74c23f408e1d8b362dedc0eb6198839f3e4a1175eb8238a4b734b27347f3b",
