@@ -7,7 +7,10 @@ sqrt((ln T)^(d+1) / T), the shape of the average GP-UCB regret bound at T
 samples, so windows of different stages compare, times a norm regularizer set
 by the grid; an outer Thompson-sampling loop over the model grid proposes the
 next theta from a GP fit to the ledger of scores.  The first m windows use
-uniformly random thetas to seed the ledger.  The inner steps of a run share
+uniformly random thetas to seed the ledger.  Proposals are index rows of the
+model grid, and the ledger is one structured array filled window by window:
+each row holds a window's index row, outer iteration, start T, gain and
+score.  The inner steps of a run share
 one pool array and two caches over it, the only source of their predictions:
 a pool posterior for plain-GP steps and a workspace for monotonic fits.
 """
@@ -33,8 +36,7 @@ __all__ = [
     "MONOTONICITY_LEVELS",
     "ModelSpace",
     "RunConfig",
-    "LedgerRecord",
-    "best_record",
+    "new_ledger",
     "RunResult",
     "model_score_window",
     "hyperbo_step",
@@ -94,7 +96,8 @@ class ModelSpace:
     A theta is a 1-D float array: each per-dimension chunk of its values is a
     row of the mode's option table, one length scale per dimension or one
     (theta_minus, theta_plus) pair per dimension with nu = 10^theta.  A grid
-    point is a row of per-dimension option indices.  lam, the score's
+    point is a row of per-dimension option indices, which `rows` maps to its
+    theta and `unit_rows` to the theta's unit coordinates.  lam, the score's
     regularization weight, is 1 / (max |option| * theta_dim).
     """
 
@@ -107,7 +110,11 @@ class ModelSpace:
         self.dim = dim
         options, self._sign = _OPTIONS[mode]
         self._options = np.asarray(options, dtype=float)  # (per_dim, coords)
+        self._unit_options = self.to_unit(self._options)
         self.lam = 1.0 / (float(np.abs(self._options).max()) * self.theta_dim)
+        # The theta GP's kernels for tied scores (z all zero) and for z-scored scores of unit variance.
+        scales = (THETA_GP_LS_FRACTION,) * self.theta_dim
+        self._theta_gp_params = (KernelParams(1e-6, scales, THETA_GP_NOISE), KernelParams(1.0, scales, THETA_GP_NOISE))
 
     @property
     def per_dim(self) -> int:
@@ -130,6 +137,10 @@ class ModelSpace:
         """The thetas of index rows: one theta for a 1-D row, one theta per row of a 2-D array."""
         return self._options[indices].reshape(*indices.shape[:-1], self.theta_dim)
 
+    def unit_rows(self, indices: np.ndarray) -> np.ndarray:
+        """to_unit(rows(indices)), gathered from the option table in unit coordinates."""
+        return self._unit_options[indices].reshape(*indices.shape[:-1], self.theta_dim)
+
     @cached_property
     def option_prior(self) -> tuple[np.ndarray, np.ndarray]:
         """K_1, the theta GP's unit-variance prior covariance among one dimension's options, and its Cholesky factor.
@@ -137,14 +148,13 @@ class ModelSpace:
         Computed once per space.  K_1's smallest eigenvalue (3.8e-4 for
         monotonicity, 7.4e-6 for length scales) lets it factorize without jitter.
         """
-        unit = self.to_unit(self._options)
+        unit = self._unit_options
         k1 = se_kernel_matrix(unit, unit, KernelParams(1.0, (THETA_GP_LS_FRACTION,) * unit.shape[1]))
         return k1, np.linalg.cholesky(k1)
 
-    def indices(self, thetas: np.ndarray) -> np.ndarray:
-        """The index rows of a 2-D array of grid thetas, the inverse of rows."""
-        chunks = thetas.reshape(len(thetas), self.dim, 1, self._options.shape[1])
-        return (chunks == self._options).all(axis=3).argmax(axis=2)
+    def theta_gp_params(self, z: np.ndarray) -> KernelParams:
+        """The theta GP's kernel for z-scored scores z: unit signal variance, or 1e-6 when the scores tie and z is all zero."""
+        return self._theta_gp_params[bool(z.any())]
 
     def theta(self, values) -> np.ndarray:
         """values from outside the engine as a theta of this space.
@@ -164,7 +174,8 @@ class ModelSpace:
         return theta
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.rows(rng.integers(0, self.per_dim, size=self.dim))
+        """A uniformly random index row."""
+        return rng.integers(0, self.per_dim, size=self.dim)
 
     def score(self, gain: float, T: int, theta) -> float:
         """gain / regret_normalizer(T, dim) * (1 -/+ lam * ||theta||); zero gain scores zero at any T.
@@ -203,18 +214,15 @@ class RunConfig:
             raise ValueError(f"R ({self.R}) must be >= m ({self.m})")
 
 
-@dataclass(frozen=True)
-class LedgerRecord:
-    theta: np.ndarray
-    score: float
-    window_start_T: int
-    window_gain: float
-    outer_index: int
+def new_ledger(size: int, dim: int) -> np.ndarray:
+    """A zeroed ledger of `size` scored windows of a dim-D task, one structured row per window.
 
-
-def best_record(ledger: list[LedgerRecord]) -> LedgerRecord:
-    """The highest-scoring window; ties keep the earliest.  ValueError when empty."""
-    return max(ledger, key=lambda rec: rec.score)
+    Fields: "index", the window theta's index row; "outer", its outer
+    iteration; "start_T", the inner sample count when it began; "gain" and
+    "score".  The best window is the first argmax of "score".
+    """
+    fields = [("index", np.intp, (dim,)), ("outer", np.intp), ("start_T", np.intp), ("gain", float), ("score", float)]
+    return np.zeros(size, dtype=fields)
 
 
 @dataclass
@@ -228,7 +236,7 @@ class RunResult:
     best_x: np.ndarray
     best_y: float
     best_theta: np.ndarray | None
-    ledger: list[LedgerRecord] | None
+    ledger: np.ndarray | None  # a `new_ledger` array, one row per scored window
     best_values: np.ndarray  # index 0 is the initial-design best
     regrets: np.ndarray
     exhausted: bool
@@ -274,14 +282,15 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: np.ndarray | N
     """
     z, _ = standardize(state.y)
     monotonic = theta is not None and config.mode == MONOTONICITY
-    scales = (DEFAULT_LENGTH_SCALE,) * state.X.shape[1] if monotonic or theta is None else theta
-    params = KernelParams(SIGNAL_VARIANCE, scales, NOISE_VARIANCE)
+    scales = (DEFAULT_LENGTH_SCALE,) * state.X.shape[1] if monotonic or theta is None else tuple(theta.tolist())
     if monotonic:
         if state.monotonic is None:
+            params = KernelParams(SIGNAL_VARIANCE, scales, NOISE_VARIANCE)
             state.monotonic = MonotonicWorkspace(params, state.locations, state.pool)
         cache = state.monotonic
     else:
-        if state.posterior is None or state.posterior.params != params:
+        if state.posterior is None or state.posterior.params.length_scales != scales:
+            params = KernelParams(SIGNAL_VARIANCE, scales, NOISE_VARIANCE)
             state.posterior = PoolPosterior(state.X, state.pool, params)
         cache = state.posterior
     cache.extend(state.X[cache.n :])
@@ -319,12 +328,11 @@ def model_score_window(
     config: RunConfig,
     space: ModelSpace,
     theta: np.ndarray,
-    outer_index: int,
-) -> tuple[LedgerRecord | None, bool]:
+) -> tuple[tuple[int, float, float] | None, bool]:
     """Run up to K inner iterations under theta and score the window.
 
-    Returns (record, exhausted). The record is None when the space was
-    exhausted before any step completed.
+    Returns ((start_T, gain, score), exhausted), the window's ledger fields.
+    The first is None when the space was exhausted before any step completed.
     """
     start_T = len(state.y) - state.n0
     y_plus = float(np.max(state.y))
@@ -342,37 +350,28 @@ def model_score_window(
     # T counts every inner sample so far; a one-sample first window would make
     # the normalizer degenerate.
     T = max(len(state.y) - state.n0, 2)
-    record = LedgerRecord(
-        theta=theta,
-        score=space.score(gain, T, theta),
-        window_start_T=start_T,
-        window_gain=gain,
-        outer_index=outer_index,
-    )
-    return record, exhausted
+    return (start_T, gain, space.score(gain, T, theta)), exhausted
 
 
-def hyperbo_step(ledger: list[LedgerRecord], space: ModelSpace, rng: np.random.Generator) -> np.ndarray:
-    """Propose the next theta: Thompson sampling on a GP over ledger scores.
+def hyperbo_step(ledger: np.ndarray, space: ModelSpace, rng: np.random.Generator) -> np.ndarray:
+    """Propose the index row of the next theta: Thompson sampling on a GP over ledger scores.
 
     Scores are standardized before fitting; previously scored thetas stay in
     the candidate pool since window scores are noisy and re-scoring is
     informative.  A grid of up to ENUMERATION_LIMIT thetas competes whole
     through one exact posterior draw; a larger one through a uniform subsample
-    plus the incumbent.
+    plus the incumbent, the first of the best-scored windows.
     """
-    if not ledger:
+    if not len(ledger):
         raise ValueError("hyperbo_step needs at least one scored window")
-    z, _ = standardize([rec.score for rec in ledger])
-    # z-scored scores have unit variance, or are all zero when the scores tie.
-    params = KernelParams(1.0 if z.any() else 1e-6, (THETA_GP_LS_FRACTION,) * space.theta_dim, THETA_GP_NOISE)
-    thetas = np.vstack([rec.theta for rec in ledger])
-    model = gp_fit(space.to_unit(thetas), z, params)
+    z, _ = standardize(ledger["score"])
+    indices = ledger["index"]
+    model = gp_fit(space.unit_rows(indices), z, space.theta_gp_params(z))
     if space.size <= ENUMERATION_LIMIT:
-        return space.rows(_pathwise_argmax(model, space, space.indices(thetas), rng))
-    drawn = space.rows(rng.integers(0, space.per_dim, size=(THOMPSON_SUBSAMPLE, space.dim)))
-    rows = np.vstack([drawn, best_record(ledger).theta])
-    index, _ = thompson_select(model, CandidateSet(space.to_unit(rows)), rng)
+        return _pathwise_argmax(model, space, indices, rng)
+    drawn = rng.integers(0, space.per_dim, size=(THOMPSON_SUBSAMPLE, space.dim))
+    rows = np.vstack([drawn, indices[np.argmax(ledger["score"])]])
+    index, _ = thompson_select(model, CandidateSet(space.unit_rows(rows)), rng)
     return rows[index].copy()
 
 
@@ -464,22 +463,25 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
     """
     space = ModelSpace(config.mode, task.dim)
     state = _init_state(task, config)
-    ledger: list[LedgerRecord] = []
+    ledger = new_ledger(config.R, task.dim)
+    n = 0
     exhausted = False
 
     for outer in range(1, config.R + 1):
         if outer <= config.m:
-            theta = space.sample(state.rng)
+            index = space.sample(state.rng)
         else:
-            theta = hyperbo_step(ledger, space, state.rng)
-        record, hit_end = model_score_window(task, state, config, space, theta, outer)
-        if record is not None:
-            ledger.append(record)
+            index = hyperbo_step(ledger[:n], space, state.rng)
+        window, hit_end = model_score_window(task, state, config, space, space.rows(index))
+        if window is not None:
+            ledger[n] = (index, outer, *window)
+            n += 1
         if hit_end:
             exhausted = True
             break
 
-    best_theta = best_record(ledger).theta if ledger else None
+    ledger = ledger[:n]
+    best_theta = space.rows(ledger["index"][np.argmax(ledger["score"])]) if n else None
     return _result_from_state(task, state, best_theta, ledger, exhausted)
 
 

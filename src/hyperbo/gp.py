@@ -125,28 +125,33 @@ def _squared_distance_sum(Xs: np.ndarray, Zs: np.ndarray, dims) -> np.ndarray:
     return total
 
 
-def se_kernel_matrix(X, Z, params: KernelParams) -> np.ndarray:
-    """Cross-covariance matrix K[i, j] = k(X[i], Z[j]) under the SE kernel.
+def _scaled_se(Xs: np.ndarray, Zs: np.ndarray, signal_variance: float) -> np.ndarray:
+    """The (t, m) SE kernel between the columns of Xs (d, t) and Zs (d, m), inputs already divided by the length scales.
 
     The squared scaled distances are summed one (t, m) plane per dimension, in
     the order `_einsum_lanes` gives, so K is bit for bit the einsum of the
-    (t, m, d) scaled differences with themselves, without that array.
+    (t, m, d) scaled differences with themselves, without that array.  Each
+    entry depends only on its own two columns, so a block of K equals K of
+    the block's columns.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if X.shape[1] != params.dim or Z.shape[1] != params.dim:
-        raise ValueError("input dimension does not match kernel dimension")
-    ls = params.scales_array()
-    Xs = (X / ls).T
-    Zs = (Z / ls).T
-    even, odd = _einsum_lanes(params.dim)
+    even, odd = _einsum_lanes(len(Xs))
     sq = _squared_distance_sum(Xs, Zs, even)
     if odd:
         sq += _squared_distance_sum(Xs, Zs, odd)
     sq *= -0.5
     np.exp(sq, out=sq)
-    sq *= params.signal_variance
+    sq *= signal_variance
     return sq
+
+
+def se_kernel_matrix(X, Z, params: KernelParams) -> np.ndarray:
+    """Cross-covariance matrix K[i, j] = k(X[i], Z[j]) under the SE kernel, through `_scaled_se`."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if X.shape[1] != params.dim or Z.shape[1] != params.dim:
+        raise ValueError("input dimension does not match kernel dimension")
+    ls = params.scales_array()
+    return _scaled_se((X / ls).T, (Z / ls).T, params.signal_variance)
 
 
 @dataclass(frozen=True)
@@ -207,20 +212,20 @@ def as_observations(X, y, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _factor_gram(X: np.ndarray, params: KernelParams) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K(X, X) + (noise + jitter) I, and the jitter it took.
+def _factor_gram(gram: np.ndarray, params: KernelParams) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of a Gram matrix K(X, X) plus (noise + jitter) I, and the jitter it took.
 
-    Jitter policy: on Cholesky failure, add jitter starting at 1e-10 *
-    signal_variance to the diagonal and escalate tenfold up to 1e-4 *
-    signal_variance before giving up.
+    gram takes the noise in place.  Jitter policy: on Cholesky failure, add
+    jitter starting at 1e-10 * signal_variance to the diagonal and escalate
+    tenfold up to 1e-4 * signal_variance before giving up.
     """
-    gram = se_kernel_matrix(X, X, params)
-    gram.flat[:: len(X) + 1] += params.noise_variance
+    t = len(gram)
+    gram.flat[:: t + 1] += params.noise_variance
 
     jitter = 0.0
     while True:
         try:
-            return _cholesky_lower(gram if jitter == 0.0 else gram + jitter * np.eye(len(X))), jitter
+            return _cholesky_lower(gram if jitter == 0.0 else gram + jitter * np.eye(t)), jitter
         except np.linalg.LinAlgError:
             if jitter == 0.0:
                 jitter = _JITTER_START * params.signal_variance
@@ -233,7 +238,7 @@ def _factor_gram(X: np.ndarray, params: KernelParams) -> tuple[np.ndarray, float
 def gp_fit(X, y, params: KernelParams) -> FittedGP:
     """Factorize the regularized Gram matrix (under `_factor_gram`'s jitter policy) and cache the weight vector."""
     X, y = as_observations(X, y, params.dim)
-    chol, jitter = _factor_gram(X, params)
+    chol, jitter = _factor_gram(se_kernel_matrix(X, X, params), params)
     weights = _cho_solve_lower(chol, y)
     return FittedGP(X=X, params=params, chol=chol, weights=weights, jitter=jitter)
 
@@ -250,21 +255,33 @@ class PoolPosterior:
     regularized Gram matrix; a pivot that is not safely positive refactors
     from scratch.  Means answer for the outputs last given to `set_outputs`,
     at the active rows of a CandidateSet whose points are the pool array itself.
+    The pool and each observed row are divided by the length scales once, and
+    every kernel block goes through `_scaled_se`, so it is bit for bit
+    se_kernel_matrix's.
     """
 
     def __init__(self, X, pool, params: KernelParams):
         self.params = params
         self.pool = np.atleast_2d(np.asarray(pool, dtype=float))
+        self._scales = params.scales_array()
+        # The pool's points and then the observed rows, divided by the length
+        # scales, one column each: a new row's kernel against the pool and the
+        # observed rows is one `_scaled_se` call.
+        self._points = (self.pool / self._scales).T
         self._factor(np.array(X, dtype=float, ndmin=2))
 
     def _factor(self, X: np.ndarray) -> None:
         self.X = X
-        self.chol, self.jitter = _factor_gram(X, self.params)
+        N, sv = self.pool.shape[0], self.params.signal_variance
+        Xs = (X / self._scales).T
+        self._points = np.concatenate((self._points[:, :N], Xs), axis=1)
+        self.chol, self.jitter = _factor_gram(_scaled_se(Xs, Xs, sv), self.params)
         # V = L^-1 K(X, pool), solved in place as K^T L^-T: the transpose of the
         # row-major kernel is the column-major array BLAS takes, so nothing is
         # copied (a left-side solve copies it and takes twice as long).
-        # `extend` writes V's later rows into spare rows, doubled when full.
-        kernel_t = se_kernel_matrix(X, self.pool, self.params).T
+        # `extend` writes V's later rows and the later observed points into
+        # spare rows and columns, doubled when full.
+        kernel_t = _scaled_se(Xs, self._points[:, :N], sv).T
         self._rows = blas.dtrsm(1.0, self.chol, kernel_t, side=1, lower=1, trans_a=1, overwrite_b=1).T
         self._col_sums = np.einsum("ij,ij->j", self._rows, self._rows)
         self._alpha = None
@@ -276,11 +293,12 @@ class PoolPosterior:
 
     def extend(self, rows) -> None:
         """Condition on more observed rows, in order: one row x, or a (k, d) array of them."""
-        for x in np.array(rows, dtype=float, ndmin=2):
-            x = x[None]
+        rows = np.array(rows, dtype=float, ndmin=2)
+        N = self.pool.shape[0]
+        for x, xs in zip(rows[:, None], rows / self._scales):
             t, params = self.n, self.params
-            k = se_kernel_matrix(x, np.concatenate((self.X, self.pool)), params)[0]  # k(x, X) then k(x, pool)
-            l = _solve_lower(self.chol, k[:t])
+            k = _scaled_se(xs[:, None], self._points[:, : N + t], params.signal_variance)[0]  # k(x, pool) then k(x, X)
+            l = _solve_lower(self.chol, k[N:])
             # The new pivot squared is x's posterior variance plus noise and
             # jitter, so at or below the noise it holds only rounding error.
             pivot = params.signal_variance + params.noise_variance + self.jitter - l @ l
@@ -289,11 +307,11 @@ class PoolPosterior:
                 continue
             pivot = np.sqrt(pivot)
             if t == len(self._rows):
-                grown = np.empty((2 * t, self.pool.shape[0]))
-                grown[:t] = self._rows
-                self._rows = grown
+                self._rows = np.concatenate((self._rows, np.empty_like(self._rows)))
+                self._points = np.concatenate((self._points, np.empty((len(xs), t))), axis=1)
+            self._points[:, N + t] = xs
             row = self._rows[t]
-            np.subtract(k[t:], l @ self._rows[:t], out=row)
+            np.subtract(k[:N], l @ self._rows[:t], out=row)
             row /= pivot
             self._col_sums += row * row
             chol = np.zeros((t + 1, t + 1), order="F")

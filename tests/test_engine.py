@@ -17,13 +17,11 @@ from hyperbo.engine import (
     MONOTONICITY,
     MONOTONICITY_PAIRS,
     THETA_GP_LS_FRACTION,
-    THETA_GP_NOISE,
-    LedgerRecord,
     ModelSpace,
     RunConfig,
-    best_record,
     hyperbo_step,
     model_score_window,
+    new_ledger,
     rerun_with_best_theta,
     run_framework,
     _fit_window_model,
@@ -43,6 +41,25 @@ from ep_oracle import joint_ep_fit
 def grid_indices(space):
     """Every grid point of a ModelSpace as an index row, in lexicographic (C) order."""
     return np.indices((space.per_dim,) * space.dim).reshape(space.dim, -1).T
+
+
+def indices(space, thetas):
+    """The index rows of a 2-D array of grid thetas, the inverse of space.rows."""
+    options = ModelSpace(space.mode, 1).rows(np.arange(space.per_dim)[:, None])  # (per_dim, coords)
+    chunks = thetas.reshape(len(thetas), space.dim, 1, -1)
+    return (chunks == options).all(axis=3).argmax(axis=2)
+
+
+def ledger_of(index_rows, scores):
+    """A ledger of windows with these theta index rows and scores; window i starts at T = i, gains its score, and is outer iteration i + 1."""
+    index_rows = np.atleast_2d(index_rows)
+    ledger = new_ledger(len(scores), index_rows.shape[1])
+    ledger["index"] = index_rows
+    ledger["outer"] = np.arange(1, len(scores) + 1)
+    ledger["start_T"] = np.arange(len(scores))
+    ledger["gain"] = scores
+    ledger["score"] = scores
+    return ledger
 
 
 class BatchPredictions:
@@ -151,8 +168,15 @@ class TestModelSpace:
         for mode, d in ((LENGTH_SCALE, 3), (MONOTONICITY, 2)):
             space = ModelSpace(mode, d)
             for _ in range(50):
-                theta = space.sample(rng)
+                theta = space.rows(space.sample(rng))
                 assert tuple(space.theta(theta)) == tuple(theta)
+
+    @pytest.mark.parametrize("mode, d", [(LENGTH_SCALE, 1), (LENGTH_SCALE, 3), (MONOTONICITY, 2), (MONOTONICITY, 4)])
+    def test_unit_rows_equal_the_unit_map_of_rows(self, mode, d):
+        space = ModelSpace(mode, d)
+        rows = np.random.default_rng(2).integers(0, space.per_dim, size=(40, d))
+        assert np.array_equal(space.unit_rows(rows), space.to_unit(space.rows(rows)))
+        assert np.array_equal(space.unit_rows(rows[0]), space.to_unit(space.rows(rows[0])))
 
     def test_theta_checks_the_space_dimension(self):
         space = ModelSpace(MONOTONICITY, 2)
@@ -199,14 +223,27 @@ class TestRunConfig:
 
 
 class TestBestRecord:
-    def test_best_breaks_ties_earliest(self):
-        theta = np.array([0.3])
-        ledger = [LedgerRecord(theta, score, i, score, i + 1) for i, score in enumerate([1.0, 2.0, 2.0, 0.5])]
-        assert best_record(ledger).outer_index == 2  # first of the tied windows
+    def test_best_breaks_ties_earliest(self, monkeypatch):
+        # Beyond the enumeration limit the incumbent, the last candidate, is the
+        # best-scored window of the ledger.
+        import hyperbo.engine as eng
+
+        space = ModelSpace(MONOTONICITY, 4)
+        ledger = ledger_of(np.arange(16).reshape(4, 4), [1.0, 2.0, 2.0, 0.5])
+        seen = []
+
+        def first_candidate(model, candidates, rng):
+            seen.append(candidates.points)
+            return 0, candidates.points[0]
+
+        monkeypatch.setattr(eng, "thompson_select", first_candidate)
+        hyperbo_step(ledger, space, np.random.default_rng(0))
+        best = np.flatnonzero((space.unit_rows(ledger["index"]) == seen[0][-1]).all(axis=1))
+        assert ledger["outer"][best].tolist() == [2]  # first of the tied windows
 
     def test_empty_best_raises(self):
         with pytest.raises(ValueError):
-            best_record([])
+            hyperbo_step(new_ledger(0, 1), ModelSpace(LENGTH_SCALE, 1), np.random.default_rng(0))
 
 
 class TestModelScoreWindow:
@@ -216,10 +253,10 @@ class TestModelScoreWindow:
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=3, R=1, seed=0)
         state = _init_state(task, config)
         theta = np.array([0.3])
-        record, exhausted = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), theta, 1)
+        window, exhausted = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), theta)
         assert len(state.y) == 5
         assert len(state.y) - state.n0 == 3
-        assert record is not None and not exhausted
+        assert window is not None and not exhausted
 
     def test_no_improvement_scores_zero(self):
         # Initial design holds the maximum row: the window cannot improve.
@@ -228,31 +265,32 @@ class TestModelScoreWindow:
         state = _init_state(task, config)
         # Seeded design must contain the max; find a seed where it does.
         assert state.y.max() == 5.0
-        record, _ = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), np.array([0.3]), 1)
-        assert record.window_gain == 0.0
-        assert record.score == 0.0
+        (_, gain, score), _ = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), np.array([0.3]))
+        assert gain == 0.0
+        assert score == 0.0
 
     def test_exhaustion_ends_window_early(self):
         task = make_toy_task([0.0, 1.0, 2.0, 3.0], n_initial=2)
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=5, R=1, seed=0)
         state = _init_state(task, config)
-        record, exhausted = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), np.array([0.3]), 1)
+        window, exhausted = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), np.array([0.3]))
         assert exhausted
         assert len(state.y) == 4  # only 2 rows were left to sample
-        assert record is not None
+        assert window is not None
 
 
 class TestHyperboStep:
-    def ledger_with(self, pairs):
-        return [LedgerRecord(theta, score, i, score, i + 1) for i, (theta, score) in enumerate(pairs)]
+    def ledger_with(self, space, pairs):
+        thetas, scores = zip(*pairs)
+        return ledger_of(indices(space, np.vstack(thetas)), scores)
 
     def test_single_record_explores_broadly(self):
         space = ModelSpace(LENGTH_SCALE, 1)
-        ledger = self.ledger_with([(np.array([0.35]), 1.0)])
+        ledger = self.ledger_with(space, [(np.array([0.35]), 1.0)])
         counts = np.zeros(11)
         grid = {v: i for i, v in enumerate(LENGTH_SCALE_GRID)}
         for seed in range(1000):
-            theta = hyperbo_step(ledger, space, np.random.default_rng(seed))
+            theta = space.rows(hyperbo_step(ledger, space, np.random.default_rng(seed)))
             counts[grid[theta[0]]] += 1
         freq = counts / counts.sum()
         entropy = -np.sum(freq[freq > 0] * np.log(freq[freq > 0]))
@@ -261,8 +299,8 @@ class TestHyperboStep:
     def test_separated_scores_prefer_better_theta(self):
         space = ModelSpace(LENGTH_SCALE, 1)
         good, bad = (0.6,), (0.1,)
-        ledger = self.ledger_with([(np.array(good), 10.0), (np.array(bad), 0.0)] * 5)
-        picks = Counter(tuple(hyperbo_step(ledger, space, np.random.default_rng(seed))) for seed in range(1000))
+        ledger = self.ledger_with(space, [(np.array(good), 10.0), (np.array(bad), 0.0)] * 5)
+        picks = Counter(tuple(space.rows(hyperbo_step(ledger, space, np.random.default_rng(seed)))) for seed in range(1000))
         # The whole grid competes: the better-scored theta is the most frequent
         # pick, and the worse-scored one comes up at most 1/20 as often.
         assert picks.most_common(1)[0][0] == good
@@ -271,7 +309,7 @@ class TestHyperboStep:
     def test_fixed_seed_deterministic(self):
         space = ModelSpace(MONOTONICITY, 2)
         theta = np.array([-3.0, 0.0, 0.0, -3.0])
-        ledger = self.ledger_with([(theta, 1.0), (np.array([0.0, 0.0, 0.0, 0.0]), 0.2)])
+        ledger = self.ledger_with(space, [(theta, 1.0), (np.array([0.0, 0.0, 0.0, 0.0]), 0.2)])
         picks = {tuple(hyperbo_step(ledger, space, np.random.default_rng(11))) for _ in range(5)}
         assert len(picks) == 1
 
@@ -282,11 +320,19 @@ class TestHyperboStep:
         space = ModelSpace(MONOTONICITY, dim)
         assert (space.size <= ENUMERATION_LIMIT) == enumerated
         rng = np.random.default_rng(4)
-        ledger = self.ledger_with([(space.sample(rng), float(rng.exponential())) for _ in range(12)])
-        picks = [hyperbo_step(ledger, space, np.random.default_rng(seed)) for seed in (5, 5, 6)]
+        ledger = self.ledger_with(space, [(space.rows(space.sample(rng)), float(rng.exponential())) for _ in range(12)])
+        picks = [space.rows(hyperbo_step(ledger, space, np.random.default_rng(seed))) for seed in (5, 5, 6)]
         for theta in picks:
             np.testing.assert_array_equal(space.theta(theta), theta)
         np.testing.assert_array_equal(picks[0], picks[1])
+
+    def test_theta_gp_params_are_built_once_per_space(self):
+        space = ModelSpace(MONOTONICITY, 2)
+        varied, tied = np.array([1.0, -1.0]), np.zeros(2)
+        assert space.theta_gp_params(varied) is space.theta_gp_params(varied.copy())
+        assert space.theta_gp_params(varied).signal_variance == 1.0
+        assert space.theta_gp_params(tied).signal_variance == 1e-6
+        assert space.theta_gp_params(tied).length_scales == (THETA_GP_LS_FRACTION,) * space.theta_dim
 
     @pytest.mark.parametrize("mode", [LENGTH_SCALE, MONOTONICITY])
     def test_per_dimension_prior_factorizes_without_jitter(self, mode):
@@ -307,15 +353,13 @@ class TestHyperboStep:
         rng = np.random.default_rng(17)
         ledger = np.vstack([space.sample(rng) for _ in range(10)])
         z, _ = standardize(rng.exponential(size=len(ledger)))
-        params = KernelParams(max(float(np.var(z)), 1e-6), (THETA_GP_LS_FRACTION,) * space.theta_dim, THETA_GP_NOISE)
-        model = gp_fit(space.to_unit(ledger), z, params)
+        model = gp_fit(space.unit_rows(ledger), z, space.theta_gp_params(z))
         grid = grid_indices(space)
         means, cov = model.predict_joint(space.to_unit(space.rows(grid)))
         n = 20_000
         joint_rng, path_rng = np.random.default_rng(1), np.random.default_rng(2)
         joint = np.bincount([thompson_sample_argmax(means, cov, joint_rng) for _ in range(n)], minlength=space.size)
-        at = space.indices(ledger)
-        flat = [np.ravel_multi_index(_pathwise_argmax(model, space, at, path_rng), (space.per_dim,) * dim) for _ in range(n)]
+        flat = [np.ravel_multi_index(_pathwise_argmax(model, space, ledger, path_rng), (space.per_dim,) * dim) for _ in range(n)]
         pathwise = np.bincount(flat, minlength=space.size)
         assert np.count_nonzero(joint) > 5  # the draw is not trivially concentrated
         assert np.abs(joint - pathwise).max() / n < 0.015
@@ -350,14 +394,14 @@ class TestRunFramework:
         b = run_framework(task, config)
         np.testing.assert_array_equal(a.best_values, b.best_values)
         assert np.array_equal(a.best_theta, b.best_theta)
-        assert [r.score for r in a.ledger] == [r.score for r in b.ledger]
+        assert a.ledger["score"].tolist() == b.ledger["score"].tolist()
 
     def test_every_scored_theta_is_on_grid(self):
         task = make_toy_task(np.cos(np.linspace(0, 5, 50)), n_initial=3)
         config = RunConfig(mode=LENGTH_SCALE, m=3, K=2, R=6, seed=4)
         result = run_framework(task, config)
         space = ModelSpace(LENGTH_SCALE, 1)
-        assert all(np.array_equal(space.theta(rec.theta), rec.theta) for rec in result.ledger)
+        assert all(np.array_equal(space.theta(theta), theta) for theta in space.rows(result.ledger["index"]))
 
     def test_regret_trace_invariants(self):
         task = make_toy_task(np.linspace(-5, 3, 25), n_initial=3)
@@ -377,9 +421,9 @@ class TestRunFramework:
         task = make_toy_task(np.linspace(0, 1, 50) ** 2, n_initial=3)
         config = RunConfig(mode=LENGTH_SCALE, m=3, K=2, R=5, seed=8)
         result = run_framework(task, config)
-        scores = [rec.score for rec in result.ledger]
-        best_records = [r for r in result.ledger if r.score == max(scores)]
-        assert np.array_equal(result.best_theta, best_records[0].theta)
+        scores = result.ledger["score"]
+        best_records = result.ledger[scores == max(scores)]
+        assert np.array_equal(result.best_theta, ModelSpace(LENGTH_SCALE, 1).rows(best_records[0]["index"]))
 
     def test_manual_trace_oracle(self):
         """Replay the documented operation order step by step and compare everything."""
@@ -412,10 +456,10 @@ class TestRunFramework:
         thetas = []
         for outer in (1, 2):
             if outer == 1:
-                theta = space.sample(run_rng)
+                theta = space.rows(space.sample(run_rng))
             else:
-                ledger = [LedgerRecord(th, sc, i, sc, i + 1) for i, (th, sc) in enumerate(zip(thetas, ledger_scores))]
-                theta = hyperbo_step(ledger, space, run_rng)
+                ledger = ledger_of(indices(space, np.vstack(thetas)), ledger_scores)
+                theta = space.rows(hyperbo_step(ledger, space, run_rng))
             thetas.append(theta)
             y_plus = max(ys)
             for _ in range(2):
@@ -439,9 +483,9 @@ class TestRunFramework:
             score = gain / np.sqrt(np.log(T) ** 2 / T) * (1.0 - lam * np.linalg.norm(theta))
             ledger_scores.append(score if gain > 0 else 0.0)
 
-        assert [tuple(r.theta) for r in result.ledger] == [tuple(t) for t in thetas]
+        assert [tuple(t) for t in space.rows(result.ledger["index"])] == [tuple(t) for t in thetas]
         np.testing.assert_allclose(result.best_values, traced_best, atol=0)
-        np.testing.assert_allclose([r.score for r in result.ledger], ledger_scores, atol=0)
+        np.testing.assert_allclose(result.ledger["score"], ledger_scores, atol=0)
 
 
 class TestRerunWithBestTheta:

@@ -121,6 +121,16 @@ class TestKernelMatchesEinsum:
         assert np.array_equal(se_kernel_matrix(np.asfortranarray(X), np.asfortranarray(Z), params), expected)
         assert np.array_equal(se_kernel_matrix(X, np.asfortranarray(Z), params), expected)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 17])
+    def test_pre_scaled_planes_equal_the_kernel_matrix(self, rng, d):
+        # Every branch of the lane order: no odd lane (1), tails only (2, 3),
+        # one block of 8 (8), blocks plus an even (9) or odd-length (17) tail.
+        params, X, _ = random_gp_instance(rng, d, t=30)
+        Z = rng.uniform(0, 1, size=(45, d))
+        ls = params.scales_array()
+        planes = gp_module._scaled_se((X / ls).T, np.ascontiguousarray((Z / ls).T), params.signal_variance)
+        assert np.array_equal(planes, se_kernel_matrix(X, Z, params))
+
 
 def random_spd(rng, n):
     A = rng.normal(size=(n, n))
@@ -233,6 +243,32 @@ class TestPoolPosterior:
         for points in (self.POOL.copy(), self.POOL[:], self.POOL[::-1]):
             with pytest.raises(ValueError, match="not this posterior's pool"):
                 posterior.predict_candidates(CandidateSet(points))
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_kernel_blocks_equal_the_kernel_matrix(self, rng, monkeypatch, d):
+        # The build's Gram and pool kernel, and each extended row's kernel
+        # against the observed rows and the pool, from pre-scaled points.
+        params, X, _ = random_gp_instance(rng, d, t=6)
+        pool = rng.uniform(0.0, 1.0, size=(25, d))
+        blocks = []
+        original = gp_module._scaled_se
+
+        def recording(*args):
+            block = original(*args)
+            blocks.append(block.copy())  # the Gram's diagonal is regularized in place
+            return block
+
+        monkeypatch.setattr(gp_module, "_scaled_se", recording)
+        posterior = PoolPosterior(X[:2], pool, params)
+        assert len(blocks) == 2
+        assert np.array_equal(blocks[0], se_kernel_matrix(X[:2], X[:2], params))
+        assert np.array_equal(blocks[1], se_kernel_matrix(X[:2], pool, params))
+        for t in range(2, len(X)):
+            blocks.clear()
+            posterior.extend(X[t])
+            assert len(blocks) == 1  # k(x, pool), then k(x, X)
+            assert np.array_equal(blocks[0][:, : len(pool)], se_kernel_matrix(X[t], pool, params))
+            assert np.array_equal(blocks[0][:, len(pool) :], se_kernel_matrix(X[t], X[:t], params))
 
     def test_a_batch_of_rows_extends_as_one_row_at_a_time(self):
         params = KernelParams(1.0, (0.3, 0.3), 1e-6)
