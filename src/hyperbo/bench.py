@@ -103,6 +103,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         ints = {k: getattr(self, k) for k in _INT_KEYS}
         if self.discovery_budget is None:
             del ints["discovery_budget"]  # unset: hyperbo samples `budget`
@@ -415,15 +417,18 @@ def emit_reports(run_dir) -> Path | None:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ReportError(f"no manifest.json under {run_dir}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    mode = manifest["config"]["mode"]
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        mode, trials = manifest["config"]["mode"], manifest["trials"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ReportError(f"{manifest_path} is not a run manifest: {type(exc).__name__}: {exc}") from None
     if mode != MONOTONICITY:
         print(f"notice: {run_dir} is a {mode} run; monotonicity report skipped")
         return None
 
     best_thetas = []
-    for tr in manifest["trials"]:
+    for tr in trials:
         payload = tr["strategies"].get("hyperbo")
         if payload and payload.get("status") == "ok" and payload.get("best_theta"):
             best_thetas.append(payload["best_theta"])

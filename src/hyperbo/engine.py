@@ -11,8 +11,8 @@ uniformly random thetas to seed the ledger.  Proposals are index rows of the
 model grid, and the ledger is one structured array filled window by window:
 each row holds a window's index row, outer iteration, start T, gain and
 score.  The inner steps of a run share
-one pool array and two caches over it, the only source of their predictions:
-a pool posterior for plain-GP steps and a workspace for monotonic fits.
+one pool array and one pool posterior over it, the only source of their
+predictions; monotonic fits add a workspace of derivative blocks beside it.
 """
 
 from __future__ import annotations
@@ -256,8 +256,8 @@ class _RunState:
     rng: np.random.Generator
     locations: np.ndarray | None  # virtual derivative locations of a monotonicity run
     trial_scale: float
-    posterior: PoolPosterior | None = None  # the plain-GP posterior over the pool, with its kernel
-    monotonic: MonotonicWorkspace | None = None  # the monotonic fits' prior blocks, from the first monotonic step
+    posterior: PoolPosterior | None = None  # the posterior over the pool of every inner step, with its kernel
+    monotonic: MonotonicWorkspace | None = None  # the derivative blocks beside it, from the first monotonic step
     ep_start: tuple[np.ndarray, np.ndarray] | None = None  # the last monotonic fit's strictness and final sites
     ep_fits: int = 0
     ep_sweeps: int = 0
@@ -268,37 +268,32 @@ def _fit_window_model(state: _RunState, config: RunConfig, theta: np.ndarray | N
     """The inner surrogate on standardized outputs for the current theta.
 
     theta None means the fixed default kernel (the plain-BO baseline); the
-    run's mode says what a theta's values are.  A plain GP (theta None, or a
-    length-scale theta) is the run's pool posterior, rebuilt when theta
-    changed its kernel.  A monotonic fit keeps the default kernel, so one
-    workspace serves every monotonic step of the run, and the fit's EP health
-    is counted here.  A monotonic step whose strictness is the previous
+    run's mode says what a theta's values are.  Every step goes through the
+    run's pool posterior, rebuilt when theta changed its kernel and first
+    extended by the rows observed since it last saw them.  A plain GP (theta
+    None, or a length-scale theta) is that posterior.  A monotonic fit keeps
+    the default kernel, so its posterior is never rebuilt and one workspace
+    over it serves every monotonic step of the run; the fit's EP health is
+    counted here.  A monotonic step whose strictness is the previous
     monotonic step's starts EP from that fit's sites: every step after the
     first of a fixed-theta rerun, steps 2..K of a window, and a window whose
     theta repeats the one before it.  Every other monotonic step starts from
-    zero sites.  Either cache is first extended by the rows observed
-    since it last saw them.  UCB selection is invariant to the output
-    standardization, so predictions are consumed in standardized units.
+    zero sites.  UCB selection is invariant to the output standardization,
+    so predictions are consumed in standardized units.
     """
     z, _ = standardize(state.y)
     monotonic = theta is not None and config.mode == MONOTONICITY
     scales = (DEFAULT_LENGTH_SCALE,) * state.X.shape[1] if monotonic or theta is None else tuple(theta.tolist())
-    if monotonic:
-        if state.monotonic is None:
-            params = KernelParams(SIGNAL_VARIANCE, scales, NOISE_VARIANCE)
-            state.monotonic = MonotonicWorkspace(params, state.locations, state.pool)
-        cache = state.monotonic
-    else:
-        if state.posterior is None or state.posterior.params.length_scales != scales:
-            params = KernelParams(SIGNAL_VARIANCE, scales, NOISE_VARIANCE)
-            state.posterior = PoolPosterior(state.X, state.pool, params)
-        cache = state.posterior
-    cache.extend(state.X[cache.n :])
+    if state.posterior is None or state.posterior.params.length_scales != scales:
+        state.posterior = PoolPosterior(state.X, state.pool, KernelParams(SIGNAL_VARIANCE, scales, NOISE_VARIANCE))
+    state.posterior.extend(state.X[state.posterior.n :])
     if not monotonic:
-        cache.set_outputs(z)
-        return cache
+        state.posterior.set_outputs(z)
+        return state.posterior
+    if state.monotonic is None:
+        state.monotonic = MonotonicWorkspace(state.posterior, state.locations)
     warm = state.ep_start is not None and np.array_equal(state.ep_start[0], theta)
-    model = fit_monotonic_gp(cache, z, theta, start=state.ep_start[1] if warm else None)
+    model = fit_monotonic_gp(state.monotonic, z, theta, start=state.ep_start[1] if warm else None)
     state.ep_start = (theta, model.sites)
     state.ep_fits += 1
     state.ep_sweeps += model.sweeps
@@ -413,8 +408,8 @@ def _init_state(task: Task, config: RunConfig) -> _RunState:
     init_child, virtual_child, run_child = seq.spawn(3)
     init_rng = np.random.default_rng(init_child)
     indices, X0, y0 = task.initial_design(init_rng)
-    # The one pool object of the run: every CandidateSet over it and both
-    # inner-loop caches hold this very array (an unpickled task's array would
+    # The one pool object of the run: every CandidateSet over it and the pool
+    # posterior hold this very array (an unpickled task's array would
     # otherwise be wrapped in a fresh view by each CandidateSet).
     pool = np.asarray(task.build_pool(init_rng), dtype=float)
     # Initial-design entries that are pool members (dataset rows) are excluded

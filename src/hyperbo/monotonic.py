@@ -12,13 +12,13 @@ propagation over the derivative latents alone: every sweep updates all
 probit sites at once from the current posterior marginals and then refreshes
 the posterior with one Cholesky factorization.
 
-A `MonotonicWorkspace` holds one trial's observed rows, the kernel's plain GP
-posterior over the candidate pool and the derivative latents' kernel blocks,
-and every fit is made from one: in a monotonicity run the locations, the
-candidate pool and the kernel are fixed and only the strictness changes, so
-each observed row extends the pool posterior and adds one row of K_fd, and
-nothing is recomputed.  A fit predicts a candidate set over the workspace's
-pool array as the pool posterior's prediction plus the sites' correction.
+A `MonotonicWorkspace` holds the derivative latents' kernel blocks beside the
+run's one plain GP posterior over the candidate pool, and every fit is made
+from one: in a monotonicity run the locations, the candidate pool and the
+kernel are fixed and only the strictness changes, so each observed row
+extends the pool posterior and adds one row of K_fd, and nothing is
+recomputed.  A fit predicts a candidate set over the pool array as the pool
+posterior's prediction plus the sites' correction.
 
 A fit may start from the probit sites of an earlier fit on the same workspace
 instead of from zero sites.  The engine passes them when a step keeps the
@@ -98,50 +98,36 @@ def _probit_moments(cav_mean, cav_var, sign, nu2):
 
 
 class MonotonicWorkspace:
-    """The prior blocks of a run of monotonic fits, grown as rows are observed.
+    """The derivative latents' kernel blocks beside a run's pool posterior.
 
-    The fits share the kernel params, the virtual locations (rows of d
-    coordinates) and the candidate pool: the array that the run's
-    CandidateSets hold, or none.  `posterior` is the kernel's plain GP
-    posterior over the pool (a gp.PoolPosterior, built at the first `extend`
-    and extended by every later one); it holds the observed rows and the
-    factor L of their Gram matrix plus noise.  Beside it the workspace keeps
-    the observed rows' cross-covariances with the derivative latents K_fd,
-    one kernel call for each batch of rows, and the derivative-derivative
-    block K_dd and the pool's derivative cross-covariances K_pd, computed
-    once.
+    posterior is the kernel's plain GP posterior over the candidate pool (a
+    gp.PoolPosterior), which holds the observed rows and the factor L of their
+    Gram matrix plus noise; the run grows it, and every fit made from the
+    workspace answers for its rows at the fit.  The workspace adds the
+    derivative-derivative block K_dd and the pool's derivative
+    cross-covariances K_pd at the virtual locations (rows of d coordinates),
+    computed once, and the observed rows' cross-covariances K_fd.
     """
 
-    def __init__(self, params: KernelParams, locations, pool=None):
-        self.params = params
+    def __init__(self, posterior: PoolPosterior, locations):
+        self.posterior = posterior
         self.locations = np.asarray(locations, dtype=float)
+        params = posterior.params
         if self.locations.ndim != 2 or self.locations.shape[1] != params.dim:
             raise ValueError("kernel and location dimensions must agree")
-        self.pool = np.empty((0, params.dim)) if pool is None else pool
-        self.posterior: PoolPosterior | None = None
         self.K_dd = gradient_gram_matrix(self.locations, params)
         # (m, N), C order: the layout in which a fit gathers the active columns.
-        self.K_pd = np.ascontiguousarray(value_gradient_cross_matrix(self.pool, self.locations, params).T)
-        self.K_fd = np.empty((0, len(self.K_dd)))
+        self.K_pd = np.ascontiguousarray(value_gradient_cross_matrix(posterior.pool, self.locations, params).T)
+        self._K_fd = np.empty((0, len(self.K_dd)))
 
     @property
-    def n(self) -> int:
-        """The number of observed rows."""
-        return len(self.K_fd)
-
-    @property
-    def X(self) -> np.ndarray:
-        """The observed rows, in order."""
-        return np.empty((0, self.params.dim)) if self.posterior is None else self.posterior.X
-
-    def extend(self, rows) -> None:
-        """Add observed rows, in order: one row x, or a (k, d) array of them."""
-        rows = np.array(rows, dtype=float, ndmin=2)
-        if self.posterior is None:
-            self.posterior = PoolPosterior(rows, self.pool, self.params)
-        else:
-            self.posterior.extend(rows)
-        self.K_fd = np.vstack((self.K_fd, value_gradient_cross_matrix(rows, self.locations, self.params)))
+    def K_fd(self) -> np.ndarray:
+        """K_fd at every row of the posterior; the rows it gained since the last read take one kernel call."""
+        seen = len(self._K_fd)
+        if seen < self.posterior.n:
+            rows = value_gradient_cross_matrix(self.posterior.X[seen:], self.locations, self.posterior.params)
+            self._K_fd = np.vstack((self._K_fd, rows))
+        return self._K_fd
 
 
 @dataclass(frozen=True)
@@ -197,7 +183,7 @@ class FittedMonotonicGP:
         The kernel columns are the active columns of the pool posterior's V
         and of the workspace's K_pd.
         """
-        if candidates.points is not self._workspace.pool:
+        if candidates.points is not self._workspace.posterior.pool:
             raise ValueError("the candidates are not the workspace's pool")
         active = candidates.active_indices
         return self._predict(self._pool_rows[:, active], self._pool_col_sums[active], self._workspace.K_pd[:, active])
@@ -232,10 +218,11 @@ def _posterior(K, prior_var, prior_mean, tau_lat, nat_lat):
 def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -> FittedMonotonicGP:
     """Fit the probit derivative sites by damped parallel EP and freeze the posterior.
 
-    workspace holds the observed rows, the kernel params, the virtual
-    derivative locations and their prior kernel blocks; y holds one output per
-    observed row.  strictness holds the 2d exponents [theta_1_minus,
-    theta_1_plus, ...]; the probit scale of each direction is nu = 10^theta.
+    workspace holds the virtual derivative locations and their prior kernel
+    blocks beside the pool posterior, which holds the observed rows and the
+    kernel params; y holds one output per observed row.  strictness holds
+    the 2d exponents [theta_1_minus, theta_1_plus, ...]; the probit scale of
+    each direction is nu = 10^theta.
 
     The observation sites are fixed Gaussians (the kernel's noise), so the
     latents are conditioned on the outputs once: with L the pool posterior's
@@ -263,7 +250,8 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     final posterior.  Sites of another strictness are a poor start: they
     cost sweeps rather than save them.
     """
-    params, locations, t = workspace.params, workspace.locations, workspace.n
+    posterior, locations = workspace.posterior, workspace.locations
+    params, t = posterior.params, posterior.n
     y = np.asarray(y, dtype=float)
     strictness = np.asarray(strictness, dtype=float)
     if t < 1 or y.shape != (t,):
@@ -271,9 +259,9 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     if strictness.shape != (2 * params.dim,):
         raise ValueError("kernel and strictness dimensions must agree")
 
-    posterior = workspace.posterior
     chol, pool_rows, pool_col_sums = posterior.snapshot()
-    W = _solve_lower(chol, workspace.K_fd)
+    K_fd = workspace.K_fd
+    W = _solve_lower(chol, K_fd)
     alpha = _solve_lower(chol, y)
     K = workspace.K_dd - W.T @ W
     mean_c = alpha @ W
@@ -281,7 +269,7 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     prior_sd = np.sqrt(np.diag(workspace.K_dd))
     # f(X) given y, and its covariances with the derivative latents.
     V_X = _solve_lower(chol, se_kernel_matrix(posterior.X, posterior.X, params))
-    C_X = workspace.K_fd.T - W.T @ V_X
+    C_X = K_fd.T - W.T @ V_X
     sv = params.signal_variance
     obs_mean, obs_var = alpha @ V_X, sv - np.einsum("ij,ij->j", V_X, V_X)
 

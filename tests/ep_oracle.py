@@ -16,8 +16,9 @@ the full posterior covariance after each site, a refresh from scratch after
 each sweep, and convergence judged on the site parameters.  Tests compare the
 parallel fit against it.
 
-`fit_rows` is the fit's call form on plain arrays: a fresh workspace holding
-the rows of X.
+`workspace_over` builds a pool posterior over the rows of X and a workspace
+over it; a test grows it through `workspace.posterior.extend`.  `fit_rows` is
+the fit's call form on plain arrays: a fresh workspace holding the rows of X.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +27,15 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import log_ndtr
 
-from hyperbo.gp import KernelParams, _cho_solve_lower, _cholesky_lower, _solve_lower, as_observations, se_kernel_matrix
+from hyperbo.gp import (
+    KernelParams,
+    PoolPosterior,
+    _cho_solve_lower,
+    _cholesky_lower,
+    _solve_lower,
+    as_observations,
+    se_kernel_matrix,
+)
 from hyperbo.monotonic import (
     _DAMPING,
     _LOG_SQRT_2PI,
@@ -42,11 +51,15 @@ from hyperbo.monotonic import (
 )
 
 
+def workspace_over(X, pool, params, locations) -> MonotonicWorkspace:
+    """A workspace over a new pool posterior of params at pool (None: an empty pool) that holds the rows of X."""
+    pool = np.empty((0, params.dim)) if pool is None else pool
+    return MonotonicWorkspace(PoolPosterior(X, pool, params), locations)
+
+
 def fit_rows(X, y, params, strictness, locations, pool=None, start=None) -> FittedMonotonicGP:
     """fit_monotonic_gp from a new workspace over pool (or none) that holds the rows of X."""
-    workspace = MonotonicWorkspace(params, locations, pool)
-    workspace.extend(X)
-    return fit_monotonic_gp(workspace, y, strictness, start)
+    return fit_monotonic_gp(workspace_over(X, pool, params, locations), y, strictness, start)
 
 
 def joint_prior(X, Z, params):

@@ -110,6 +110,7 @@ class TestConfigValidation:
             {"discovery_budget": 0, "strategies": ["standard_bo"]},
             {"strategies": ["hyperbo", "hyperbo"]},
             {"strategies": 5},
+            {"output_dir": 5},
         ],
         ids=lambda override: json.dumps(override),
     )
@@ -528,6 +529,17 @@ class TestReports:
     def test_report_on_missing_dir_errors(self, tmp_path):
         with pytest.raises(ReportError):
             emit_reports(tmp_path / "void")
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"config": {"mode": "monoton', "[]", "{}", '{"config": {}, "trials": []}', '{"config": {"mode": "monotonicity"}}'],
+    )
+    def test_report_on_a_broken_manifest_errors(self, tmp_path, capsys, text):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ReportError, match="not a run manifest"):
+            emit_reports(tmp_path)
+        assert cli_main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("report error:")
 
     @pytest.mark.parametrize("best_theta", [[-7.0, 0.0, 0.0, -6.0], [-6.0, 0.0], "x"])
     def test_report_rejects_off_grid_best_theta(self, tmp_path, best_theta):

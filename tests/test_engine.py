@@ -32,7 +32,7 @@ from hyperbo.engine import (
 from hyperbo.acquisition import CandidateSet, ucb_select
 from hyperbo.bench import ExperimentConfig, run_experiment
 from hyperbo.gp import KernelParams, PoolPosterior, gp_fit, se_kernel_matrix, standardize
-from hyperbo.monotonic import FittedMonotonicGP, fit_monotonic_gp
+from hyperbo.monotonic import FittedMonotonicGP, fit_monotonic_gp, value_gradient_cross_matrix
 from hyperbo.tasks import ContinuousTask, DiscreteTask, make_goldstein_price_task, make_gp_sample_task
 
 from ep_oracle import joint_ep_fit
@@ -594,12 +594,27 @@ class TestPoolPosteriorInTheEngine:
         _inner_step(task, state, config, np.array([0.3]))
         assert state.posterior is posterior and posterior.n == len(state.y) - 1
 
-    def test_monotonic_steps_leave_the_posterior_alone(self):
+    def test_plain_and_monotonic_steps_share_one_posterior(self, monkeypatch):
+        import hyperbo.engine as engine
+
+        builds = []
+
+        def counting_posterior(*args):
+            builds.append(PoolPosterior(*args))
+            return builds[-1]
+
+        monkeypatch.setattr(engine, "PoolPosterior", counting_posterior)
         task = make_goldstein_price_task(pool_size=60)
         config = RunConfig(mode=MONOTONICITY, seed=2)
         state = _init_state(task, config)
-        _inner_step(task, state, config, np.array([-6.0, 0.0, 0.0, -6.0]))
-        assert state.posterior is None and state.ep_fits == 1
+        for theta in (None, np.array([-6.0, 0.0, 0.0, -6.0])) * 3:
+            assert _inner_step(task, state, config, theta)
+            if theta is not None:
+                workspace = state.monotonic
+                assert workspace.posterior is state.posterior
+                want = value_gradient_cross_matrix(state.X[:-1], state.locations, state.posterior.params)
+                assert np.array_equal(workspace.K_fd, want)
+        assert builds == [state.posterior] and state.ep_fits == 3
 
     def test_exhaustion_ends_a_plain_bo_run(self):
         task = make_toy_task([0.0, 1.0, 2.0, 3.0, 4.0], n_initial=2)
@@ -622,8 +637,8 @@ class TestMonotonicWorkspaceInTheEngine:
             assert _inner_step(task, state, config, theta)
             if theta is not None:
                 workspace = workspace or state.monotonic
-                assert state.monotonic is workspace and workspace.pool is state.pool
-                assert np.array_equal(workspace.X, state.X[:-1])
+                assert state.monotonic is workspace and workspace.posterior.pool is state.pool
+                assert np.array_equal(workspace.posterior.X, state.X[:-1])
         assert state.ep_fits == 4
         assert _init_state(task, config).monotonic is None
 
@@ -637,7 +652,7 @@ class TestMonotonicWorkspaceInTheEngine:
         monkeypatch.setattr(FittedMonotonicGP, "predict_batch", lambda model, X: pytest.fail("predict_batch was called"))
         for theta in (np.array([-6.0, 0.0, 0.0, -6.0]), np.array([0.0, -2.0, -1.0, 0.0])):
             assert _inner_step(task, state, config, theta)
-        assert state.monotonic.pool is state.pool and state.ep_fits == 2
+        assert state.monotonic.posterior.pool is state.pool and state.ep_fits == 2
         result = run_framework(task, config)
         assert result.ep_fits == 6 and result.n_samples == 6
 
@@ -811,7 +826,8 @@ def test_monotonic_workspace_leaves_artifacts_as_fresh_fits_over_a_seed_panel(tm
     }
 
     def fresh_fit(workspace, y, strictness, start=None):
-        return BatchPredictions(joint_ep_fit(workspace.X, y, workspace.params, strictness, workspace.locations))
+        posterior = workspace.posterior
+        return BatchPredictions(joint_ep_fit(posterior.X, y, posterior.params, strictness, workspace.locations))
 
     for name, panel in panels.items():
         outputs, sweeps = {}, {}

@@ -19,7 +19,6 @@ from hyperbo.engine import RunConfig, run_framework
 from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
     FittedMonotonicGP,
-    MonotonicWorkspace,
     fit_monotonic_gp,
     gradient_gram_matrix,
     value_gradient_cross_matrix,
@@ -27,7 +26,15 @@ from hyperbo.monotonic import (
 
 from hyperbo.tasks import goldstein_price, make_goldstein_price_task
 
-from ep_oracle import fit_rows, joint_ep_fit, joint_moves, joint_posterior, joint_prior, sequential_ep_fit
+from ep_oracle import (
+    fit_rows,
+    joint_ep_fit,
+    joint_moves,
+    joint_posterior,
+    joint_prior,
+    sequential_ep_fit,
+    workspace_over,
+)
 from kernel_oracles import cov_gradient_gradient, cov_value_gradient, random_gp_instance, se_kernel, se_kernel_matrix_einsum
 
 PARAMS_2D = KernelParams(1.0, (0.3, 0.45), noise_variance=1e-6)
@@ -227,16 +234,16 @@ class TestMonotonicFit:
         # Checked where the locations enter: the workspace.
         for locations in (rng.uniform(0, 1, size=(10, 1)), rng.uniform(0, 1, size=(10, 3)), rng.uniform(0, 1, size=2)):
             with pytest.raises(ValueError, match="dimensions must agree"):
-                MonotonicWorkspace(PARAMS_2D, locations)
+                workspace_over(np.empty((0, 2)), None, PARAMS_2D, locations)
 
     def test_outputs_must_match_the_workspace_rows(self, rng):
         X = rng.uniform(0, 1, size=(6, 2))
         y = standardize(X[:, 0] - X[:, 1])
         strictness = np.array((0.0, -3.0, -3.0, 0.0))
-        workspace = MonotonicWorkspace(PARAMS_2D, virtual_locations(2, rng))
+        locations = virtual_locations(2, rng)
         with pytest.raises(ValueError, match="for 0 observed rows"):
-            fit_monotonic_gp(workspace, y[:0], strictness)
-        workspace.extend(X)
+            fit_monotonic_gp(workspace_over(X[:0], None, PARAMS_2D, locations), y[:0], strictness)
+        workspace = workspace_over(X, None, PARAMS_2D, locations)
         for wrong in (y[:5], np.append(y, 0.0), y[:, None]):
             with pytest.raises(ValueError, match="for 6 observed rows"):
                 fit_monotonic_gp(workspace, wrong, strictness)
@@ -429,7 +436,7 @@ class TestParallelEP:
             """
             import json, time
             import numpy as np
-            from hyperbo.gp import KernelParams, standardize
+            from hyperbo.gp import KernelParams, PoolPosterior, standardize
             from hyperbo.monotonic import MonotonicWorkspace, fit_monotonic_gp
 
             r = np.random.default_rng(8)
@@ -439,8 +446,7 @@ class TestParallelEP:
             locations = r.uniform(0.0, 1.0, size=(40, 8))
             strictness = np.array((-6.0, 0.0, -3.0, -1.0) * 4)
             start = time.perf_counter()
-            workspace = MonotonicWorkspace(params, locations)
-            workspace.extend(X)
+            workspace = MonotonicWorkspace(PoolPosterior(X, np.empty((0, 8)), params), locations)
             model = fit_monotonic_gp(workspace, y, strictness)
             print(json.dumps({"elapsed": time.perf_counter() - start, "converged": model.converged}))
             """
@@ -471,14 +477,14 @@ class TestWorkspace:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_grown_blocks_equal_the_whole_ones(self, d):
         params, X, locations, pool, _ = growing_case(d, d)
-        workspace = MonotonicWorkspace(params, locations, pool)
-        assert workspace.n == 0 and workspace.X.shape == (0, d)
-        workspace.extend(X[:3])
+        empty = workspace_over(X[:0], pool, params, locations)
+        assert empty.posterior.n == 0 and empty.K_fd.shape == (0, d * len(locations))
+        workspace = workspace_over(X[:3], pool, params, locations)
         for t in range(3, len(X) + 1):
-            assert workspace.n == t and np.array_equal(workspace.X, X[:t])
+            assert workspace.posterior.n == t and np.array_equal(workspace.posterior.X, X[:t])
             assert np.array_equal(workspace.K_fd, value_gradient_cross_matrix(X[:t], locations, params))
             if t < len(X):
-                workspace.extend(X[t])
+                workspace.posterior.extend(X[t])
         assert workspace.posterior.pool is pool and workspace.posterior.params == params
         assert np.array_equal(workspace.K_dd, gradient_gram_matrix(locations, params))
         # The pool's derivative cross-covariances, in the layout the fits gather columns from.
@@ -489,17 +495,17 @@ class TestWorkspace:
     def test_fits_match_the_joint_oracle_after_the_workspace_grows(self, monkeypatch, d):
         params, X, locations, pool, r = growing_case(d, 10 + d)
         y = standardize(X @ np.linspace(1.0, -1.0, d) + np.cos(4.0 * X[:, -1]))
-        workspace = MonotonicWorkspace(params, locations, pool)
+        workspace = workspace_over(X[:3], pool, params, locations)
         refreshes = recorded_refreshes(monkeypatch)
         fits = []
         for t in range(3, len(X) + 1):
             strictness = r.choice(np.arange(-6.0, 1.0), size=2 * d)
-            workspace.extend(X[workspace.n : t])
+            workspace.posterior.extend(X[workspace.posterior.n : t])
             refreshes.clear()
             model = fit_monotonic_gp(workspace, y[:t], strictness)
             candidates = CandidateSet(pool, excluded=r.uniform(size=len(pool)) < 0.3)
             fits.append((model, strictness, candidates, model.predict_candidates(candidates), list(refreshes)))
-        assert workspace.n == len(X)
+        assert workspace.posterior.n == len(X)
         # Every fit answers for its own rows from the grown workspace, as it did when it was made.
         for model, strictness, candidates, (means, variances), fit_refreshes in fits:
             t = model.X.shape[0]
@@ -515,9 +521,8 @@ class TestWorkspace:
         params, X, locations, pool, r = growing_case(8, 18)
         y = standardize(X @ np.linspace(1.0, -1.0, 8) + np.cos(4.0 * X[:, -1]))
         strictness = r.choice(np.arange(-6.0, 1.0), size=16)
-        workspace = MonotonicWorkspace(params, locations, pool)
-        workspace.extend(X[:20])
-        workspace.extend(X[20:30])
+        workspace = workspace_over(X[:20], pool, params, locations)
+        workspace.posterior.extend(X[20:30])
         refreshes = recorded_refreshes(monkeypatch)
         model = fit_monotonic_gp(workspace, y[:30], strictness)
         candidates = CandidateSet(pool, excluded=r.uniform(size=len(pool)) < 0.3)
@@ -590,8 +595,7 @@ class TestWarmStart:
             return posteriors[-1]
 
         monkeypatch.setattr(monotonic, "_posterior", recording_posterior)
-        workspace = MonotonicWorkspace(params, locations)
-        workspace.extend(X)
+        workspace = workspace_over(X, None, params, locations)
         model = fit_monotonic_gp(workspace, y, strictness)
         final, sites = posteriors[-1], model.sites.copy()
         posteriors.clear()
@@ -618,10 +622,10 @@ class TestWarmStart:
         for (params, X, locations, _, r), first, rows in panel:
             f = X @ np.linspace(1.0, -1.0, params.dim) + np.cos(4.0 * X[:, -1])
             strictness = r.choice(np.arange(-6.0, 1.0), size=2 * params.dim)
-            workspace = MonotonicWorkspace(params, locations)
+            workspace = workspace_over(X[:first], None, params, locations)
             warm = None
             for t in range(first, rows + 1):
-                workspace.extend(X[workspace.n : t])
+                workspace.posterior.extend(X[workspace.posterior.n : t])
                 y = standardize(f[:t])
                 cold = fit_monotonic_gp(workspace, y, strictness)
                 start = None if warm is None else warm.sites
