@@ -177,6 +177,10 @@ def load_config(path: str) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required config keys {missing}")
     config = ExperimentConfig(**raw)
+    out_dir = config.resolved_output_dir()
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {str(out_dir)!r} cannot be made: {str(existing)!r} is not a directory")
     task = build_task(config.task)  # validates task binding and referenced files now
     if config.gold_standard_theta is not None:
         try:

@@ -294,6 +294,10 @@ class PoolPosterior:
     def extend(self, rows) -> None:
         """Condition on more observed rows, in order: one row x, or a (k, d) array of them."""
         rows = np.array(rows, dtype=float, ndmin=2)
+        if self.n == 0:
+            # No factor to update yet: factor the rows whole, as the constructor does.
+            self._factor(rows)
+            return
         N = self.pool.shape[0]
         for x, xs in zip(rows[:, None], rows / self._scales):
             t, params = self.n, self.params
@@ -322,15 +326,18 @@ class PoolPosterior:
             self.X = np.vstack((self.X, x))
             self._alpha = None
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """L, V and V's squared column sums as they are now, unchanged by later `extend` calls."""
-        return self.chol, self._rows[: self.n], self._col_sums.copy()
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """L, L^-1 z (a new array at each `set_outputs`, None after a later `extend`), V and V's squared column sums.
+
+        They are the posterior's own arrays, to read and not to write.
+        """
+        return self.chol, self._alpha, self._rows[: self.n], self._col_sums
 
     def set_outputs(self, z) -> None:
-        """The outputs at the observed rows, in order, that the means answer for."""
-        z = np.asarray(z, dtype=float).reshape(-1)
-        if z.shape[0] != self.n:
-            raise ValueError(f"{z.shape[0]} outputs for {self.n} observed rows")
+        """The outputs at the observed rows, a vector in their order, that the means answer for."""
+        z = np.asarray(z, dtype=float)
+        if self.n == 0 or z.shape != (self.n,):
+            raise ValueError(f"{z.size} outputs for {self.n} observed rows (need a vector of one per row, over at least one row)")
         self._alpha = _solve_lower(self.chol, z)
 
     def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:

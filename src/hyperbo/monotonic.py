@@ -17,8 +17,9 @@ run's one plain GP posterior over the candidate pool, and every fit is made
 from one: in a monotonicity run the locations, the candidate pool and the
 kernel are fixed and only the strictness changes, so each observed row
 extends the pool posterior and adds one row of K_fd, and nothing is
-recomputed.  A fit predicts a candidate set over the pool array as the pool
-posterior's prediction plus the sites' correction.
+recomputed.  A fit is its probit sites over that posterior: it predicts a
+candidate set over the pool array as the pool posterior's prediction plus
+the sites' correction, while the posterior holds the fit's rows and outputs.
 
 A fit may start from the probit sites of an earlier fit on the same workspace
 instead of from zero sites.  The engine passes them when a step keeps the
@@ -102,9 +103,9 @@ class MonotonicWorkspace:
 
     posterior is the kernel's plain GP posterior over the candidate pool (a
     gp.PoolPosterior), which holds the observed rows and the factor L of their
-    Gram matrix plus noise; the run grows it, and every fit made from the
-    workspace answers for its rows at the fit.  The workspace adds the
-    derivative-derivative block K_dd and the pool's derivative
+    Gram matrix plus noise; the run grows it, and a fit made from the
+    workspace answers until it gains a row or other outputs.  The workspace
+    adds the derivative-derivative block K_dd and the pool's derivative
     cross-covariances K_pd at the virtual locations (rows of d coordinates),
     computed once, and the observed rows' cross-covariances K_fd.
     """
@@ -130,63 +131,67 @@ class MonotonicWorkspace:
         return self._K_fd
 
 
+def _site_corrected(v, explained, K_dx, alpha, W, sv, chol_B, sqrt_s, weights) -> tuple[np.ndarray, np.ndarray]:
+    """f's means and variances at points with V columns v, their squared column sums and derivative columns K_dx.
+
+    The observations give the pool posterior's mean alpha^T v and variance
+    sv - explained and the derivative latents' cross-covariances
+    c = k_d(x) - W^T v; the sites add c^T w to the mean and take
+    |L_B^-1 S^1/2 c|^2 from the variance (GPML Alg. 3.5 and 3.6 on the
+    conditioned derivative prior).
+    """
+    C = K_dx - W.T @ v
+    u = _solve_lower(chol_B, sqrt_s[:, None] * C)
+    # einsum, not (u * u).sum(0): the two round differently.
+    return alpha @ v + weights @ C, np.clip(sv - explained - np.einsum("ij,ij->j", u, u), 0.0, sv)
+
+
 @dataclass(frozen=True)
 class FittedMonotonicGP:
-    """Gaussian EP approximation to the monotonicity-constrained posterior.
+    """Gaussian EP approximation to the monotonicity-constrained posterior: probit sites over a pool posterior.
 
-    It answers for the t rows observed at the fit, also after the workspace
-    has grown: the factor L, V = L^-1 K(X, pool) and V's squared column sums
-    are those of the pool posterior at the fit.  W = L^-1 K_fd; S and w are
-    the derivative sites' precisions and the EP weights.  At a point x the
-    observations give the pool posterior's mean and variance and the
-    derivative latents' cross-covariances c = k_d(x) - W^T v, v = L^-1 k(X, x);
-    the sites add c^T w to the mean and take |L_B^-1 S^1/2 c|^2 from the
-    variance (GPML Alg. 3.5 and 3.6 on the conditioned derivative prior).
+    It answers while the workspace's pool posterior holds the rows and
+    outputs of the fit, whose L^-1 y array it keeps, and raises ValueError
+    once the posterior has gained a row or been given other outputs.
+    W = L^-1 K_fd; S and w are the derivative sites' precisions and the EP
+    weights.
     """
 
-    X: np.ndarray
-    params: KernelParams
-    locations: np.ndarray  # (n, d) virtual derivative locations
     converged: bool
     sweeps: int
     sites: np.ndarray = field(repr=False)  # the final probit sites, a start for fit_monotonic_gp
     derivative_means: np.ndarray = field(repr=False)  # posterior means of the derivative latents (location-major)
-    _chol: np.ndarray = field(repr=False)  # L
-    _alpha: np.ndarray = field(repr=False)  # L^-1 y
+    _alpha: np.ndarray = field(repr=False)  # the pool posterior's L^-1 y at the fit
     _W: np.ndarray = field(repr=False)
-    _pool_rows: np.ndarray = field(repr=False)  # V
-    _pool_col_sums: np.ndarray = field(repr=False)
     _weights: np.ndarray = field(repr=False)
     _chol_B: np.ndarray = field(repr=False)
     _sqrt_S: np.ndarray = field(repr=False)
     _workspace: MonotonicWorkspace = field(repr=False)
 
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        factors = self._workspace.posterior.factors()
+        if factors[1] is not self._alpha:
+            raise ValueError("the pool posterior's rows or outputs have changed since this fit")
+        return factors
+
     def _predict(self, v: np.ndarray, explained: np.ndarray, K_dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Means and variances at points with V columns v, their column sums squared, and derivative columns K_dx."""
-        C = K_dx - self._W.T @ v
-        means = self._alpha @ v + self._weights @ C
-        u = _solve_lower(self._chol_B, self._sqrt_S[:, None] * C)
-        # einsum, not (u * u).sum(0): the two round differently.
-        sv = self.params.signal_variance
-        variances = np.clip(sv - explained - np.einsum("ij,ij->j", u, u), 0.0, sv)
-        return means, variances
+        sv = self._workspace.posterior.params.signal_variance
+        return _site_corrected(v, explained, K_dx, self._alpha, self._W, sv, self._chol_B, self._sqrt_S, self._weights)
 
     def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        v = _solve_lower(self._chol, se_kernel_matrix(self.X, X, self.params))
-        K_dx = value_gradient_cross_matrix(X, self.locations, self.params).T
+        chol = self._factors()[0]
+        posterior, X = self._workspace.posterior, np.atleast_2d(np.asarray(X, dtype=float))
+        v = _solve_lower(chol, se_kernel_matrix(posterior.X, X, posterior.params))
+        K_dx = value_gradient_cross_matrix(X, self._workspace.locations, posterior.params).T
         return self._predict(v, np.einsum("ij,ij->j", v, v), K_dx)
 
     def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
-        """predict_batch at the active rows of a CandidateSet over the workspace's pool array.
-
-        The kernel columns are the active columns of the pool posterior's V
-        and of the workspace's K_pd.
-        """
+        """predict_batch at the active rows of a CandidateSet over the pool: from the active columns of V and K_pd."""
+        _, _, V, col_sums = self._factors()
         if candidates.points is not self._workspace.posterior.pool:
             raise ValueError("the candidates are not the workspace's pool")
         active = candidates.active_indices
-        return self._predict(self._pool_rows[:, active], self._pool_col_sums[active], self._workspace.K_pd[:, active])
+        return self._predict(V[:, active], col_sums[active], self._workspace.K_pd[:, active])
 
 
 def _posterior(K, prior_var, prior_mean, tau_lat, nat_lat):
@@ -220,28 +225,28 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
 
     workspace holds the virtual derivative locations and their prior kernel
     blocks beside the pool posterior, which holds the observed rows and the
-    kernel params; y holds one output per observed row.  strictness holds
-    the 2d exponents [theta_1_minus, theta_1_plus, ...]; the probit scale of
-    each direction is nu = 10^theta.
+    kernel params; y holds one output per observed row, and the posterior is
+    given them (`set_outputs`).  strictness holds the 2d exponents
+    [theta_1_minus, theta_1_plus, ...]; the probit scale of each direction
+    is nu = 10^theta.
 
     The observation sites are fixed Gaussians (the kernel's noise), so the
     latents are conditioned on the outputs once: with L the pool posterior's
     factor and W = L^-1 K_fd, the derivative latents' prior given y is
-    N(mu_c, K_c), K_c = K_dd - W^T W and mu_c = W^T L^-1 y, and their
-    covariances with f(X) given y are C_X = K_fd^T - W^T L^-1 K(X, X).  EP
-    runs on K_c alone, with the site natural means shifted by -tau * mu_c
-    (the sites act on the latents' offsets from mu_c).  Each sweep takes
-    every site's cavity from the current marginals, matches moments for all
-    sites at once, applies the damped site updates and refreshes the
-    posterior with one Cholesky.  The fit has converged when, in one sweep,
-    no latent's posterior mean or standard deviation moves by more than _TOL
-    times its prior standard deviation.  That covers f(X) as well as the
-    derivative latents: only the derivative sites move, but at d = 1 f(X)
-    can still move by more than that in a sweep in which no derivative
-    latent does.  The marginals of f(X) follow from C_X, and are computed
-    only for sweeps that the derivative latents pass.  Non-convergence
-    within _MAX_SWEEPS is not fatal: the last damped iterate is returned
-    with converged=False.
+    N(mu_c, K_c), K_c = K_dd - W^T W and mu_c = W^T L^-1 y.  EP runs on K_c
+    alone, with the site natural means shifted by -tau * mu_c (the sites act
+    on the latents' offsets from mu_c).  Each sweep takes every site's
+    cavity from the current marginals, matches moments for all sites at
+    once, applies the damped site updates and refreshes the posterior with
+    one Cholesky.  The fit has converged when, in one sweep, no latent's
+    posterior mean or standard deviation moves by more than _TOL times its
+    prior standard deviation.  That covers f(X) as well as the derivative
+    latents: only the derivative sites move, but at d = 1 f(X) can still
+    move by more than that in a sweep in which no derivative latent does.
+    The marginals of f(X) are the fit's own predictions at X
+    (`_site_corrected`), computed only for sweeps that the derivative
+    latents pass.  Non-convergence within _MAX_SWEEPS is not fatal: the last
+    damped iterate is returned with converged=False.
 
     start None begins from zero sites.  Otherwise it is the `sites` array of
     an earlier fit on this workspace (the derivative latents do not change as
@@ -251,32 +256,22 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     cost sweeps rather than save them.
     """
     posterior, locations = workspace.posterior, workspace.locations
-    params, t = posterior.params, posterior.n
-    y = np.asarray(y, dtype=float)
+    params = posterior.params
     strictness = np.asarray(strictness, dtype=float)
-    if t < 1 or y.shape != (t,):
-        raise ValueError(f"outputs of shape {y.shape} for {t} observed rows; a fit needs at least one")
     if strictness.shape != (2 * params.dim,):
         raise ValueError("kernel and strictness dimensions must agree")
+    posterior.set_outputs(y)
 
-    chol, pool_rows, pool_col_sums = posterior.snapshot()
+    chol, alpha, _, _ = posterior.factors()
     K_fd = workspace.K_fd
     W = _solve_lower(chol, K_fd)
-    alpha = _solve_lower(chol, y)
     K = workspace.K_dd - W.T @ W
     mean_c = alpha @ W
     prior_var = np.diag(K)
     prior_sd = np.sqrt(np.diag(workspace.K_dd))
-    # f(X) given y, and its covariances with the derivative latents.
+    # f(X) as _site_corrected takes points: V columns, their squared sums, derivative columns.
     V_X = _solve_lower(chol, se_kernel_matrix(posterior.X, posterior.X, params))
-    C_X = K_fd.T - W.T @ V_X
-    sv = params.signal_variance
-    obs_mean, obs_var = alpha @ V_X, sv - np.einsum("ij,ij->j", V_X, V_X)
-
-    def observed_marginals(chol_B, sqrt_s, weights):
-        """The posterior means and standard deviations of f(X) (GPML Alg. 3.6 at the observed rows)."""
-        u = _solve_lower(chol_B, sqrt_s[:, None] * C_X)
-        return obs_mean + weights @ C_X, np.sqrt(np.maximum(obs_var - np.einsum("ij,ij->j", u, u), 0.0))
+    at_X = (V_X, np.einsum("ij,ij->j", V_X, V_X), K_fd.T, alpha, W, params.signal_variance)
 
     # One (+, -) pair of probit sites per derivative latent j*d + g: row 0
     # rewards a positive slope in dimension g, row 1 a negative one.  sites[0]
@@ -330,26 +325,20 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
         mean, var, sd, chol_B, sqrt_s, weights = refresh()
         moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
         if (moved / prior_sd).max() <= _TOL:
-            old_f = observed_marginals(*old_state)
-            new_f = observed_marginals(chol_B, sqrt_s, weights)
-            f_moved = np.maximum(np.abs(new_f[0] - old_f[0]), np.abs(new_f[1] - old_f[1]))
-            if (f_moved / np.sqrt(sv)).max() <= _TOL:
+            old_f = _site_corrected(*at_X, *old_state)
+            new_f = _site_corrected(*at_X, chol_B, sqrt_s, weights)
+            f_moved = np.maximum(np.abs(new_f[0] - old_f[0]), np.abs(np.sqrt(new_f[1]) - np.sqrt(old_f[1])))
+            if (f_moved / np.sqrt(params.signal_variance)).max() <= _TOL:
                 converged = True
                 break
 
     return FittedMonotonicGP(
-        X=posterior.X,
-        params=params,
-        locations=locations,
         converged=converged,
         sweeps=sweeps,
         sites=sites,
         derivative_means=mean,
-        _chol=chol,
         _alpha=alpha,
         _W=W,
-        _pool_rows=pool_rows,
-        _pool_col_sums=pool_col_sums,
         _weights=weights,
         _chol_B=chol_B,
         _sqrt_S=sqrt_s,

@@ -232,6 +232,11 @@ def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray
         if not features:
             raise DatasetError(f"{path}: no feature columns besides the target {target!r}")
         columns = [*features, target]
+        # A column loaded twice would be one search dimension twice, or the target a search input.
+        for column in columns:
+            if columns.count(column) > 1 or header.count(column) > 1:
+                where = "header" if header.count(column) > 1 else "features and target"
+                raise DatasetError(f"{path}: column {column!r} is named more than once in the {where}")
         col_idx = [header.index(c) for c in columns]
         X_rows, y_rows = [], []
         for line_no, row in enumerate(reader, start=2):

@@ -111,6 +111,9 @@ class TestConfigValidation:
             {"strategies": ["hyperbo", "hyperbo"]},
             {"strategies": 5},
             {"output_dir": 5},
+            {"task": 5},
+            # hyperbo's 4 samples in windows of K = 2 leave 2 windows for a random phase of 3.
+            {"m": 3},
         ],
         ids=lambda override: json.dumps(override),
     )
@@ -132,6 +135,40 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error:")
         path.write_text(json.dumps(raw))
         assert cli_main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("below", ["", "run"], ids=["the-file", "under-the-file"])
+    def test_output_dir_over_an_existing_file_is_a_config_error(self, tmp_path, capsys, monkeypatch, below):
+        # Unchecked, validate passed and run died with FileExistsError at mkdir.
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        path = tmp_path / "cfg.json"
+        raw = {
+            "task": {"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "n_points": 20, "seed": 1},
+            "mode": "length_scale",
+            "trials": 1,
+            "m": 1,
+            "K": 2,
+            "budget": 4,
+            "output_dir": str(taken / below),
+        }
+        path.write_text(json.dumps(raw))
+        monkeypatch.setattr(bench, "_run_trial", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(ConfigError, match="is not a directory"):
+            load_config(str(path))
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert taken.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("text", [None, '{"mode": '], ids=["missing", "invalid-json"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(str(path))
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_ucb_delta_below_the_first_step_bound_runs(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -190,7 +227,18 @@ class TestConfigValidation:
         assert cli_main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("override", [{"path": 1}, {"filters": "x"}, {"filters": [1]}], ids=json.dumps)
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"path": 1},
+            {"filters": "x"},
+            {"filters": [1]},
+            {"features": ["a", "y"]},
+            {"features": ["a", "a"]},
+            {"filters": [{"type": "drop_max_target_in_low_quantile", "column": "b"}]},
+        ],
+        ids=json.dumps,
+    )
     def test_malformed_dataset_task_is_a_config_error(self, tmp_path, capsys, override):
         data = tmp_path / "data.csv"
         data.write_text("a,y\n1,2\n3,4\n")
@@ -428,6 +476,23 @@ class TestRunExperiment:
         initial = float(trace[0][2])
         for name in config.strategies:
             assert {float(r[header.index(f"mean_regret_{name}")]) for r in rows} == {initial}
+
+    def test_best_theta_rerun_fails_when_hyperbo_scores_no_window(self, tmp_path):
+        # Three rows and three initial samples: the hyperbo run scores no window, so it has no best theta.
+        data = tmp_path / "three.csv"
+        data.write_text("x,y\n0.0,1.0\n0.5,3.0\n1.0,2.0\n")
+        config = ls_config(
+            tmp_path,
+            task={"kind": "dataset", "path": str(data), "target": "y", "n_initial": 3},
+            strategies=("hyperbo", "best_theta_rerun"),
+        )
+        outcome = run_experiment(config)
+        assert outcome.failure_rates == {"hyperbo": 0.0, "best_theta_rerun": 1.0}
+        manifest = json.loads((Path(outcome.output_dir) / "manifest.json").read_text())
+        for trial in manifest["trials"]:
+            assert trial["strategies"]["hyperbo"]["best_theta"] is None
+            failed = trial["strategies"]["best_theta_rerun"]
+            assert failed == {"status": "failed", "error": "RuntimeError: no best theta available from the hyperbo run"}
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"

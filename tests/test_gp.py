@@ -270,6 +270,25 @@ class TestPoolPosterior:
             assert np.array_equal(blocks[0][:, : len(pool)], se_kernel_matrix(X[t], pool, params))
             assert np.array_equal(blocks[0][:, len(pool) :], se_kernel_matrix(X[t], X[:t], params))
 
+    @pytest.mark.parametrize("first", [1, 3, 6])
+    def test_an_empty_posterior_grows_as_one_built_over_its_first_rows(self, first):
+        # The first extend factors its rows whole, as the constructor does; later ones update.
+        params = KernelParams(1.0, (0.3, 0.3), 1e-6)
+        rows = np.random.default_rng(6).uniform(0.0, 1.0, size=(6, 2))
+        grown = PoolPosterior(rows[:0], self.POOL, params)
+        grown.extend(rows[:0])
+        with pytest.raises(ValueError, match="0 outputs for 0 observed rows"):
+            grown.set_outputs([])
+        grown.extend(rows[:first])
+        whole = PoolPosterior(rows[:first], self.POOL, params)
+        for posterior in (grown, whole):
+            posterior.extend(rows[first:])
+            posterior.set_outputs(np.sin(np.arange(6.0)))
+        assert np.array_equal(grown.X, rows) and grown.jitter == whole.jitter
+        assert all(map(np.array_equal, grown.factors(), whole.factors()))  # L, L^-1 z, V, column sums
+        candidates = CandidateSet(self.POOL, excluded=np.arange(len(self.POOL)) % 3 == 0)
+        assert all(map(np.array_equal, grown.predict_candidates(candidates), whole.predict_candidates(candidates)))
+
     def test_a_batch_of_rows_extends_as_one_row_at_a_time(self):
         params = KernelParams(1.0, (0.3, 0.3), 1e-6)
         rows = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 2))

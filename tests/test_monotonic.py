@@ -241,13 +241,15 @@ class TestMonotonicFit:
         y = standardize(X[:, 0] - X[:, 1])
         strictness = np.array((0.0, -3.0, -3.0, 0.0))
         locations = virtual_locations(2, rng)
+        workspace = workspace_over(X[:0], None, PARAMS_2D, locations)
         with pytest.raises(ValueError, match="for 0 observed rows"):
-            fit_monotonic_gp(workspace_over(X[:0], None, PARAMS_2D, locations), y[:0], strictness)
-        workspace = workspace_over(X, None, PARAMS_2D, locations)
+            fit_monotonic_gp(workspace, y[:0], strictness)
+        workspace.posterior.extend(X)
         for wrong in (y[:5], np.append(y, 0.0), y[:, None]):
             with pytest.raises(ValueError, match="for 6 observed rows"):
                 fit_monotonic_gp(workspace, wrong, strictness)
-        assert fit_monotonic_gp(workspace, y, strictness).X.shape == (6, 2)
+        model = fit_monotonic_gp(workspace, y, strictness)
+        assert np.array_equal(fitted_over(model)[0], X) and model.predict_batch(X)[0].shape == (6,)
 
     def test_2d_fit_predict_shapes(self, rng):
         X = rng.uniform(0, 1, size=(6, 2))
@@ -295,9 +297,15 @@ RULE_TOL = 1e-2
 FIT_TOL = (1e-7, 1e-8)
 
 
+def fitted_over(model):
+    """The observed rows, the kernel params and the virtual locations of a fit, read from its workspace."""
+    return model._workspace.posterior.X, model._workspace.posterior.params, model._workspace.locations
+
+
 def assert_matches_joint_posterior(model, y, candidates):
     """The fit's predictions at the active pool rows and its derivative means are the joint posterior's at its sites."""
-    joint = joint_posterior(model.X, y, model.params, model.locations, model.sites)
+    X, params, locations = fitted_over(model)
+    joint = joint_posterior(X, y, params, locations, model.sites)
     means, variances = model.predict_candidates(candidates)
     want_means, want_variances = joint.predict_batch(candidates.points[candidates.active_indices])
     np.testing.assert_allclose(means, want_means, rtol=0, atol=SITES_TOL[0])
@@ -325,7 +333,8 @@ def assert_stops_where_the_joint_rule_does(model, y, refreshes):
     the threshold and the last by at most it (or more, for a fit that did not
     converge), each within RULE_TOL of the threshold.
     """
-    moves = joint_moves(model.X, y, model.params, model.locations, refreshes)
+    X, params, locations = fitted_over(model)
+    moves = joint_moves(X, y, params, locations, refreshes)
     assert len(moves) == model.sweeps
     assert (moves[:-1] > 1.0 - RULE_TOL).all()
     if model.converged:
@@ -336,7 +345,8 @@ def assert_stops_where_the_joint_rule_does(model, y, refreshes):
 
 def assert_matches_joint_fit(model, y, strictness, candidates):
     """The fit takes the joint EP oracle's sweeps and predicts as it does at the active pool rows."""
-    joint = joint_ep_fit(model.X, y, model.params, strictness, model.locations)
+    X, params, locations = fitted_over(model)
+    joint = joint_ep_fit(X, y, params, strictness, locations)
     assert (model.sweeps, model.converged) == (joint.sweeps, joint.converged)
     means, variances = model.predict_candidates(candidates)
     want_means, want_variances = joint.predict_batch(candidates.points[candidates.active_indices])
@@ -378,7 +388,7 @@ class TestDirectLapack:
         for name in ("derivative_means", "_chol_B", "_weights", "_W", "_alpha"):
             assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
         # The prediction formula through scipy.linalg, from the reference fit's arrays.
-        v = solve_triangular(ref._chol, se_kernel_matrix_einsum(X, grid, params), lower=True)
+        v = solve_triangular(ref._workspace.posterior.chol, se_kernel_matrix_einsum(X, grid, params), lower=True)
         C = value_gradient_cross_matrix(grid, locations, params).T - ref._W.T @ v
         u = solve_triangular(ref._chol_B, ref._sqrt_S[:, None] * C, lower=True)
         ref_var = params.signal_variance - np.einsum("ij,ij->j", v, v) - np.einsum("ij,ij->j", u, u)
@@ -497,25 +507,48 @@ class TestWorkspace:
         y = standardize(X @ np.linspace(1.0, -1.0, d) + np.cos(4.0 * X[:, -1]))
         workspace = workspace_over(X[:3], pool, params, locations)
         refreshes = recorded_refreshes(monkeypatch)
-        fits = []
         for t in range(3, len(X) + 1):
             strictness = r.choice(np.arange(-6.0, 1.0), size=2 * d)
             workspace.posterior.extend(X[workspace.posterior.n : t])
             refreshes.clear()
             model = fit_monotonic_gp(workspace, y[:t], strictness)
             candidates = CandidateSet(pool, excluded=r.uniform(size=len(pool)) < 0.3)
-            fits.append((model, strictness, candidates, model.predict_candidates(candidates), list(refreshes)))
-        assert workspace.posterior.n == len(X)
-        # Every fit answers for its own rows from the grown workspace, as it did when it was made.
-        for model, strictness, candidates, (means, variances), fit_refreshes in fits:
-            t = model.X.shape[0]
-            assert np.array_equal(model.X, X[:t])
-            ours = model.predict_candidates(candidates)
-            assert np.array_equal(ours[0], means) and np.array_equal(ours[1], variances)
+            # Each fit is checked before the workspace grows again, while it answers.
+            assert np.array_equal(fitted_over(model)[0], X[:t])
             assert_matches_joint_posterior(model, y[:t], candidates)
-            assert_stops_where_the_joint_rule_does(model, y[:t], fit_refreshes)
+            assert_stops_where_the_joint_rule_does(model, y[:t], refreshes)
             if d >= 3:
                 assert_matches_joint_fit(model, y[:t], strictness, candidates)
+        assert workspace.posterior.n == len(X)
+
+    def test_a_fit_answers_while_its_posterior_holds_its_rows_and_outputs(self):
+        params, X, locations, pool, r = growing_case(2, 7)
+        y = standardize(X[:, 0] - np.sin(3.0 * X[:, 1]))
+        strictness = np.array((0.0, -3.0, -3.0, 0.0))
+        candidates = CandidateSet(pool, excluded=r.uniform(size=len(pool)) < 0.3)
+        grid = r.uniform(0, 1, size=(9, 2))
+
+        def gains_a_row(workspace):
+            workspace.posterior.extend(X[-1])
+
+        def gets_new_outputs(workspace):
+            workspace.posterior.set_outputs(y[:-1].copy())
+
+        def is_refit(workspace):
+            fit_monotonic_gp(workspace, y[:-1], strictness)
+
+        for change in (gains_a_row, gets_new_outputs, is_refit):
+            workspace = workspace_over(X[:-1], pool, params, locations)
+            model = fit_monotonic_gp(workspace, y[:-1], strictness)
+            first = model.predict_candidates(candidates) + model.predict_batch(grid)
+            for _ in range(2):
+                again = model.predict_candidates(candidates) + model.predict_batch(grid)
+                assert all(map(np.array_equal, again, first))
+            change(workspace)
+            with pytest.raises(ValueError, match="changed since this fit"):
+                model.predict_candidates(candidates)
+            with pytest.raises(ValueError, match="changed since this fit"):
+                model.predict_batch(grid)
 
     def test_a_d8_fit_matches_the_joint_oracle(self, monkeypatch):
         params, X, locations, pool, r = growing_case(8, 18)

@@ -1,6 +1,7 @@
 """Task construction, dataset ingestion, correlation, and monotonicity reporting."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,47 @@ class TestLoadDataset:
     def test_missing_feature_column(self, simple_csv):
         with pytest.raises(DatasetError, match="missing feature"):
             load_dataset(simple_csv, target="target", features=["a", "zzz"])
+
+    @pytest.mark.parametrize(
+        "text, features, filters, message",
+        [
+            ("a,b,target\n1,2,3\n", ["a", "target"], (), "column 'target' is named more than once in the features and target"),
+            ("a,b,target\n1,2,3\n", ["a", "b", "a"], (), "column 'a' is named more than once in the features and target"),
+            ("a,a,target\n1,2,3\n", None, (), "column 'a' is named more than once in the header"),
+            ("a,target,target\n1,2,3\n", ["a"], (), "column 'target' is named more than once in the header"),
+            ("", None, (), "empty file"),
+            ("a,target\n", None, (), "no data rows"),
+            ("a,target\n\n", None, (), "no data rows"),
+            (
+                "a,b,target\n1,2,3\n",
+                ["a"],
+                ({"type": "drop_max_target_in_low_quantile", "column": "b"},),
+                "filter column 'b' is not a loaded feature",
+            ),
+            (
+                "a,target\n1,2\n",
+                None,
+                ({"type": "drop_max_target_in_low_quantile", "column": "a"},),
+                "no rows left after filter 'drop_max_target_in_low_quantile'",
+            ),
+        ],
+        ids=[
+            "feature-is-target",
+            "feature-twice",
+            "header-names-a-feature-twice",
+            "header-names-the-target-twice",
+            "empty-file",
+            "header-only",
+            "blank-rows-only",
+            "filter-column-not-loaded",
+            "filter-leaves-no-rows",
+        ],
+    )
+    def test_rejected_file(self, tmp_path, text, features, filters, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            load_dataset(str(path), target="target", features=features, filters=filters)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
