@@ -424,23 +424,24 @@ def emit_reports(run_dir) -> Path | None:
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        mode, trials = manifest["config"]["mode"], manifest["trials"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        mode, spec, trials = manifest["config"]["mode"], manifest["config"]["task"], manifest["trials"]
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if not (isinstance(spec, dict) and isinstance(trials, list)):
+            raise TypeError("task must be an object and trials a list")
+        # Each trial is an object whose strategies object may hold a hyperbo object.
+        payloads = [tr["strategies"].get("hyperbo") or {} for tr in trials]
+        best_thetas = [p["best_theta"] for p in payloads if p.get("status") == "ok" and p.get("best_theta")]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
         raise ReportError(f"{manifest_path} is not a run manifest: {type(exc).__name__}: {exc}") from None
     if mode != MONOTONICITY:
         print(f"notice: {run_dir} is a {mode} run; monotonicity report skipped")
         return None
-
-    best_thetas = []
-    for tr in trials:
-        payload = tr["strategies"].get("hyperbo")
-        if payload and payload.get("status") == "ok" and payload.get("best_theta"):
-            best_thetas.append(payload["best_theta"])
     if not best_thetas:
         raise ReportError("no successful trials with a best theta; nothing to report")
 
     try:
-        task = build_task(manifest["config"]["task"])
+        task = build_task(spec)
     except ConfigError as exc:
         raise ReportError(f"{manifest_path}: cannot rebuild the run's task: {exc}") from None
     space = ModelSpace(MONOTONICITY, task.dim)
@@ -455,8 +456,7 @@ def emit_reports(run_dir) -> Path | None:
             correlations.append(pearson_correlation(X[:, g], y))
         except ValueError:
             correlations.append(float("nan"))
-    names = getattr(task, "feature_names", None) or tuple(f"x{g + 1}" for g in range(task.dim))
-    rows = monotonicity_report(best_thetas, feature_names=names, correlations=correlations)
+    rows = monotonicity_report(best_thetas, feature_names=getattr(task, "feature_names", None), correlations=correlations)
 
     out_path = run_dir / "report.csv"
     _write_csv(out_path, [f.name for f in fields(MonotonicityRow)], map(astuple, rows))

@@ -1,18 +1,16 @@
 """The nested-optimization engine.
 
 An inner GP-UCB loop acquires task samples in windows of K iterations, each
-window driven by one candidate model theta (a length-scale vector or a
-monotonicity strictness vector).  A completed window scores its gain over
-sqrt((ln T)^(d+1) / T), the shape of the average GP-UCB regret bound at T
-samples, so windows of different stages compare, times a norm regularizer set
-by the grid; an outer Thompson-sampling loop over the model grid proposes the
-next theta from a GP fit to the ledger of scores.  The first m windows use
-uniformly random thetas to seed the ledger.  Proposals are index rows of the
-model grid, and the ledger is one structured array filled window by window:
-each row holds a window's index row, outer iteration, start T, gain and
-score.  The inner steps of a run share
-one pool array and one pool posterior over it, the only source of their
-predictions; monotonic fits add a workspace of derivative blocks beside it.
+window driven by one candidate model theta.  What a theta means is its mode's
+entry of the mode table `_MODES`: a length-scale vector, or a monotonicity
+strictness vector over the default kernel.  A completed window scores its
+gain over sqrt((ln T)^(d+1) / T), the shape of the average GP-UCB regret bound
+at T samples, times a norm regularizer.  An outer Thompson-sampling loop over
+the model grid proposes the next theta from a GP fit to the ledger of scores,
+after m windows of uniformly random thetas.  Proposals are index rows of the
+grid, and the ledger is one structured array with a row per window.  The
+inner steps of a run share one pool array and one pool posterior over it;
+strictness steps add a workspace of derivative blocks beside it.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
 
 LENGTH_SCALE = "length_scale"
 MONOTONICITY = "monotonicity"
-MODES = (LENGTH_SCALE, MONOTONICITY)
 
 LENGTH_SCALE_GRID = tuple(round(0.10 + 0.05 * i, 2) for i in range(11))  # 0.10 .. 0.60
 MONOTONICITY_LEVELS = tuple(float(v) for v in range(-6, 1))  # -6 .. 0
@@ -56,13 +53,22 @@ MONOTONICITY_PAIRS = tuple(
     (a, b) for a in MONOTONICITY_LEVELS for b in MONOTONICITY_LEVELS if not (a == -6.0 and b == -6.0)
 )
 
-# Per mode: the per-dimension option table, one row per option (a length scale,
-# or a (theta_minus, theta_plus) strictness pair), and the sign of the score's
-# norm regularizer: long length scales are penalized, strictness rewarded.
-_OPTIONS = {
-    LENGTH_SCALE: (tuple((v,) for v in LENGTH_SCALE_GRID), -1.0),
-    MONOTONICITY: (MONOTONICITY_PAIRS, 1.0),
+# Inner surrogate on standardized outputs: unit signal variance, this noise,
+# and this length scale per dimension wherever theta does not set one.
+SIGNAL_VARIANCE = 1.0
+NOISE_VARIANCE = 1e-6
+DEFAULT_LENGTH_SCALE = 0.3
+
+# The mode table, one entry per mode: the per-dimension option table, one row
+# per option (a length scale, or a (theta_minus, theta_plus) strictness pair);
+# the sign of the score's norm regularizer (long length scales are penalized,
+# strictness rewarded); and what a theta of a dim-D task sets for an inner
+# step, the kernel's length scales and an EP strictness or None.
+_MODES = {
+    LENGTH_SCALE: (tuple((v,) for v in LENGTH_SCALE_GRID), -1.0, lambda theta, dim: (tuple(theta.tolist()), None)),
+    MONOTONICITY: (MONOTONICITY_PAIRS, 1.0, lambda theta, dim: ((DEFAULT_LENGTH_SCALE,) * dim, theta)),
 }
+MODES = tuple(_MODES)
 
 # Outer proposal: grids up to ENUMERATION_LIMIT thetas (monotonicity up to d=3,
 # length scales up to d=5) compete whole through one exact posterior draw,
@@ -73,12 +79,6 @@ ENUMERATION_LIMIT = 200_000
 THOMPSON_SUBSAMPLE = 500
 THETA_GP_NOISE = 1e-4
 THETA_GP_LS_FRACTION = 0.2
-
-# Inner surrogate on standardized outputs: unit signal variance, this noise,
-# and this length scale per dimension wherever theta does not set one.
-SIGNAL_VARIANCE = 1.0
-NOISE_VARIANCE = 1e-6
-DEFAULT_LENGTH_SCALE = 0.3
 
 
 def regret_normalizer(T: int, d: int) -> float:
@@ -91,7 +91,7 @@ def regret_normalizer(T: int, d: int) -> float:
 
 
 class ModelSpace:
-    """The discretized grid of candidate thetas, possibly too large to enumerate.
+    """The discretized grid of candidate thetas, possibly too large to enumerate: the only reader of _MODES.
 
     A theta is a 1-D float array: each per-dimension chunk of its values is a
     row of the mode's option table, one length scale per dimension or one
@@ -102,13 +102,13 @@ class ModelSpace:
     """
 
     def __init__(self, mode: str, dim: int):
-        if mode not in _OPTIONS:
+        if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.mode = mode
         self.dim = dim
-        options, self._sign = _OPTIONS[mode]
+        options, self._sign, self._sets = _MODES[mode]
         self._options = np.asarray(options, dtype=float)  # (per_dim, coords)
         self._unit_options = self.to_unit(self._options)
         self.lam = 1.0 / (float(np.abs(self._options).max()) * self.theta_dim)
@@ -172,6 +172,10 @@ class ModelSpace:
         if off.size:
             raise ValueError(f"{self.mode} theta {theta.tolist()} is off the grid in dimensions {off.tolist()}")
         return theta
+
+    def sets(self, theta: np.ndarray | None) -> tuple[tuple[float, ...], np.ndarray | None]:
+        """The inner step's kernel length scales and EP strictness under theta; theta None is the default kernel."""
+        return ((DEFAULT_LENGTH_SCALE,) * self.dim, None) if theta is None else self._sets(theta, self.dim)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A uniformly random index row."""
@@ -254,47 +258,45 @@ class _RunState:
     pool: np.ndarray
     sampled: np.ndarray  # pool rows already observed
     rng: np.random.Generator
-    locations: np.ndarray | None  # virtual derivative locations of a monotonicity run
+    space: ModelSpace  # the run's model grid, the only reader of its mode's table entry
+    virtual_seed: np.random.SeedSequence  # draws the virtual derivative locations of the workspace
     trial_scale: float
     posterior: PoolPosterior | None = None  # the posterior over the pool of every inner step, with its kernel
-    monotonic: MonotonicWorkspace | None = None  # the derivative blocks beside it, from the first monotonic step
+    monotonic: MonotonicWorkspace | None = None  # the derivative blocks beside it, from the first strictness step
     ep_start: tuple[np.ndarray, np.ndarray] | None = None  # the last monotonic fit's strictness and final sites
     ep_fits: int = 0
     ep_sweeps: int = 0
     ep_nonconverged: int = 0
 
 
-def _fit_window_model(state: _RunState, config: RunConfig, theta: np.ndarray | None):
-    """The inner surrogate on standardized outputs for the current theta.
+def _fit_window_model(state: _RunState, theta: np.ndarray | None):
+    """The inner surrogate on standardized outputs for the current theta, None for the plain-BO default kernel.
 
-    theta None means the fixed default kernel (the plain-BO baseline); the
-    run's mode says what a theta's values are.  Every step goes through the
-    run's pool posterior, rebuilt when theta changed its kernel and first
-    extended by the rows observed since it last saw them.  A plain GP (theta
-    None, or a length-scale theta) is that posterior.  A monotonic fit keeps
-    the default kernel, so its posterior is never rebuilt and one workspace
-    over it serves every monotonic step of the run; the fit's EP health is
-    counted here.  A monotonic step whose strictness is the previous
-    monotonic step's starts EP from that fit's sites: every step after the
-    first of a fixed-theta rerun, steps 2..K of a window, and a window whose
-    theta repeats the one before it.  Every other monotonic step starts from
-    zero sites.  UCB selection is invariant to the output standardization,
-    so predictions are consumed in standardized units.
+    The run's space says what theta sets: the kernel's length scales, and an
+    EP strictness or None.  The run's pool posterior is rebuilt when the
+    length scales change, then extended by the rows observed since it last saw
+    them.  Without a strictness it is the model.  With one, the model is an EP
+    fit over it, whose health is counted here.  The first such step builds the
+    run's one workspace, at 5d virtual derivative locations drawn from the
+    run's virtual seed.  A fit at the previous fit's strictness starts EP from
+    that fit's sites, any other from zero sites.  UCB selection is invariant to
+    the output standardization, so predictions are consumed standardized.
     """
     z, _ = standardize(state.y)
-    monotonic = theta is not None and config.mode == MONOTONICITY
-    scales = (DEFAULT_LENGTH_SCALE,) * state.X.shape[1] if monotonic or theta is None else tuple(theta.tolist())
+    scales, strictness = state.space.sets(theta)
     if state.posterior is None or state.posterior.params.length_scales != scales:
         state.posterior = PoolPosterior(state.X, state.pool, KernelParams(SIGNAL_VARIANCE, scales, NOISE_VARIANCE))
     state.posterior.extend(state.X[state.posterior.n :])
-    if not monotonic:
+    if strictness is None:
         state.posterior.set_outputs(z)
         return state.posterior
     if state.monotonic is None:
-        state.monotonic = MonotonicWorkspace(state.posterior, state.locations)
-    warm = state.ep_start is not None and np.array_equal(state.ep_start[0], theta)
-    model = fit_monotonic_gp(state.monotonic, z, theta, start=state.ep_start[1] if warm else None)
-    state.ep_start = (theta, model.sites)
+        d = state.space.dim
+        locations = np.random.default_rng(state.virtual_seed).uniform(0.0, 1.0, size=(5 * d, d))
+        state.monotonic = MonotonicWorkspace(state.posterior, locations)
+    warm = state.ep_start is not None and np.array_equal(state.ep_start[0], strictness)
+    model = fit_monotonic_gp(state.monotonic, z, strictness, start=state.ep_start[1] if warm else None)
+    state.ep_start = (strictness, model.sites)
     state.ep_fits += 1
     state.ep_sweeps += model.sweeps
     state.ep_nonconverged += not model.converged
@@ -307,7 +309,7 @@ def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: np.ndarr
     n_active = candidates.active_indices.size
     if n_active == 0:
         return False
-    model = _fit_window_model(state, config, theta)
+    model = _fit_window_model(state, theta)
     beta = ucb_beta(len(state.y) - state.n0 + 1, n_active, config.ucb_delta)
     index, x = ucb_select(model, candidates, beta)
     y = task.observe(index, x)
@@ -318,11 +320,7 @@ def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: np.ndarr
 
 
 def model_score_window(
-    task: Task,
-    state: _RunState,
-    config: RunConfig,
-    space: ModelSpace,
-    theta: np.ndarray,
+    task: Task, state: _RunState, config: RunConfig, theta: np.ndarray
 ) -> tuple[tuple[int, float, float] | None, bool]:
     """Run up to K inner iterations under theta and score the window.
 
@@ -345,7 +343,7 @@ def model_score_window(
     # T counts every inner sample so far; a one-sample first window would make
     # the normalizer degenerate.
     T = max(len(state.y) - state.n0, 2)
-    return (start_T, gain, space.score(gain, T, theta)), exhausted
+    return (start_T, gain, state.space.score(gain, T, theta)), exhausted
 
 
 def hyperbo_step(ledger: np.ndarray, space: ModelSpace, rng: np.random.Generator) -> np.ndarray:
@@ -416,9 +414,6 @@ def _init_state(task: Task, config: RunConfig) -> _RunState:
     # from re-sampling; synthetic designs live off-pool and flag nothing.
     sampled = np.zeros(pool.shape[0], dtype=bool)
     sampled[[i for i in indices if i >= 0]] = True
-    locations = None
-    if config.mode == MONOTONICITY:
-        locations = np.random.default_rng(virtual_child).uniform(0.0, 1.0, size=(5 * task.dim, task.dim))
     return _RunState(
         X=np.array(X0, dtype=float),
         y=np.array(y0, dtype=float),
@@ -426,7 +421,8 @@ def _init_state(task: Task, config: RunConfig) -> _RunState:
         pool=pool,
         sampled=sampled,
         rng=np.random.default_rng(run_child),
-        locations=locations,
+        space=ModelSpace(config.mode, task.dim),
+        virtual_seed=virtual_child,
         trial_scale=standardize(y0)[1],
     )
 
@@ -456,8 +452,8 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
     Deterministic for a fixed (task, config): the seed drives the initial
     design, the virtual derivative locations, and every subsequent draw.
     """
-    space = ModelSpace(config.mode, task.dim)
     state = _init_state(task, config)
+    space = state.space
     ledger = new_ledger(config.R, task.dim)
     n = 0
     exhausted = False
@@ -467,7 +463,7 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
             index = space.sample(state.rng)
         else:
             index = hyperbo_step(ledger[:n], space, state.rng)
-        window, hit_end = model_score_window(task, state, config, space, space.rows(index))
+        window, hit_end = model_score_window(task, state, config, space.rows(index))
         if window is not None:
             ledger[n] = (index, outer, *window)
             n += 1

@@ -597,7 +597,18 @@ class TestReports:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"config": {"mode": "monoton', "[]", "{}", '{"config": {}, "trials": []}', '{"config": {"mode": "monotonicity"}}'],
+        [
+            '{"config": {"mode": "monoton',
+            "[]",
+            "{}",
+            '{"config": {}, "trials": []}',
+            '{"config": {"mode": "monotonicity"}}',
+            '{"config": {"mode": "monotonicity"}, "trials": [1]}',
+            '{"config": {"mode": "monotonicity"}, "trials": {"a": 1}}',
+            '{"config": {"mode": "monotonicity"}, "trials": [{"strategies": []}]}',
+            '{"config": {"mode": "bogus"}, "trials": []}',
+            '{"config": {"mode": "monotonicity", "task": 5}, "trials": []}',
+        ],
     )
     def test_report_on_a_broken_manifest_errors(self, tmp_path, capsys, text):
         (tmp_path / "manifest.json").write_text(text)

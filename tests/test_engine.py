@@ -32,7 +32,7 @@ from hyperbo.engine import (
 from hyperbo.acquisition import CandidateSet, ucb_select
 from hyperbo.bench import ExperimentConfig, run_experiment
 from hyperbo.gp import KernelParams, PoolPosterior, gp_fit, se_kernel_matrix, standardize
-from hyperbo.monotonic import FittedMonotonicGP, fit_monotonic_gp, value_gradient_cross_matrix
+from hyperbo.monotonic import FittedMonotonicGP, MonotonicWorkspace, fit_monotonic_gp, value_gradient_cross_matrix
 from hyperbo.tasks import ContinuousTask, DiscreteTask, make_goldstein_price_task, make_gp_sample_task
 
 from ep_oracle import joint_ep_fit
@@ -253,7 +253,7 @@ class TestModelScoreWindow:
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=3, R=1, seed=0)
         state = _init_state(task, config)
         theta = np.array([0.3])
-        window, exhausted = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), theta)
+        window, exhausted = model_score_window(task, state, config, theta)
         assert len(state.y) == 5
         assert len(state.y) - state.n0 == 3
         assert window is not None and not exhausted
@@ -265,7 +265,7 @@ class TestModelScoreWindow:
         state = _init_state(task, config)
         # Seeded design must contain the max; find a seed where it does.
         assert state.y.max() == 5.0
-        (_, gain, score), _ = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), np.array([0.3]))
+        (_, gain, score), _ = model_score_window(task, state, config, np.array([0.3]))
         assert gain == 0.0
         assert score == 0.0
 
@@ -273,7 +273,7 @@ class TestModelScoreWindow:
         task = make_toy_task([0.0, 1.0, 2.0, 3.0], n_initial=2)
         config = RunConfig(mode=LENGTH_SCALE, m=1, K=5, R=1, seed=0)
         state = _init_state(task, config)
-        window, exhausted = model_score_window(task, state, config, ModelSpace(LENGTH_SCALE, 1), np.array([0.3]))
+        window, exhausted = model_score_window(task, state, config, np.array([0.3]))
         assert exhausted
         assert len(state.y) == 4  # only 2 rows were left to sample
         assert window is not None
@@ -382,10 +382,12 @@ class TestRunFramework:
 
     def test_five_virtual_locations_per_dimension(self):
         task = make_goldstein_price_task(pool_size=40)
-        locations = _init_state(task, RunConfig(mode=MONOTONICITY, seed=3)).locations
+        config = RunConfig(mode=MONOTONICITY, seed=3)
+        state = _init_state(task, config)
+        assert _inner_step(task, state, config, np.array([-6.0, 0.0, 0.0, -6.0]))
+        locations = state.monotonic.locations
         assert locations.shape == (10, 2)
         assert np.all(locations >= 0) and np.all(locations <= 1)
-        assert _init_state(task, RunConfig(mode=LENGTH_SCALE, seed=3)).locations is None
 
     def test_bit_reproducible(self):
         task = make_toy_task(np.sin(np.linspace(0, 6, 30)), n_initial=3)
@@ -559,7 +561,7 @@ class TestPoolPosteriorInTheEngine:
             # Alternate the default kernel and a length-scale theta in blocks,
             # so the run both extends and rebuilds its posterior.
             theta = None if (step // 10) % 2 == 0 else np.full(dim, 0.2)
-            model = _fit_window_model(state, config, theta)
+            model = _fit_window_model(state, theta)
             assert isinstance(model, PoolPosterior) and model.n == len(state.y)
             candidates = CandidateSet(state.pool, excluded=state.sampled)
             means, variances = model.predict_candidates(candidates)
@@ -612,7 +614,7 @@ class TestPoolPosteriorInTheEngine:
             if theta is not None:
                 workspace = state.monotonic
                 assert workspace.posterior is state.posterior
-                want = value_gradient_cross_matrix(state.X[:-1], state.locations, state.posterior.params)
+                want = value_gradient_cross_matrix(state.X[:-1], workspace.locations, state.posterior.params)
                 assert np.array_equal(workspace.K_fd, want)
         assert builds == [state.posterior] and state.ep_fits == 3
 
@@ -655,6 +657,29 @@ class TestMonotonicWorkspaceInTheEngine:
         assert state.monotonic.posterior.pool is state.pool and state.ep_fits == 2
         result = run_framework(task, config)
         assert result.ep_fits == 6 and result.n_samples == 6
+
+    def test_every_strategy_of_a_seed_draws_the_same_locations(self, monkeypatch):
+        # The locations come from the seed's own stream, whichever strictness
+        # step of whichever strategy builds the workspace; plain BO builds none.
+        import hyperbo.engine as engine
+
+        built = []
+
+        def recording_workspace(posterior, locations):
+            built.append(MonotonicWorkspace(posterior, locations))
+            return built[-1]
+
+        monkeypatch.setattr(engine, "MonotonicWorkspace", recording_workspace)
+        task = make_goldstein_price_task(pool_size=60)
+        config = RunConfig(mode=MONOTONICITY, m=2, K=1, R=3, seed=11)
+        hyperbo = run_framework(task, config)
+        rerun_with_best_theta(task, hyperbo.best_theta, 3, config)  # best_theta_rerun
+        rerun_with_best_theta(task, np.array([-6.0, 0.0, 0.0, -6.0]), 3, config)  # gold_standard_theta
+        want = np.random.default_rng(np.random.SeedSequence(11).spawn(3)[1]).uniform(0.0, 1.0, size=(10, 2))
+        assert len(built) == 3
+        assert all(np.array_equal(workspace.locations, want) for workspace in built)
+        rerun_with_best_theta(task, None, 3, config)  # standard_bo
+        assert len(built) == 3
 
     @pytest.mark.parametrize("mode", [LENGTH_SCALE, MONOTONICITY])
     def test_plain_gp_steps_build_no_workspace(self, mode):
@@ -740,8 +765,8 @@ def _selections(monkeypatch, run, refit):
     picks, margins, differences = [], [], []
     posterior_model = _fit_window_model
 
-    def refit_model(state, config, theta):
-        model = posterior_model(state, config, theta)
+    def refit_model(state, theta):
+        model = posterior_model(state, theta)
         if isinstance(model, PoolPosterior):
             refit_model.posterior = model
             return BatchPredictions(gp_fit(state.X, standardize(state.y)[0], model.params))
