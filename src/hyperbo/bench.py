@@ -11,9 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
@@ -25,6 +23,8 @@ from hyperbo.engine import _init_state
 from hyperbo.tasks import (
     MonotonicityRow,
     Task,
+    _is_int,
+    _is_number,
     load_dataset,
     make_goldstein_price_task,
     make_gp_sample_task,
@@ -58,15 +58,6 @@ _INT_KEYS = {"trials": 1, "m": 1, "K": 1, "budget": 1, "workers": 1, "seed": 0, 
 _TASK_INT_KEYS = {"pool_size": 1, "dim": 1, "n_points": 1, "n_initial": 1, "seed": 0}
 # A task spec's keys other than `kind` are its builder's keyword arguments.
 _TASK_BUILDERS = {"goldstein_price": make_goldstein_price_task, "gp_sample": make_gp_sample_task, "dataset": load_dataset}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A JSON number other than a bool, NaN or an infinity (Python's json reads those too)."""
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _check_ints(values: dict, least: dict, where: str = "") -> None:
@@ -335,8 +326,12 @@ def _worker_pool(workers: int):
 
     A spawned worker reads the thread variables from the environment it
     inherits when it starts, so they are set in this process while the pool
-    runs and restored when it has shut down.
+    runs and restored when it has shut down.  The pool modules are imported
+    here: a serial run never loads them.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

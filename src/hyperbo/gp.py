@@ -15,18 +15,27 @@ bit the same, and keep their errors: ValueError on a non-finite matrix,
 LinAlgError on one that is not positive definite or is singular.  Only the
 pool posterior's whole-pool solve calls BLAS (`dtrsm`) instead, on a factor
 that `_cholesky_lower` has just made.
+
+`lapack` and `blas` are scipy's compiled f2py modules scipy.linalg._flapack
+and scipy.linalg._fblas themselves, loaded from the installed scipy package
+without running the scipy.linalg package import.  That import (0.25 s and
+21 MB on a 2-CPU x86-64 host, most of it scipy's array-API layer) was most
+of a run's set-up, and hyperbo calls only four wrappers from it.  The
+modules are registered in sys.modules under their scipy names, so a later
+`import scipy.linalg` uses these same instances.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-# Imported as a module: `from scipy.linalg.lapack import ...` as the process's
-# first import of scipy.linalg made each interpreter fault in ~5,000 more
-# pages during `import hyperbo` (+50 ms).
-from scipy.linalg import blas, lapack
+import scipy
 
 __all__ = [
     "KernelParams",
@@ -38,6 +47,27 @@ __all__ = [
     "as_observations",
     "gp_fit",
 ]
+
+
+def _scipy_linalg_module(name: str):
+    """scipy.linalg's compiled module `name`, loaded without running the scipy.linalg package import."""
+    full_name = f"scipy.linalg.{name}"
+    if full_name in sys.modules:
+        return sys.modules[full_name]
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(full_name, path)
+            spec = importlib.util.spec_from_file_location(full_name, path, loader=loader)
+            module = sys.modules[full_name] = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled module {full_name} is missing: no {os.path.join(directory, name)}.* file")
+
+
+lapack = _scipy_linalg_module("_flapack")
+blas = _scipy_linalg_module("_fblas")
 
 # Jitter escalation used when the Gram matrix fails to factorize.
 _JITTER_START = 1e-10

@@ -25,14 +25,17 @@ A fit may start from the probit sites of an earlier fit on the same workspace
 instead of from zero sites.  The engine passes them when a step keeps the
 previous monotonic step's strictness, so the fit begins one observed row away
 from its fixed point and converges in fewer sweeps.
+
+scipy.special (for log_ndtr) is imported by the first EP sweep, not with
+this module: a length-scale run never runs EP and skips that import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from hyperbo.gp import KernelParams, PoolPosterior, _cho_solve_lower, _cholesky_lower, _solve_lower, se_kernel_matrix
 
@@ -86,13 +89,21 @@ def gradient_gram_matrix(Z, params: KernelParams) -> np.ndarray:
     return out
 
 
+@cache
+def _log_ndtr():
+    """scipy.special.log_ndtr, imported by the first call: only EP needs scipy.special."""
+    from scipy.special import log_ndtr
+
+    return log_ndtr
+
+
 def _probit_moments(cav_mean, cav_var, sign, nu2):
     """Matched means and variances of N(u; cav) * Phi(sign * u / nu), elementwise; nu2 is nu * nu."""
     total_var = nu2 + cav_var
     denom = np.sqrt(total_var)
     z = sign * cav_mean / denom
     log_phi = -0.5 * z * z - _LOG_SQRT_2PI
-    ratio = np.exp(log_phi - log_ndtr(z))  # pdf/cdf, stable for very negative z
+    ratio = np.exp(log_phi - _log_ndtr()(z))  # pdf/cdf, stable for very negative z
     new_mean = cav_mean + sign * cav_var * ratio / denom
     new_var = cav_var - cav_var * cav_var * ratio * (z + ratio) / total_var
     return new_mean, np.maximum(new_var, 1e-14 * cav_var)

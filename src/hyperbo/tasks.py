@@ -257,32 +257,53 @@ def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray
     return list(features), np.asarray(X_rows), np.asarray(y_rows)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number other than a bool, NaN or an infinity (Python's json reads those too)."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+# The keys a filter object of each type takes.
+_FILTER_KEYS = {
+    "keep_first_max_only": ("type",),
+    "drop_max_target_in_low_quantile": ("type", "column", "quantile"),
+}
+
+
 def _apply_filter(spec: dict, features: list[str], X: np.ndarray, y: np.ndarray):
     if not isinstance(spec, dict):
         raise DatasetError(f"a filter must be an object, got {spec!r}")
     kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _FILTER_KEYS:
+        raise DatasetError(f"unknown filter type {kind!r}; valid: {list(_FILTER_KEYS)}")
+    unknown = [k for k in spec if k not in _FILTER_KEYS[kind]]
+    if unknown:
+        raise DatasetError(f"unknown keys {unknown} in a {kind!r} filter; it takes {list(_FILTER_KEYS[kind])}")
     if kind == "keep_first_max_only":
         # Multiple rows attaining the maximum target: keep the first occurrence.
         at_max = np.flatnonzero(y == y.max())
         drop = set(int(i) for i in at_max[1:])
         keep = [i for i in range(len(y)) if i not in drop]
         return X[keep], y[keep]
-    if kind == "drop_max_target_in_low_quantile":
-        # Outlier rule: among rows in the lowest quantile of `column`, drop the
-        # single row with the highest target.
-        column = spec["column"]
-        quantile = float(spec.get("quantile", 0.1))
-        if column not in features:
-            raise DatasetError(f"filter column {column!r} is not a loaded feature")
-        col = X[:, features.index(column)]
-        threshold = np.quantile(col, quantile)
-        in_q = np.flatnonzero(col <= threshold)
-        if in_q.size == 0:
-            return X, y
-        drop = int(in_q[np.argmax(y[in_q])])
-        keep = [i for i in range(len(y)) if i != drop]
-        return X[keep], y[keep]
-    raise DatasetError(f"unknown filter type {spec.get('type')!r}")
+    # drop_max_target_in_low_quantile, an outlier rule: among rows in the
+    # lowest quantile of `column`, drop the single row with the highest target.
+    column = spec["column"]
+    quantile = spec.get("quantile", 0.1)
+    if not (_is_number(quantile) and 0 <= quantile <= 1):
+        raise DatasetError(f"filter quantile must be a number in [0, 1], got {quantile!r}")
+    if column not in features:
+        raise DatasetError(f"filter column {column!r} is not a loaded feature")
+    col = X[:, features.index(column)]
+    threshold = np.quantile(col, quantile)
+    in_q = np.flatnonzero(col <= threshold)
+    if in_q.size == 0:
+        return X, y
+    drop = int(in_q[np.argmax(y[in_q])])
+    keep = [i for i in range(len(y)) if i != drop]
+    return X[keep], y[keep]
 
 
 def load_dataset(

@@ -5,6 +5,9 @@ import json
 import os
 import re
 import runpy
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +239,9 @@ class TestConfigValidation:
             {"features": ["a", "y"]},
             {"features": ["a", "a"]},
             {"filters": [{"type": "drop_max_target_in_low_quantile", "column": "b"}]},
+            {"filters": [{"type": "drop_max_target_in_low_quantile", "column": "a", "quantile": True}]},
+            {"filters": [{"type": "drop_max_target_in_low_quantile", "column": "a", "quantile": "0.5"}]},
+            {"filters": [{"type": "keep_first_max_only", "junk": 1}]},
         ],
         ids=json.dumps,
     )
@@ -714,3 +720,53 @@ class TestAggregateSchema:
         # Aggregate still covers exactly `budget` iterations.
         _, agg = read_csv(Path(outcome.output_dir) / "aggregate.csv")
         assert len(agg) == 4
+
+
+def test_set_up_loads_only_what_a_run_calls():
+    # In a fresh interpreter: the LAPACK and BLAS wrappers come without the
+    # scipy.linalg package, scipy.special with the first EP fit and the pool
+    # modules with a pool; a later scipy.linalg shares the wrappers' modules.
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import numpy as np
+
+        WATCHED = ("scipy.linalg", "scipy.special", "concurrent.futures.process")
+        seen = {}
+        import hyperbo, hyperbo.cli
+        seen["import"] = [name for name in WATCHED if name in sys.modules]
+
+        from hyperbo.bench import build_task
+        from hyperbo.engine import RunConfig, run_framework
+        task = build_task({"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "n_points": 40, "seed": 7})
+        run_framework(task, RunConfig(mode="length_scale", m=1, K=2, R=2, seed=0))
+        seen["length-scale run"] = [name for name in WATCHED if name in sys.modules]
+
+        from hyperbo.gp import KernelParams, PoolPosterior
+        from hyperbo.monotonic import MonotonicWorkspace, fit_monotonic_gp
+        X = np.linspace(0.0, 1.0, 5)[:, None]
+        workspace = MonotonicWorkspace(PoolPosterior(X, X, KernelParams(1.0, (0.3,))), [[0.25], [0.75]])
+        fit_monotonic_gp(workspace, X[:, 0] - 0.5, np.array([-6.0, 0.0]))
+        seen["EP fit"] = [name for name in WATCHED if name in sys.modules]
+
+        import scipy.linalg
+        import hyperbo.gp
+        seen["shared"] = [
+            scipy.linalg.lapack.dpotrf is hyperbo.gp.lapack.dpotrf,
+            scipy.linalg.lapack.dtrtrs is hyperbo.gp.lapack.dtrtrs,
+            scipy.linalg.blas.dtrsm is hyperbo.gp.blas.dtrsm,
+        ]
+        print(json.dumps(seen))
+        """
+    )
+    env = dict(os.environ, **dict.fromkeys(bench._BLAS_THREAD_VARS, "1"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(bench.__file__).parents[1]), env.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {
+        "import": [],
+        "length-scale run": [],
+        "EP fit": ["scipy.special"],
+        "shared": [True, True, True],
+    }
+

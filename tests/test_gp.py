@@ -191,6 +191,11 @@ class TestLapackHelpers:
         with pytest.raises(SingularGramError, match="maximum jitter"):
             gp_fit([[0.1], [0.9]], [0.0, 1.0], KernelParams(1.0, (0.3,)))
 
+    def test_compiled_modules_load_once_and_a_missing_one_is_named(self):
+        assert gp_module._scipy_linalg_module("_flapack") is gp_module.lapack
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._missing is missing: no .*_missing\.\* file"):
+            gp_module._scipy_linalg_module("_missing")
+
 
 class TestPoolPosterior:
     POOL = np.random.default_rng(0).uniform(0.0, 1.0, size=(20, 2))

@@ -220,6 +220,36 @@ class TestLoadDataset:
                 ({"type": "drop_max_target_in_low_quantile", "column": "a"},),
                 "no rows left after filter 'drop_max_target_in_low_quantile'",
             ),
+            (
+                "a,target\n1,2\n",
+                None,
+                ({"type": "drop_max_target_in_low_quantile", "column": "a", "quantile": True},),
+                "filter quantile must be a number in [0, 1], got True",
+            ),
+            (
+                "a,target\n1,2\n",
+                None,
+                ({"type": "drop_max_target_in_low_quantile", "column": "a", "quantile": "0.5"},),
+                "filter quantile must be a number in [0, 1], got '0.5'",
+            ),
+            (
+                "a,target\n1,2\n",
+                None,
+                ({"type": "drop_max_target_in_low_quantile", "column": "a", "quantile": 1.5},),
+                "filter quantile must be a number in [0, 1], got 1.5",
+            ),
+            (
+                "a,target\n1,2\n",
+                None,
+                ({"type": "keep_first_max_only", "junk": 1},),
+                "unknown keys ['junk'] in a 'keep_first_max_only' filter; it takes ['type']",
+            ),
+            (
+                "a,target\n1,2\n",
+                None,
+                ({"type": "drop_max_target_in_low_quantile", "column": "a", "quantle": 0.5},),
+                "unknown keys ['quantle'] in a 'drop_max_target_in_low_quantile' filter; it takes ['type', 'column', 'quantile']",
+            ),
         ],
         ids=[
             "feature-is-target",
@@ -231,6 +261,11 @@ class TestLoadDataset:
             "blank-rows-only",
             "filter-column-not-loaded",
             "filter-leaves-no-rows",
+            "filter-quantile-is-a-bool",
+            "filter-quantile-is-a-string",
+            "filter-quantile-above-one",
+            "filter-key-unknown",
+            "filter-key-misspelt",
         ],
     )
     def test_rejected_file(self, tmp_path, text, features, filters, message):
