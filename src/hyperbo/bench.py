@@ -213,111 +213,74 @@ def build_task(spec: dict) -> Task:
 # ---------------------------------------------------------------------------
 
 
-def _pad_to(values: np.ndarray, length: int) -> np.ndarray:
-    """Hold the last best-so-far value through post-exhaustion iterations."""
-    if len(values) >= length:
-        return values[:length]
-    return np.concatenate([values, np.full(length - len(values), values[-1])])
-
-
-def _run_trial(task: Task, config: ExperimentConfig, trial: int) -> dict:
-    """All configured strategies for one trial; exceptions recorded per strategy."""
-    trial_seed = config.seed + trial
-    out: dict = {"trial": trial, "seed": trial_seed, "strategies": {}}
-    hyperbo_result: RunResult | None = None
-
-    def record(name: str, result: RunResult):
-        # Trace rows cover acquired iterations only; aggregation pads.
-        out["strategies"][name] = {
-            "status": "ok",
-            "n_samples": int(result.n_samples),
-            "best_y": float(result.best_y),
-            "exhausted": bool(result.exhausted),
-            "best_theta": result.best_theta.tolist() if result.best_theta is not None else None,
-            "ep_fits": result.ep_fits,
-            "ep_sweeps": result.ep_sweeps,
-            "ep_nonconverged": result.ep_nonconverged,
-            "best_values": [float(v) for v in result.best_values],
-            "regrets": [float(v) for v in result.regrets],
-        }
-
+def _run_trial(task: Task, config: ExperimentConfig, trial: int) -> dict[str, RunResult | str]:
+    """Each configured strategy's RunResult for one trial, or the error that stopped it, by name."""
+    run_cfg = config.run_config(config.seed + trial)
+    results: dict[str, RunResult | str] = {}
     for name in config.strategies:
         try:
-            run_cfg = config.run_config(trial_seed)
             if name == "hyperbo":
-                hyperbo_result = run_framework(task, run_cfg)
-                record(name, hyperbo_result)
-            elif name == "standard_bo":
-                record(name, rerun_with_best_theta(task, None, config.budget, run_cfg))
-            elif name == "best_theta_rerun":
-                if hyperbo_result is None or hyperbo_result.best_theta is None:
+                results[name] = run_framework(task, run_cfg)
+                continue
+            theta = None  # standard_bo: the fixed default kernel
+            if name == "best_theta_rerun":
+                hyperbo = results.get("hyperbo")
+                if not isinstance(hyperbo, RunResult) or hyperbo.best_theta is None:
                     raise RuntimeError("no best theta available from the hyperbo run")
-                record(name, rerun_with_best_theta(task, hyperbo_result.best_theta, config.budget, run_cfg))
+                theta = hyperbo.best_theta
             elif name == "gold_standard_theta":
                 theta = ModelSpace(config.mode, task.dim).theta(config.gold_standard_theta)
-                record(name, rerun_with_best_theta(task, theta, config.budget, run_cfg))
+            results[name] = rerun_with_best_theta(task, theta, config.budget, run_cfg)
         except Exception as exc:  # noqa: BLE001 - trial isolation is the point
-            out["strategies"][name] = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
-    return out
-
-
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+            results[name] = f"{type(exc).__name__}: {exc}"
+    return results
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format(v) for v in row])
+        # csv would write None as an empty cell; a report row writes "None".
+        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
 
 
-def _write_traces(out_dir: Path, trial_result: dict) -> None:
-    # Iteration 0 is the initial-design best, shared across strategies of a trial.
-    for name, payload in trial_result["strategies"].items():
-        if payload["status"] != "ok":
-            continue
-        rows = []
-        best_values = payload["best_values"]
-        regrets = payload["regrets"]
-        for it in range(len(best_values)):
-            rows.append([it, best_values[it], regrets[it]])
-        path = out_dir / f"trace_{name}_trial{trial_result['trial']:03d}.csv"
-        _write_csv(path, ["iteration", "best_value", "regret"], rows)
+def _manifest_entry(result: RunResult | str) -> dict:
+    """A strategy-trial's manifest object: its outcome without the traces, or the error that stopped it."""
+    if isinstance(result, str):
+        return {"status": "failed", "error": result}
+    return {
+        "status": "ok",
+        "n_samples": int(result.n_samples),
+        "best_y": float(result.best_y),
+        "exhausted": bool(result.exhausted),
+        "best_theta": None if result.best_theta is None else result.best_theta.tolist(),
+        "ep_fits": result.ep_fits,
+        "ep_sweeps": result.ep_sweeps,
+        "ep_nonconverged": result.ep_nonconverged,
+    }
 
 
-def _aggregate(config: ExperimentConfig, trial_results: list[dict]) -> tuple[list[str], list[list]]:
-    header = ["iteration"]
-    header += [f"mean_regret_{s}" for s in config.strategies]
-    header += [f"stderr_{s}" for s in config.strategies]
+def _aggregate(config: ExperimentConfig, trial_results: list[dict[str, RunResult | str]]) -> tuple[list[str], zip]:
+    """Mean regret and its standard error at iterations 1..budget, per strategy, over its successful trials.
 
-    per_strategy: dict[str, np.ndarray] = {}
+    A trace that stops short of `budget` holds its last regret; hyperbo's
+    longer discovery trace is cut at `budget`.
+    """
+    steps = np.arange(1, config.budget + 1)
+    means, errs = [], []
     for name in config.strategies:
-        traces = []
-        for tr in trial_results:
-            payload = tr["strategies"][name]
-            if payload["status"] == "ok":
-                traces.append(_pad_to(np.asarray(payload["regrets"], dtype=float), config.budget + 1)[1:])
-        per_strategy[name] = np.vstack(traces) if traces else np.empty((0, config.budget))
-
-    rows = []
-    for it in range(1, config.budget + 1):
-        row: list = [it]
-        means, errs = [], []
-        for name in config.strategies:
-            block = per_strategy[name]
-            if block.shape[0] == 0:
-                means.append(float("nan"))
-                errs.append(float("nan"))
-                continue
-            col = block[:, it - 1]
-            means.append(float(np.mean(col)))
-            errs.append(float(np.std(col, ddof=1) / np.sqrt(len(col))) if len(col) > 1 else 0.0)
-        rows.append(row + means + errs)
-    return header, rows
+        traces = [tr[name].regrets for tr in trial_results if isinstance(tr[name], RunResult)]
+        if not traces:
+            means.append([math.nan] * config.budget)
+            errs.append([math.nan] * config.budget)
+            continue
+        # One contiguous row per iteration: a reduction along it sums the trials in np.mean's order for one column.
+        block = np.ascontiguousarray(np.stack([t[np.minimum(steps, len(t) - 1)] for t in traces]).T)
+        n = len(traces)
+        means.append(block.mean(axis=1).tolist())
+        errs.append((block.std(axis=1, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [0.0] * config.budget)
+    header = ["iteration", *(f"mean_regret_{s}" for s in config.strategies), *(f"stderr_{s}" for s in config.strategies)]
+    return header, zip(steps.tolist(), *means, *errs)
 
 
 @contextmanager
@@ -356,42 +319,41 @@ class ExperimentOutcome:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
-    """Run all trials and strategies, writing traces, aggregate CSV, and manifest."""
+    """Run all trials and strategies, then write traces, aggregate CSV and manifest in place of an earlier run's."""
     task = build_task(config.task)
     out_dir = config.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trials = list(range(config.trials))
+    trials = range(config.trials)
     if config.workers > 1:
         with _worker_pool(config.workers) as pool:
             trial_results = list(pool.map(_run_trial, [task] * len(trials), [config] * len(trials), trials))
     else:
         trial_results = [_run_trial(task, config, t) for t in trials]
 
-    for tr in trial_results:
-        _write_traces(out_dir, tr)
+    for pattern in ("trace_*_trial*.csv", "aggregate.csv", "manifest.json", "report.csv"):
+        for path in out_dir.glob(pattern):
+            path.unlink()
+    # Iteration 0 is the initial-design best, shared across strategies of a trial.
+    for trial, results in enumerate(trial_results):
+        for name, result in results.items():
+            if isinstance(result, RunResult):
+                rows = zip(range(len(result.regrets)), result.best_values.tolist(), result.regrets.tolist())
+                _write_csv(out_dir / f"trace_{name}_trial{trial:03d}.csv", ["iteration", "best_value", "regret"], rows)
 
     header, rows = _aggregate(config, trial_results)
     _write_csv(out_dir / "aggregate.csv", header, rows)
 
     failure_rates = {
-        name: sum(tr["strategies"][name]["status"] != "ok" for tr in trial_results) / config.trials
+        name: sum(isinstance(results[name], str) for results in trial_results) / config.trials
         for name in config.strategies
     }
-
     manifest = {
         "config": {k: v for k, v in asdict(config).items() if k not in ("output_dir", "workers")},
         "failure_rates": failure_rates,
         "trials": [
-            {
-                "trial": tr["trial"],
-                "seed": tr["seed"],
-                "strategies": {
-                    name: {k: v for k, v in payload.items() if k not in ("best_values", "regrets")}
-                    for name, payload in tr["strategies"].items()
-                },
-            }
-            for tr in trial_results
+            {"trial": trial, "seed": config.seed + trial, "strategies": {name: _manifest_entry(r) for name, r in results.items()}}
+            for trial, results in enumerate(trial_results)
         ],
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:

@@ -290,6 +290,8 @@ def _apply_filter(spec: dict, features: list[str], X: np.ndarray, y: np.ndarray)
         return X[keep], y[keep]
     # drop_max_target_in_low_quantile, an outlier rule: among rows in the
     # lowest quantile of `column`, drop the single row with the highest target.
+    if "column" not in spec:
+        raise DatasetError(f"a {kind!r} filter needs the key 'column'")
     column = spec["column"]
     quantile = spec.get("quantile", 0.1)
     if not (_is_number(quantile) and 0 <= quantile <= 1):

@@ -242,6 +242,7 @@ class TestConfigValidation:
             {"filters": [{"type": "drop_max_target_in_low_quantile", "column": "a", "quantile": True}]},
             {"filters": [{"type": "drop_max_target_in_low_quantile", "column": "a", "quantile": "0.5"}]},
             {"filters": [{"type": "keep_first_max_only", "junk": 1}]},
+            {"filters": [{"type": "drop_max_target_in_low_quantile"}]},
         ],
         ids=json.dumps,
     )
@@ -361,23 +362,28 @@ class TestRunExperiment:
             values = {tuple(v) for v in first.values()}
             assert len(values) == 1
 
-    def test_stderr_matches_statistics_oracle(self, tmp_path):
-        config = ls_config(tmp_path, trials=5)
+    # Past eight trials numpy sums a column pairwise, so the aggregate must
+    # reduce each column in np.mean's order; at 12 trials a summation along the
+    # trial axis of the block changes a standard error in its last digit.
+    @pytest.mark.parametrize("trials, discovery_budget", [(5, None), (12, 8)])
+    def test_stderr_matches_statistics_oracle(self, tmp_path, trials, discovery_budget):
+        config = ls_config(tmp_path, trials=trials, discovery_budget=discovery_budget)
         outcome = run_experiment(config)
         out = Path(outcome.output_dir)
         header, agg_rows = read_csv(out / "aggregate.csv")
-        regrets = []
-        for trial in range(5):
-            _, rows = read_csv(out / f"trace_hyperbo_trial{trial:03d}.csv")
-            regrets.append([float(r[2]) for r in rows[1:]])  # skip iteration 0
-        regrets = np.array(regrets)
-        mean_col = header.index("mean_regret_hyperbo")
-        err_col = header.index("stderr_hyperbo")
-        for it, row in enumerate(agg_rows):
-            col = regrets[:, it]
-            assert float(row[mean_col]) == pytest.approx(col.mean(), abs=1e-12)
-            expected_err = col.std(ddof=1) / np.sqrt(len(col))
-            assert float(row[err_col]) == pytest.approx(expected_err, abs=1e-12)
+        for name in config.strategies:
+            regrets = []
+            for trial in range(trials):
+                _, rows = read_csv(out / f"trace_{name}_trial{trial:03d}.csv")
+                regrets.append([float(r[2]) for r in rows[1 : config.budget + 1]])  # skip iteration 0
+            regrets = np.array(regrets)
+            assert regrets.shape == (trials, config.budget)
+            mean_col = header.index(f"mean_regret_{name}")
+            err_col = header.index(f"stderr_{name}")
+            for it, row in enumerate(agg_rows):
+                col = regrets[:, it]
+                assert float(row[mean_col]) == np.mean(col)
+                assert float(row[err_col]) == np.std(col, ddof=1) / np.sqrt(len(col))
 
     def test_byte_identical_reruns(self, tmp_path):
         config_a = ls_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -386,6 +392,31 @@ class TestRunExperiment:
         out_b = run_experiment(config_b).output_dir
         for name in sorted(p.name for p in Path(out_a).glob("*.csv")):
             assert (Path(out_a) / name).read_bytes() == (Path(out_b) / name).read_bytes()
+
+    def test_rerun_replaces_the_earlier_runs_artifacts(self, tmp_path):
+        out = tmp_path / "run"
+        first = ExperimentConfig(
+            task={"kind": "goldstein_price", "pool_size": 60},
+            mode="monotonicity",
+            trials=3,
+            m=1,
+            K=2,
+            budget=4,
+            seed=3,
+            strategies=("standard_bo", "hyperbo", "best_theta_rerun"),
+            output_dir=str(out),
+        )
+        run_experiment(first)
+        assert (out / "report.csv").exists() and len(list(out.glob("trace_*.csv"))) == 9
+        (out / "notes.txt").write_text("kept")
+        run_experiment(ls_config(tmp_path, trials=1))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.csv",
+            "manifest.json",
+            "notes.txt",
+            "trace_hyperbo_trial000.csv",
+            "trace_standard_bo_trial000.csv",
+        ]
 
     def test_gold_standard_strategy_runs(self, tmp_path):
         config = ls_config(
@@ -415,9 +446,16 @@ class TestRunExperiment:
         manifest = json.loads((Path(outcome.output_dir) / "manifest.json").read_text())
         statuses = [tr["strategies"]["hyperbo"]["status"] for tr in manifest["trials"]]
         assert statuses.count("failed") == 2
+        out = Path(outcome.output_dir)
+        ok = [tr["trial"] for tr in manifest["trials"] if tr["strategies"]["hyperbo"]["status"] == "ok"]
+        for tr in manifest["trials"]:
+            assert (out / f"trace_hyperbo_trial{tr['trial']:03d}.csv").exists() == (tr["trial"] in ok)
         # Aggregation proceeded over the successes.
-        header, rows = read_csv(Path(outcome.output_dir) / "aggregate.csv")
+        header, rows = read_csv(out / "aggregate.csv")
         assert len(rows) == config.budget
+        traces = np.array([[float(r[2]) for r in read_csv(out / f"trace_hyperbo_trial{t:03d}.csv")[1][1:]] for t in ok])
+        col = header.index("mean_regret_hyperbo")
+        assert [float(r[col]) for r in rows] == np.mean(traces[:, : config.budget], axis=0).tolist()
 
     def test_worker_pool_matches_serial_output(self, tmp_path):
         serial = run_experiment(ls_config(tmp_path, output_dir=str(tmp_path / "serial")))

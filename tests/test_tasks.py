@@ -250,6 +250,12 @@ class TestLoadDataset:
                 ({"type": "drop_max_target_in_low_quantile", "column": "a", "quantle": 0.5},),
                 "unknown keys ['quantle'] in a 'drop_max_target_in_low_quantile' filter; it takes ['type', 'column', 'quantile']",
             ),
+            (
+                "a,target\n1,2\n",
+                None,
+                ({"type": "drop_max_target_in_low_quantile"},),
+                "a 'drop_max_target_in_low_quantile' filter needs the key 'column'",
+            ),
         ],
         ids=[
             "feature-is-target",
@@ -266,6 +272,7 @@ class TestLoadDataset:
             "filter-quantile-above-one",
             "filter-key-unknown",
             "filter-key-misspelt",
+            "filter-column-missing",
         ],
     )
     def test_rejected_file(self, tmp_path, text, features, filters, message):
