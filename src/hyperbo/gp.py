@@ -17,12 +17,13 @@ pool posterior's whole-pool solve calls BLAS (`dtrsm`) instead, on a factor
 that `_cholesky_lower` has just made.
 
 `lapack` and `blas` are scipy's compiled f2py modules scipy.linalg._flapack
-and scipy.linalg._fblas themselves, loaded from the installed scipy package
-without running the scipy.linalg package import.  That import (0.25 s and
-21 MB on a 2-CPU x86-64 host, most of it scipy's array-API layer) was most
-of a run's set-up, and hyperbo calls only four wrappers from it.  The
-modules are registered in sys.modules under their scipy names, so a later
-`import scipy.linalg` uses these same instances.
+and scipy.linalg._fblas themselves, and monotonic.py's log_ndtr is the ufunc
+of scipy.special._special_ufuncs, each loaded by `_scipy_compiled_module`
+without running its scipy package's import.  Importing scipy.linalg (0.25 s
+and 21 MB on a 2-CPU x86-64 host, most of it scipy's array-API layer) was
+most of a run's set-up for four wrappers; scipy.special (0.2 s and 21 MB)
+cost each EP process as much for one ufunc.  The modules are registered in
+sys.modules under their scipy names, so a later scipy import shares them.
 """
 
 from __future__ import annotations
@@ -49,25 +50,29 @@ __all__ = [
 ]
 
 
-def _scipy_linalg_module(name: str):
-    """scipy.linalg's compiled module `name`, loaded without running the scipy.linalg package import."""
-    full_name = f"scipy.linalg.{name}"
+def _scipy_compiled_module(package: str, name: str):
+    """scipy.<package>'s compiled module `name`, loaded without running the scipy.<package> package import."""
+    full_name = f"scipy.{package}.{name}"
     if full_name in sys.modules:
         return sys.modules[full_name]
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    directory = os.path.join(os.path.dirname(scipy.__file__), package)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(directory, name + suffix)
         if os.path.isfile(path):
             loader = importlib.machinery.ExtensionFileLoader(full_name, path)
             spec = importlib.util.spec_from_file_location(full_name, path, loader=loader)
             module = sys.modules[full_name] = importlib.util.module_from_spec(spec)
-            loader.exec_module(module)
+            try:
+                loader.exec_module(module)
+            except BaseException:
+                sys.modules.pop(full_name, None)
+                raise
             return module
     raise ImportError(f"scipy's compiled module {full_name} is missing: no {os.path.join(directory, name)}.* file")
 
 
-lapack = _scipy_linalg_module("_flapack")
-blas = _scipy_linalg_module("_fblas")
+lapack = _scipy_compiled_module("linalg", "_flapack")
+blas = _scipy_compiled_module("linalg", "_fblas")
 
 # Jitter escalation used when the Gram matrix fails to factorize.
 _JITTER_START = 1e-10

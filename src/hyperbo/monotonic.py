@@ -26,8 +26,8 @@ instead of from zero sites.  The engine passes them when a step keeps the
 previous monotonic step's strictness, so the fit begins one observed row away
 from its fixed point and converges in fewer sweeps.
 
-scipy.special (for log_ndtr) is imported by the first EP sweep, not with
-this module: a length-scale run never runs EP and skips that import.
+log_ndtr's compiled module is loaded by the first EP sweep, without the
+scipy.special package (see gp.py): a length-scale run never loads it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from functools import cache
 import numpy as np
 
 from hyperbo.gp import KernelParams, PoolPosterior, _cho_solve_lower, _cholesky_lower, _solve_lower, se_kernel_matrix
+from hyperbo.gp import _scipy_compiled_module
 
 __all__ = [
     "FittedMonotonicGP",
@@ -91,10 +92,8 @@ def gradient_gram_matrix(Z, params: KernelParams) -> np.ndarray:
 
 @cache
 def _log_ndtr():
-    """scipy.special.log_ndtr, imported by the first call: only EP needs scipy.special."""
-    from scipy.special import log_ndtr
-
-    return log_ndtr
+    """scipy.special.log_ndtr from scipy's compiled ufunc module, loaded by the first call: only EP needs it."""
+    return _scipy_compiled_module("special", "_special_ufuncs").log_ndtr
 
 
 def _probit_moments(cav_mean, cav_var, sign, nu2):

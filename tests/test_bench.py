@@ -762,14 +762,15 @@ class TestAggregateSchema:
 
 def test_set_up_loads_only_what_a_run_calls():
     # In a fresh interpreter: the LAPACK and BLAS wrappers come without the
-    # scipy.linalg package, scipy.special with the first EP fit and the pool
-    # modules with a pool; a later scipy.linalg shares the wrappers' modules.
+    # scipy.linalg package, log_ndtr's compiled module without the scipy.special
+    # package with the first EP fit and the pool modules with a pool; a later
+    # scipy.linalg or scipy.special shares the compiled modules.
     script = textwrap.dedent(
         """
         import json, sys
         import numpy as np
 
-        WATCHED = ("scipy.linalg", "scipy.special", "concurrent.futures.process")
+        WATCHED = ("scipy.linalg", "scipy.special", "scipy.special._special_ufuncs", "concurrent.futures.process")
         seen = {}
         import hyperbo, hyperbo.cli
         seen["import"] = [name for name in WATCHED if name in sys.modules]
@@ -787,12 +788,13 @@ def test_set_up_loads_only_what_a_run_calls():
         fit_monotonic_gp(workspace, X[:, 0] - 0.5, np.array([-6.0, 0.0]))
         seen["EP fit"] = [name for name in WATCHED if name in sys.modules]
 
-        import scipy.linalg
-        import hyperbo.gp
+        import scipy.linalg, scipy.special
+        import hyperbo.gp, hyperbo.monotonic
         seen["shared"] = [
             scipy.linalg.lapack.dpotrf is hyperbo.gp.lapack.dpotrf,
             scipy.linalg.lapack.dtrtrs is hyperbo.gp.lapack.dtrtrs,
             scipy.linalg.blas.dtrsm is hyperbo.gp.blas.dtrsm,
+            scipy.special.log_ndtr is hyperbo.monotonic._log_ndtr(),
         ]
         print(json.dumps(seen))
         """
@@ -804,7 +806,7 @@ def test_set_up_loads_only_what_a_run_calls():
     assert json.loads(child.stdout) == {
         "import": [],
         "length-scale run": [],
-        "EP fit": ["scipy.special"],
-        "shared": [True, True, True],
+        "EP fit": ["scipy.special._special_ufuncs"],
+        "shared": [True, True, True, True],
     }
 

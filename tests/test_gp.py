@@ -1,5 +1,9 @@
 """GP regression checked against direct dense-matrix evaluation of the posterior."""
 
+import importlib.machinery
+import sys
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -192,9 +196,30 @@ class TestLapackHelpers:
             gp_fit([[0.1], [0.9]], [0.0, 1.0], KernelParams(1.0, (0.3,)))
 
     def test_compiled_modules_load_once_and_a_missing_one_is_named(self):
-        assert gp_module._scipy_linalg_module("_flapack") is gp_module.lapack
+        assert gp_module._scipy_compiled_module("linalg", "_flapack") is gp_module.lapack
         with pytest.raises(ImportError, match=r"scipy\.linalg\._missing is missing: no .*_missing\.\* file"):
-            gp_module._scipy_linalg_module("_missing")
+            gp_module._scipy_compiled_module("linalg", "_missing")
+        with pytest.raises(ImportError, match=r"scipy\.special\._missing is missing: no .*special/_missing\.\* file"):
+            gp_module._scipy_compiled_module("special", "_missing")
+
+    def test_a_module_that_fails_to_execute_is_not_left_loaded(self, monkeypatch, tmp_path):
+        # A stand-in scipy tree whose module file exists but fails to execute, so nothing real loads.
+        (tmp_path / "special").mkdir()
+        (tmp_path / "special" / ("_broken" + importlib.machinery.EXTENSION_SUFFIXES[0])).touch()
+        monkeypatch.setattr(gp_module, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+
+        class FailingLoader(importlib.machinery.ExtensionFileLoader):
+            def create_module(self, spec):
+                return types.ModuleType(spec.name)
+
+            def exec_module(self, module):
+                raise ImportError("initialization failed")
+
+        monkeypatch.setattr(importlib.machinery, "ExtensionFileLoader", FailingLoader)
+        for _ in range(2):
+            with pytest.raises(ImportError, match="initialization failed"):
+                gp_module._scipy_compiled_module("special", "_broken")
+            assert "scipy.special._broken" not in sys.modules
 
 
 class TestPoolPosterior:
