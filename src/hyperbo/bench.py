@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hyperbo import BLAS_THREAD_VARS
 from hyperbo.engine import MODES, MONOTONICITY, ModelSpace, RunConfig, RunResult, rerun_with_best_theta, run_framework
 from hyperbo.engine import _init_state
 from hyperbo.tasks import (
@@ -47,10 +48,6 @@ STRATEGIES = ("standard_bo", "hyperbo", "best_theta_rerun", "gold_standard_theta
 
 OUTPUT_DIR_ENV = "HYPERBO_OUTPUT_DIR"
 FAILURE_THRESHOLD = 0.10
-
-# A pooled worker runs one BLAS thread: on a shared host, BLAS threads of
-# several workers contend, and one d=8 EP fit took 7.3 s instead of 0.11 s.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _ENGINE_KEYS = ("ucb_delta",)
 # Keys that must be JSON integers, with their least value: of the experiment, and of a task spec.
@@ -217,7 +214,7 @@ def _run_trial(task: Task, config: ExperimentConfig, trial: int) -> dict[str, Ru
     """Each configured strategy's RunResult for one trial, or the error that stopped it, by name."""
     run_cfg = config.run_config(config.seed + trial)
     results: dict[str, RunResult | str] = {}
-    for name in config.strategies:
+    for name in (s for s in STRATEGIES if s in config.strategies):  # hyperbo before the rerun of its best theta
         try:
             if name == "hyperbo":
                 results[name] = run_framework(task, run_cfg)
@@ -295,8 +292,8 @@ def _worker_pool(workers: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             yield pool

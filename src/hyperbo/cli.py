@@ -7,9 +7,15 @@ impossible), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from hyperbo.bench import ConfigError, ReportError, emit_reports, load_config, run_experiment
+from hyperbo import BLAS_THREAD_VARS
+
+# One BLAS thread, as in the pooled workers: BLAS reads these once, when hyperbo.bench loads numpy.
+os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+from hyperbo.bench import ConfigError, ReportError, emit_reports, load_config, run_experiment  # noqa: E402
 
 EXIT_OK = 0
 EXIT_EXPERIMENT_FAILURES = 1

@@ -215,7 +215,8 @@ def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray
     names = isinstance(features, (list, tuple)) and all(isinstance(f, str) for f in features)
     if features is not None and not names:
         raise DatasetError(f"features must be a list of column names, got {features!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that a spreadsheet's "CSV UTF-8" export starts with.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hyperbo
 import hyperbo.bench as bench
 from hyperbo.bench import (
     ConfigError,
@@ -491,9 +492,8 @@ class TestRunExperiment:
         monkeypatch.setenv("OMP_NUM_THREADS", "4")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         with bench._worker_pool(1) as pool:
-            seen = [pool.submit(os.getenv, name).result(timeout=120) for name in names]
+            seen = [pool.submit(os.getenv, name).result(timeout=120) for name in hyperbo.BLAS_THREAD_VARS]
         assert seen == ["1", "1", "1"]
         # The parent's environment is as it was.
         assert os.environ["OMP_NUM_THREADS"] == "4"
@@ -537,6 +537,21 @@ class TestRunExperiment:
             assert trial["strategies"]["hyperbo"]["best_theta"] is None
             failed = trial["strategies"]["best_theta_rerun"]
             assert failed == {"status": "failed", "error": "RuntimeError: no best theta available from the hyperbo run"}
+
+    def test_strategies_run_in_one_order_whatever_the_config_order(self, tmp_path):
+        # best_theta_rerun listed before hyperbo still reruns hyperbo's best theta.
+        runs = {}
+        for name, strategies in (("listed", bench.STRATEGIES[::-1]), ("ordered", bench.STRATEGIES)):
+            config = ls_config(tmp_path, strategies=strategies, gold_standard_theta=(0.3,), output_dir=str(tmp_path / name))
+            outcome = run_experiment(config)
+            assert outcome.failure_rates == dict.fromkeys(strategies, 0.0)
+            out = Path(outcome.output_dir)
+            runs[name] = (
+                {p.name: p.read_bytes() for p in sorted(out.glob("trace_*.csv"))},
+                json.loads((out / "manifest.json").read_text())["trials"],
+            )
+        assert len(runs["listed"][0]) == len(bench.STRATEGIES) * 2
+        assert runs["listed"] == runs["ordered"]
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
@@ -799,7 +814,7 @@ def test_set_up_loads_only_what_a_run_calls():
         print(json.dumps(seen))
         """
     )
-    env = dict(os.environ, **dict.fromkeys(bench._BLAS_THREAD_VARS, "1"))
+    env = dict(os.environ, **dict.fromkeys(hyperbo.BLAS_THREAD_VARS, "1"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(bench.__file__).parents[1]), env.get("PYTHONPATH"))))
     child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
@@ -810,3 +825,30 @@ def test_set_up_loads_only_what_a_run_calls():
         "shared": [True, True, True, True],
     }
 
+
+def test_program_loads_numpy_with_one_blas_thread():
+    # In a fresh interpreter with an exported OMP_NUM_THREADS=4: the package
+    # import loads no numpy, and the program's first numpy import, which fixes
+    # BLAS's thread count, already sees one thread in every variable.
+    script = textwrap.dedent(
+        """
+        import json, os, sys
+        import hyperbo
+
+        seen = {"numpy after import hyperbo": "numpy" in sys.modules}
+
+        def hook(event, args):
+            if event == "import" and args[0] == "numpy" and "at the first numpy import" not in seen:
+                seen["at the first numpy import"] = [os.environ.get(name) for name in hyperbo.BLAS_THREAD_VARS]
+
+        sys.addaudithook(hook)
+        import hyperbo.cli
+        print(json.dumps(seen))
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k not in hyperbo.BLAS_THREAD_VARS}
+    env["OMP_NUM_THREADS"] = "4"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(bench.__file__).parents[1]), env.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {"numpy after import hyperbo": False, "at the first numpy import": ["1", "1", "1"]}

@@ -14,7 +14,6 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 import hyperbo
 from hyperbo import monotonic
 from hyperbo.acquisition import CandidateSet
-from hyperbo.bench import _BLAS_THREAD_VARS
 from hyperbo.engine import RunConfig, run_framework
 from hyperbo.gp import KernelParams, gp_fit
 from hyperbo.monotonic import (
@@ -461,7 +460,7 @@ class TestParallelEP:
             print(json.dumps({"elapsed": time.perf_counter() - start, "converged": model.converged}))
             """
         )
-        env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        env = dict(os.environ, **dict.fromkeys(hyperbo.BLAS_THREAD_VARS, "1"))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(hyperbo.__file__).parents[1]), env.get("PYTHONPATH"))))
         child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr

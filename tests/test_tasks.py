@@ -194,6 +194,13 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="not in header"):
             load_dataset(simple_csv, target="nope")
 
+    @pytest.mark.parametrize("features", [None, ["age", "b"]])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, features):
+        path = tmp_path / "excel.csv"
+        path.write_bytes("age,b,target\n1,2,3\n2,1,5\n3,4,4\n".encode("utf-8-sig"))
+        task = load_dataset(str(path), target="target", features=features)
+        assert task.feature_names == ("age", "b")
+
     def test_missing_feature_column(self, simple_csv):
         with pytest.raises(DatasetError, match="missing feature"):
             load_dataset(simple_csv, target="target", features=["a", "zzz"])
