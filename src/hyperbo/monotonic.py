@@ -26,6 +26,15 @@ instead of from zero sites.  The engine passes them when a step keeps the
 previous monotonic step's strictness, so the fit begins one observed row away
 from its fixed point and converges in fewer sweeps.
 
+A fit does no work whose result it already knows.  A sweep keeps a site
+pair's update where the cavity precision exceeds 1e-12 and the target is
+finite: the marginal variances are never negative, and with that these two
+checks imply the others.  A fit from zero sites takes its first posterior,
+the conditioned prior, in closed form.  A prediction of f at a set of points
+takes the observations' part once per set (`_observed`) and the sites' part
+once per state of the sites (`_site_corrected`), so the convergence test of
+f(X) takes the first once per fit.
+
 log_ndtr's compiled module is loaded by the first EP sweep, without the
 scipy.special package (see gp.py): a length-scale run never loads it.
 """
@@ -117,7 +126,8 @@ class MonotonicWorkspace:
     workspace answers until it gains a row or other outputs.  The workspace
     adds the derivative-derivative block K_dd and the pool's derivative
     cross-covariances K_pd at the virtual locations (rows of d coordinates),
-    computed once, and the observed rows' cross-covariances K_fd.
+    computed once, the derivative latents' prior standard deviations
+    prior_sd, and the observed rows' cross-covariances K_fd.
     """
 
     def __init__(self, posterior: PoolPosterior, locations):
@@ -127,6 +137,7 @@ class MonotonicWorkspace:
         if self.locations.ndim != 2 or self.locations.shape[1] != params.dim:
             raise ValueError("kernel and location dimensions must agree")
         self.K_dd = gradient_gram_matrix(self.locations, params)
+        self.prior_sd = np.sqrt(np.diag(self.K_dd))
         # (m, N), C order: the layout in which a fit gathers the active columns.
         self.K_pd = np.ascontiguousarray(value_gradient_cross_matrix(posterior.pool, self.locations, params).T)
         self._K_fd = np.empty((0, len(self.K_dd)))
@@ -141,19 +152,26 @@ class MonotonicWorkspace:
         return self._K_fd
 
 
-def _site_corrected(v, explained, K_dx, alpha, W, sv, chol_B, sqrt_s, weights) -> tuple[np.ndarray, np.ndarray]:
-    """f's means and variances at points with V columns v, their squared column sums and derivative columns K_dx.
+def _observed(v, explained, K_dx, alpha, W, sv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The observations' part of f's means and variances at points with V columns v, their squared sums and K_dx.
 
-    The observations give the pool posterior's mean alpha^T v and variance
-    sv - explained and the derivative latents' cross-covariances
-    c = k_d(x) - W^T v; the sites add c^T w to the mean and take
-    |L_B^-1 S^1/2 c|^2 from the variance (GPML Alg. 3.5 and 3.6 on the
-    conditioned derivative prior).
+    The pool posterior's mean alpha^T v and variance sv - explained, and the
+    derivative latents' cross-covariances C = k_d(x) - W^T v (K_dx holds
+    k_d(x), one column per point).  None of them depends on the sites.
     """
-    C = K_dx - W.T @ v
+    return alpha @ v, sv - explained, K_dx - W.T @ v
+
+
+def _site_corrected(observed, sv, chol_B, sqrt_s, weights) -> tuple[np.ndarray, np.ndarray]:
+    """f's means and variances at the points of an `_observed` part, under sites with factor chol_B, S^1/2 and w.
+
+    The sites add c^T w to the mean and take |L_B^-1 S^1/2 c|^2 from the
+    variance (GPML Alg. 3.5 and 3.6 on the conditioned derivative prior).
+    """
+    mean, var, C = observed
     u = _solve_lower(chol_B, sqrt_s[:, None] * C)
     # einsum, not (u * u).sum(0): the two round differently.
-    return alpha @ v + weights @ C, np.clip(sv - explained - np.einsum("ij,ij->j", u, u), 0.0, sv)
+    return mean + weights @ C, np.clip(var - np.einsum("ij,ij->j", u, u), 0.0, sv)
 
 
 @dataclass(frozen=True)
@@ -186,7 +204,8 @@ class FittedMonotonicGP:
 
     def _predict(self, v: np.ndarray, explained: np.ndarray, K_dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sv = self._workspace.posterior.params.signal_variance
-        return _site_corrected(v, explained, K_dx, self._alpha, self._W, sv, self._chol_B, self._sqrt_S, self._weights)
+        observed = _observed(v, explained, K_dx, self._alpha, self._W, sv)
+        return _site_corrected(observed, sv, self._chol_B, self._sqrt_S, self._weights)
 
     def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         chol = self._factors()[0]
@@ -220,12 +239,13 @@ def _posterior(K, prior_var, prior_mean, tau_lat, nat_lat):
     sqrt_s = np.sqrt(tau_lat)
     SK = sqrt_s[:, None] * K
     B = SK * sqrt_s[None, :]
-    B.flat[:: K.shape[0] + 1] += 1.0
+    # B is new and contiguous, so ravel("K") views its buffer and every (n + 1)-th entry is on its diagonal.
+    B.ravel(order="K")[:: K.shape[0] + 1] += 1.0
     chol_B = _cholesky_lower(B)
     V = _solve_lower(chol_B, SK)
     # einsum, not (V * V).sum(0): the two round differently.
     variances = np.maximum(prior_var - np.einsum("ij,ij->j", V, V), 0.0)
-    residual = np.divide(nat_lat, sqrt_s, out=np.zeros_like(nat_lat), where=sqrt_s > 0.0) - sqrt_s * prior_mean
+    residual = np.divide(nat_lat, sqrt_s, out=np.zeros(len(nat_lat)), where=sqrt_s > 0.0) - sqrt_s * prior_mean
     weights = sqrt_s * _cho_solve_lower(chol_B, residual)
     return prior_mean + K @ weights, variances, chol_B, sqrt_s, weights
 
@@ -253,16 +273,19 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     prior standard deviation.  That covers f(X) as well as the derivative
     latents: only the derivative sites move, but at d = 1 f(X) can still
     move by more than that in a sweep in which no derivative latent does.
-    The marginals of f(X) are the fit's own predictions at X
-    (`_site_corrected`), computed only for sweeps that the derivative
-    latents pass.  Non-convergence within _MAX_SWEEPS is not fatal: the last
-    damped iterate is returned with converged=False.
+    The marginals of f(X) are the fit's own predictions at X, computed only
+    for sweeps that the derivative latents pass: the observations' part
+    (`_observed`) once, at the first such sweep, and the sites' part
+    (`_site_corrected`) for the two states each such sweep compares.
+    Non-convergence within _MAX_SWEEPS is not fatal: the last damped iterate
+    is returned with converged=False.
 
-    start None begins from zero sites.  Otherwise it is the `sites` array of
-    an earlier fit on this workspace (the derivative latents do not change as
-    rows are observed), and the first posterior is formed from a copy of it:
-    refitting a fit's own rows and outputs from its sites starts at that fit's
-    final posterior.  Sites of another strictness are a poor start: they
+    start None begins from zero sites, whose posterior is the conditioned
+    prior itself, formed without a refresh.  Otherwise it is the `sites`
+    array of an earlier fit on this workspace (the derivative latents do not
+    change as rows are observed), and the first posterior is formed from a
+    copy of it: refitting a fit's own rows and outputs from its sites starts
+    at that fit's final posterior.  Sites of another strictness are a poor start: they
     cost sweeps rather than save them.
     """
     posterior, locations = workspace.posterior, workspace.locations
@@ -277,11 +300,9 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     W = _solve_lower(chol, K_fd)
     K = workspace.K_dd - W.T @ W
     mean_c = alpha @ W
-    prior_var = np.diag(K)
-    prior_sd = np.sqrt(np.diag(workspace.K_dd))
-    # f(X) as _site_corrected takes points: V columns, their squared sums, derivative columns.
-    V_X = _solve_lower(chol, se_kernel_matrix(posterior.X, posterior.X, params))
-    at_X = (V_X, np.einsum("ij,ij->j", V_X, V_X), K_fd.T, alpha, W, params.signal_variance)
+    prior_var, prior_sd = np.diag(K), workspace.prior_sd
+    sv = params.signal_variance
+    at_X = None  # f(X)'s `_observed` part, taken at the first sweep that the derivative latents pass
 
     # One (+, -) pair of probit sites per derivative latent j*d + g: row 0
     # rewards a positive slope in dimension g, row 1 a negative one.  sites[0]
@@ -304,7 +325,12 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
         mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, mean_c, lat[0], lat[1])
         return mean, var, np.sqrt(var), chol_B, sqrt_s, weights
 
-    mean, var, sd, chol_B, sqrt_s, weights = refresh()
+    if start is None:
+        # Zero sites leave the conditioned prior as it is: B = I, S^1/2 = 0 and w = 0, as `_posterior` has them.
+        var, n = np.maximum(prior_var, 0.0), len(K)
+        mean, sd, chol_B, sqrt_s, weights = mean_c, np.sqrt(var), np.eye(n), np.zeros(n), np.zeros(n)
+    else:
+        mean, var, sd, chol_B, sqrt_s, weights = refresh()
     converged = False
     sweeps = 0
     for sweep in range(1, _MAX_SWEEPS + 1):
@@ -317,14 +343,12 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
             new_mean, new_var = _probit_moments(cav_mean, cav_var, sign, nu2)
             matched_num[1] = new_mean
             target = matched_num / new_var - cavity
-            valid = (
-                (var > 0)
-                & (cavity[0] > 1e-12)
-                & np.isfinite(cav_mean)
-                & np.isfinite(new_mean)
-                & (new_var > 0)
-                & np.isfinite(target).all(axis=0)
-            )
+            # Two checks suffice because var >= 0 (np.maximum in `_posterior`):
+            # at var == 0, mean / var is not finite and neither is target[1];
+            # a non-finite cavity or matched mean leaves target non-finite;
+            # and new_var >= 1e-14 cav_var >= 0, with 1 / new_var infinite at
+            # 0.  At var < 0 they would keep pairs that var > 0 drops.
+            valid = (cavity[0] > 1e-12) & np.isfinite(target).all(axis=0)
             # Probit factors are log-concave, so a non-positive proposal is pure
             # round-off: drop the site rather than keep a bad precision.  Above
             # the cap, shrink the pair together so the implied site mean is kept.
@@ -335,10 +359,13 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
         mean, var, sd, chol_B, sqrt_s, weights = refresh()
         moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
         if (moved / prior_sd).max() <= _TOL:
-            old_f = _site_corrected(*at_X, *old_state)
-            new_f = _site_corrected(*at_X, chol_B, sqrt_s, weights)
+            if at_X is None:
+                V_X = _solve_lower(chol, se_kernel_matrix(posterior.X, posterior.X, params))
+                at_X = _observed(V_X, np.einsum("ij,ij->j", V_X, V_X), K_fd.T, alpha, W, sv)
+            old_f = _site_corrected(at_X, sv, *old_state)
+            new_f = _site_corrected(at_X, sv, chol_B, sqrt_s, weights)
             f_moved = np.maximum(np.abs(new_f[0] - old_f[0]), np.abs(np.sqrt(new_f[1]) - np.sqrt(old_f[1])))
-            if (f_moved / np.sqrt(params.signal_variance)).max() <= _TOL:
+            if (f_moved / np.sqrt(sv)).max() <= _TOL:
                 converged = True
                 break
 

@@ -1,5 +1,6 @@
 """Monotonicity-constrained GP: derivative kernels vs finite differences, EP sanity."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 import hyperbo
@@ -313,11 +317,24 @@ def assert_matches_joint_posterior(model, y, candidates):
 
 
 def recorded_refreshes(monkeypatch) -> list:
-    """From now on, the site totals (precisions, natural means) of every posterior refresh of a fit, in order."""
+    """From now on, the site totals (precisions, natural means) of every posterior of a fit, in order.
+
+    A fit started cold (start None) forms its first posterior, at zero sites,
+    in closed form without a `_posterior` call: zero totals stand for it, in
+    front of that fit's first refresh.
+    """
     refreshes = []
     refresh = monotonic._posterior
+    fits = []  # the fit_monotonic_gp frames seen, so a fit's first refresh is known
 
     def recording(K, prior_var, prior_mean, tau_lat, nat_lat):
+        fit = sys._getframe(1)
+        while fit.f_code is not monotonic.fit_monotonic_gp.__code__:
+            fit = fit.f_back
+        if not any(fit is seen for seen in fits):
+            fits.append(fit)
+            if fit.f_locals["start"] is None:
+                refreshes.append((np.zeros_like(tau_lat), np.zeros_like(nat_lat)))
         refreshes.append((tau_lat.copy(), nat_lat.copy()))
         return refresh(K, prior_var, prior_mean, tau_lat, nat_lat)
 
@@ -583,6 +600,57 @@ class TestWorkspace:
                 model.predict_candidates(CandidateSet(points))
 
 
+# Values that EP's marginals and sites can take at their edges: zeros of both
+# signs, infinities, NaN, subnormals, the site precision cap and overflow-sized
+# values, beside arbitrary floats.
+EDGE_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e-12, 1e8, -1e8, 1e300, -1e300)
+
+
+def edge_floats(n, *shape):
+    return hnp.arrays(float, shape + (n,), elements=st.one_of(st.sampled_from(EDGE_VALUES), st.floats()))
+
+
+class TestValidityRule:
+    """The sweep keeps a site pair's proposal where cavity[0] > 1e-12 and the target is finite.
+
+    The oracle is the six-check rule the sweep used before: var > 0, a cavity
+    precision above 1e-12, a finite cavity mean, a finite matched mean, a
+    matched variance above 0 and a finite target.  The inputs are built as
+    the sweep builds them: the variances through np.maximum(., 0.0), as
+    `_posterior` and the cold start form them, and the cavities, matched
+    moments and targets by the sweep's own steps.
+    """
+
+    @settings(max_examples=300)
+    @given(
+        data=st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                edge_floats(n), edge_floats(n), edge_floats(n, 2, 2), hnp.arrays(float, (2, n), elements=st.sampled_from((1e-12, 1e-6, 1e-2, 1.0)))
+            )
+        )
+    )
+    def test_two_checks_decide_as_the_six_did(self, data):
+        mean, raw_var, sites, nu2 = data
+        var = np.maximum(raw_var, 0.0)
+        sign = np.array([[1.0], [-1.0]])
+        with np.errstate(all="ignore"):
+            cavity = (np.stack((np.ones_like(mean), mean)) / var)[:, None, :] - sites
+            cav_var = 1.0 / cavity[0]
+            cav_mean = cavity[1] * cav_var
+            new_mean, new_var = monotonic._probit_moments(cav_mean, cav_var, sign, nu2)
+            target = np.stack((np.ones_like(new_mean), new_mean)) / new_var - cavity
+        six = (
+            (var > 0)
+            & (cavity[0] > 1e-12)
+            & np.isfinite(cav_mean)
+            & np.isfinite(new_mean)
+            & (new_var > 0)
+            & np.isfinite(target).all(axis=0)
+        )
+        two = (cavity[0] > 1e-12) & np.isfinite(target).all(axis=0)
+        assert np.array_equal(two, six)
+
+
 def derivative_sds(model):
     """The posterior standard deviations of a fit's derivative latents, from its factor of B and its workspace."""
     K = model._workspace.K_dd - model._W.T @ model._W
@@ -676,3 +744,47 @@ class TestWarmStart:
         print(f"WARM START: largest deviation {worst:.2f} x _TOL x prior sd; sweeps {cold_sweeps} cold, {warm_sweeps} warm")
         assert worst <= self.DEVIATION_BOUND
         assert warm_sweeps < cold_sweeps
+
+
+def ep_panel_digest() -> str:
+    """sha256 over a fixed panel of fits: each fit's sweeps, convergence, sites, derivative means, weights,
+    factor of B and predictions.
+
+    At d = 1, 2 and 3 and at two strictnesses (one drawn from the grid, one
+    strict both ways in every dimension, whose sites reach the precision
+    cap), a fit over the first rows starts cold and is refitted warm from its
+    own sites; after the workspace grows by the remaining rows (outputs
+    re-standardized) a fit starts cold and another warm from the earlier warm
+    fit's sites.  Each fit predicts as soon as it is made, while it answers.
+    """
+    digest = hashlib.sha256()
+
+    def record(model, candidates, grid):
+        digest.update(f"{model.sweeps} {model.converged};".encode())
+        arrays = (model.sites, model.derivative_means, model._weights, model._chol_B)
+        for array in arrays + model.predict_candidates(candidates) + model.predict_batch(grid):
+            digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+
+    for d in (1, 2, 3):
+        params, X, locations, pool, r = growing_case(d, 90 + d)
+        f = X @ np.linspace(1.0, -1.0, d) + np.cos(4.0 * X[:, -1])
+        candidates = CandidateSet(pool, excluded=r.uniform(size=len(pool)) < 0.3)
+        grid = r.uniform(0, 1, size=(7, d))
+        for strictness in (r.choice(np.arange(-6.0, 1.0), size=2 * d), np.full(2 * d, -5.0)):
+            workspace = workspace_over(X[:0], pool, params, locations)
+            warm = None
+            for rows in (2 * d + 3, len(X)):
+                workspace.posterior.extend(X[workspace.posterior.n : rows])
+                y = standardize(f[:rows])
+                cold = fit_monotonic_gp(workspace, y, strictness)
+                record(cold, candidates, grid)
+                warm = fit_monotonic_gp(workspace, y, strictness, start=(cold if warm is None else warm).sites)
+                record(warm, candidates, grid)
+    return digest.hexdigest()
+
+
+def test_ep_panel_bits_are_pinned():
+    # Recorded from this test body on the code before the sweep's validity
+    # rule, the closed-form cold start and the split prediction formula: a
+    # change that keeps EP's arithmetic keeps this digest.
+    assert ep_panel_digest() == "645fbecaae7c067fa2d1ff152fb898316f183a1650556cb6aacc1b6e467ac747"
