@@ -747,8 +747,7 @@ class TestWarmStart:
 
 
 def ep_panel_digest() -> str:
-    """sha256 over a fixed panel of fits: each fit's sweeps, convergence, sites, derivative means, weights,
-    factor of B and predictions.
+    """sha256 of a fixed panel of fits: sweeps, convergence, sites, derivative means, weights, chol_B and predictions.
 
     At d = 1, 2 and 3 and at two strictnesses (one drawn from the grid, one
     strict both ways in every dimension, whose sites reach the precision
