@@ -5,7 +5,7 @@ loop searches the space of GP models (length scales, or per-dimension
 monotonicity strictness enforced via virtual derivative observations), scoring
 each model by the regret-normalized gain it produced over a short window.
 The layers live in their own modules (gp, monotonic, acquisition, engine,
-tasks, bench, cli); importing the package loads none of them.
+tasks, bench, cli); importing the package loads none of them, nor numpy.
 """
 
 __version__ = "0.1.0"

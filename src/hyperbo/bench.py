@@ -91,8 +91,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ConfigError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         ints = {k: getattr(self, k) for k in _INT_KEYS}
         if self.discovery_budget is None:
             del ints["discovery_budget"]  # unset: hyperbo samples `budget`
@@ -146,7 +146,10 @@ class ExperimentConfig:
         )
 
     def resolved_output_dir(self) -> Path:
-        return Path(os.environ.get(OUTPUT_DIR_ENV, self.output_dir))
+        out_dir = os.environ.get(OUTPUT_DIR_ENV, self.output_dir)
+        if not out_dir:  # Path("") is the working directory
+            raise ConfigError(f"{OUTPUT_DIR_ENV} is set but empty; unset it or name a directory")
+        return Path(out_dir)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -404,12 +407,7 @@ def emit_reports(run_dir) -> Path | None:
     except (TypeError, ValueError) as exc:
         raise ReportError(f"{manifest_path}: a hyperbo best_theta is not a grid point: {exc}") from None
     X, y = task.correlation_sample()
-    correlations = []
-    for g in range(task.dim):
-        try:
-            correlations.append(pearson_correlation(X[:, g], y))
-        except ValueError:
-            correlations.append(float("nan"))
+    correlations = [pearson_correlation(X[:, g], y) for g in range(task.dim)]
     rows = monotonicity_report(best_thetas, feature_names=getattr(task, "feature_names", None), correlations=correlations)
 
     out_path = run_dir / "report.csv"

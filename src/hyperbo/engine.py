@@ -97,7 +97,7 @@ class ModelSpace:
     row of the mode's option table, one length scale per dimension or one
     (theta_minus, theta_plus) pair per dimension with nu = 10^theta.  A grid
     point is a row of per-dimension option indices, which `rows` maps to its
-    theta and `unit_rows` to the theta's unit coordinates.  lam, the score's
+    theta and `to_unit` a theta to its unit coordinates.  lam, the score's
     regularization weight, is 1 / (max |option| * theta_dim).
     """
 
@@ -110,7 +110,6 @@ class ModelSpace:
         self.dim = dim
         options, self._sign, self._sets = _MODES[mode]
         self._options = np.asarray(options, dtype=float)  # (per_dim, coords)
-        self._unit_options = self.to_unit(self._options)
         self.lam = 1.0 / (float(np.abs(self._options).max()) * self.theta_dim)
         # The theta GP's kernels for tied scores (z all zero) and for z-scored scores of unit variance.
         scales = (THETA_GP_LS_FRACTION,) * self.theta_dim
@@ -137,10 +136,6 @@ class ModelSpace:
         """The thetas of index rows: one theta for a 1-D row, one theta per row of a 2-D array."""
         return self._options[indices].reshape(*indices.shape[:-1], self.theta_dim)
 
-    def unit_rows(self, indices: np.ndarray) -> np.ndarray:
-        """to_unit(rows(indices)), gathered from the option table in unit coordinates."""
-        return self._unit_options[indices].reshape(*indices.shape[:-1], self.theta_dim)
-
     @cached_property
     def option_prior(self) -> tuple[np.ndarray, np.ndarray]:
         """K_1, the theta GP's unit-variance prior covariance among one dimension's options, and its Cholesky factor.
@@ -148,7 +143,7 @@ class ModelSpace:
         Computed once per space.  K_1's smallest eigenvalue (3.8e-4 for
         monotonicity, 7.4e-6 for length scales) lets it factorize without jitter.
         """
-        unit = self._unit_options
+        unit = self.to_unit(self._options)
         k1 = se_kernel_matrix(unit, unit, KernelParams(1.0, (THETA_GP_LS_FRACTION,) * unit.shape[1]))
         return k1, np.linalg.cholesky(k1)
 
@@ -319,6 +314,11 @@ def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: np.ndarr
     return True
 
 
+def _steps(task: Task, state: _RunState, config: RunConfig, theta: np.ndarray | None, n: int) -> bool:
+    """Up to n inner steps under theta; False when one finds the pool exhausted, which ends them."""
+    return all(_inner_step(task, state, config, theta) for _ in range(n))
+
+
 def model_score_window(
     task: Task, state: _RunState, config: RunConfig, theta: np.ndarray
 ) -> tuple[tuple[int, float, float] | None, bool]:
@@ -329,14 +329,8 @@ def model_score_window(
     """
     start_T = len(state.y) - state.n0
     y_plus = float(np.max(state.y))
-    completed = 0
-    exhausted = False
-    for _ in range(config.K):
-        if not _inner_step(task, state, config, theta):
-            exhausted = True
-            break
-        completed += 1
-    if completed == 0:
+    exhausted = not _steps(task, state, config, theta, config.K)
+    if len(state.y) - state.n0 == start_T:
         return None, exhausted
     f_plus = float(np.max(state.y))
     gain = (f_plus - y_plus) / state.trial_scale
@@ -359,12 +353,12 @@ def hyperbo_step(ledger: np.ndarray, space: ModelSpace, rng: np.random.Generator
         raise ValueError("hyperbo_step needs at least one scored window")
     z, _ = standardize(ledger["score"])
     indices = ledger["index"]
-    model = gp_fit(space.unit_rows(indices), z, space.theta_gp_params(z))
+    model = gp_fit(space.to_unit(space.rows(indices)), z, space.theta_gp_params(z))
     if space.size <= ENUMERATION_LIMIT:
         return _pathwise_argmax(model, space, indices, rng)
     drawn = rng.integers(0, space.per_dim, size=(THOMPSON_SUBSAMPLE, space.dim))
     rows = np.vstack([drawn, indices[np.argmax(ledger["score"])]])
-    index, _ = thompson_select(model, CandidateSet(space.unit_rows(rows)), rng)
+    index, _ = thompson_select(model, CandidateSet(space.to_unit(space.rows(rows))), rng)
     return rows[index].copy()
 
 
@@ -456,19 +450,16 @@ def run_framework(task: Task, config: RunConfig) -> RunResult:
     space = state.space
     ledger = new_ledger(config.R, task.dim)
     n = 0
-    exhausted = False
-
     for outer in range(1, config.R + 1):
         if outer <= config.m:
             index = space.sample(state.rng)
         else:
             index = hyperbo_step(ledger[:n], space, state.rng)
-        window, hit_end = model_score_window(task, state, config, space.rows(index))
+        window, exhausted = model_score_window(task, state, config, space.rows(index))
         if window is not None:
             ledger[n] = (index, outer, *window)
             n += 1
-        if hit_end:
-            exhausted = True
+        if exhausted:
             break
 
     ledger = ledger[:n]
@@ -486,9 +477,5 @@ def rerun_with_best_theta(task: Task, theta: np.ndarray | None, budget: int, con
     if budget < 0:
         raise ValueError("budget must be non-negative")
     state = _init_state(task, config)
-    exhausted = False
-    for _ in range(budget):
-        if not _inner_step(task, state, config, theta):
-            exhausted = True
-            break
+    exhausted = not _steps(task, state, config, theta, budget)
     return _result_from_state(task, state, theta, None, exhausted)

@@ -7,14 +7,14 @@ Cholesky; fitted models are immutable and cheap to query.  A `PoolPosterior`
 instead keeps one kernel's posterior over a fixed candidate pool, grows it by
 observed rows, and answers only for candidate sets over that very pool array.
 
-The factorizations and solves call LAPACK directly (`_cholesky_lower`,
-`_solve_lower`, `_cho_solve_lower`): on the few-dozen-row matrices of an EP
-sweep the fixed cost of scipy.linalg's wrappers outweighs the arithmetic.
-They make the same LAPACK calls as those wrappers, so results are bit for
-bit the same, and keep their errors: ValueError on a non-finite matrix,
-LinAlgError on one that is not positive definite or is singular.  Only the
-pool posterior's whole-pool solve calls BLAS (`dtrsm`) instead, on a factor
-that `_cholesky_lower` has just made.
+The factorizations and solves of gp.py, monotonic.py and engine.py call
+LAPACK directly (`_cholesky_lower`, `_solve_lower`, `_cho_solve_lower`): on
+the few-dozen-row matrices of an EP sweep the fixed cost of scipy.linalg's
+wrappers outweighs the arithmetic.  They make the same LAPACK calls as those
+wrappers, so results are bit for bit the same, and keep their errors:
+ValueError on a non-finite matrix, LinAlgError on one that is not positive
+definite or is singular.  Only the pool posterior's whole-pool solve calls
+BLAS (`dtrsm`) instead, on a factor that `_cholesky_lower` has just made.
 
 `lapack` and `blas` are scipy's compiled f2py modules scipy.linalg._flapack
 and scipy.linalg._fblas themselves, and monotonic.py's log_ndtr is the ufunc
@@ -23,7 +23,8 @@ without running its scipy package's import.  Importing scipy.linalg (0.25 s
 and 21 MB on a 2-CPU x86-64 host, most of it scipy's array-API layer) was
 most of a run's set-up for four wrappers; scipy.special (0.2 s and 21 MB)
 cost each EP process as much for one ufunc.  The modules are registered in
-sys.modules under their scipy names, so a later scipy import shares them.
+sys.modules under their scipy names, so a later scipy import shares them; a
+module whose execution fails is unregistered.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "DatasetError",
-    "UndefinedCorrelationError",
     "Task",
     "DiscreteTask",
     "ContinuousTask",
@@ -36,10 +35,6 @@ __all__ = [
 
 class DatasetError(ValueError):
     """Raised when a dataset file cannot be parsed into a task."""
-
-
-class UndefinedCorrelationError(ValueError):
-    """Raised for correlations of constant columns."""
 
 
 def latin_hypercube(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -348,20 +343,20 @@ def load_dataset(
 # ---------------------------------------------------------------------------
 
 
-def pearson_correlation(x, y) -> float:
-    """Standard product-moment correlation; undefined for constant columns."""
+def pearson_correlation(x, y) -> float | None:
+    """Standard product-moment correlation; None where it is undefined, below two rows or for a constant column."""
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.shape[0] != y.shape[0]:
         raise ValueError("column lengths differ")
     if x.shape[0] < 2:
-        raise ValueError("correlation needs at least 2 rows")
+        return None
     xd = x - x.mean()
     yd = y - y.mean()
     sxx = float(np.dot(xd, xd))
     syy = float(np.dot(yd, yd))
     if sxx == 0.0 or syy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for a constant column")
+        return None
     return float(np.dot(xd, yd) / math.sqrt(sxx * syy))
 
 
@@ -391,7 +386,7 @@ def monotonicity_report(
     mean(theta_plus): a stricter (more negative) increasing-direction
     strictness than decreasing-direction yields net > 0, reported as
     "increasing".  The direction is flagged against the sign of the
-    provided correlation coefficient where available.
+    provided correlation coefficient where it is defined (not None or NaN).
     """
     stacked = np.asarray(best_thetas, dtype=float)
     if stacked.ndim != 2 or stacked.shape[0] == 0:
@@ -403,9 +398,8 @@ def monotonicity_report(
         plus = float(stacked[:, 2 * g + 1].mean())
         net = minus - plus
         direction = "increasing" if net > 0 else ("decreasing" if net < 0 else "none")
-        corr = None if correlations is None else float(correlations[g])
-        if corr is not None and math.isnan(corr):
-            corr = None
+        corr = None if correlations is None else correlations[g]
+        corr = None if corr is None or math.isnan(corr) else float(corr)
         match = None
         if corr is not None and direction != "none":
             match = (corr > 0) == (direction == "increasing")

@@ -164,6 +164,36 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error:")
         assert taken.read_text() == "a file\n"
 
+    @pytest.mark.parametrize("setting", ["output_dir", "HYPERBO_OUTPUT_DIR"])
+    def test_an_empty_output_location_is_a_config_error(self, tmp_path, capsys, monkeypatch, setting):
+        # Path("") is the working directory: unchecked, run removed an earlier run's file names there.
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        for name in ("manifest.json", "aggregate.csv", "report.csv", "trace_hyperbo_trial000.csv"):
+            (cwd / name).write_text(f"not a run's {name}\n")
+        before = {p.name: p.read_bytes() for p in cwd.iterdir()}
+        path = tmp_path / "cfg.json"
+        raw = {
+            "task": {"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "n_points": 20, "seed": 1},
+            "mode": "length_scale",
+            "trials": 1,
+            "m": 1,
+            "K": 2,
+            "budget": 4,
+            "output_dir": "" if setting == "output_dir" else str(tmp_path / "run"),
+        }
+        path.write_text(json.dumps(raw))
+        if setting == "HYPERBO_OUTPUT_DIR":
+            monkeypatch.setenv(setting, "")
+        monkeypatch.chdir(cwd)
+        monkeypatch.setattr(bench, "_run_trial", lambda *args: pytest.fail("a trial ran"))
+        for command in ("validate", "run"):
+            assert cli_main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and setting in err
+        assert {p.name: p.read_bytes() for p in cwd.iterdir()} == before
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("text", [None, '{"mode": '], ids=["missing", "invalid-json"])
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
@@ -649,6 +679,26 @@ class TestReports:
             emit_reports(out)
         assert cli_main(["report", str(out)]) == 1
         assert capsys.readouterr().err.startswith("report error:")
+
+    def test_constant_feature_reports_no_correlation(self, tmp_path):
+        # Column b is constant, so its correlation with y is undefined: report.csv writes None in both cells.
+        data = tmp_path / "five.csv"
+        data.write_text("a,b,y\n0.0,1.0,1.0\n0.2,1.0,2.0\n0.5,1.0,4.0\n0.7,1.0,3.0\n1.0,1.0,5.0\n")
+        config = ExperimentConfig(
+            task={"kind": "dataset", "path": str(data), "target": "y", "n_initial": 2},
+            mode="monotonicity",
+            trials=1,
+            m=1,
+            K=1,
+            budget=2,
+            strategies=("hyperbo",),
+            output_dir=str(tmp_path / "run"),
+        )
+        header, rows = read_csv(run_experiment(config).output_dir / "report.csv")
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [c["feature"] for c in cells] == ["a", "b"]
+        assert float(cells[0]["correlation"]) > 0
+        assert (cells[1]["correlation"], cells[1]["matches_correlation"]) == ("None", "None")
 
     def test_report_on_missing_dir_errors(self, tmp_path):
         with pytest.raises(ReportError):

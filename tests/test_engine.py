@@ -171,13 +171,6 @@ class TestModelSpace:
                 theta = space.rows(space.sample(rng))
                 assert tuple(space.theta(theta)) == tuple(theta)
 
-    @pytest.mark.parametrize("mode, d", [(LENGTH_SCALE, 1), (LENGTH_SCALE, 3), (MONOTONICITY, 2), (MONOTONICITY, 4)])
-    def test_unit_rows_equal_the_unit_map_of_rows(self, mode, d):
-        space = ModelSpace(mode, d)
-        rows = np.random.default_rng(2).integers(0, space.per_dim, size=(40, d))
-        assert np.array_equal(space.unit_rows(rows), space.to_unit(space.rows(rows)))
-        assert np.array_equal(space.unit_rows(rows[0]), space.to_unit(space.rows(rows[0])))
-
     def test_theta_checks_the_space_dimension(self):
         space = ModelSpace(MONOTONICITY, 2)
         assert tuple(space.theta([-6, 0, 0, -6])) == (-6.0, 0.0, 0.0, -6.0)
@@ -238,7 +231,7 @@ class TestBestRecord:
 
         monkeypatch.setattr(eng, "thompson_select", first_candidate)
         hyperbo_step(ledger, space, np.random.default_rng(0))
-        best = np.flatnonzero((space.unit_rows(ledger["index"]) == seen[0][-1]).all(axis=1))
+        best = np.flatnonzero((space.to_unit(space.rows(ledger["index"])) == seen[0][-1]).all(axis=1))
         assert ledger["outer"][best].tolist() == [2]  # first of the tied windows
 
     def test_empty_best_raises(self):
@@ -353,7 +346,7 @@ class TestHyperboStep:
         rng = np.random.default_rng(17)
         ledger = np.vstack([space.sample(rng) for _ in range(10)])
         z, _ = standardize(rng.exponential(size=len(ledger)))
-        model = gp_fit(space.unit_rows(ledger), z, space.theta_gp_params(z))
+        model = gp_fit(space.to_unit(space.rows(ledger)), z, space.theta_gp_params(z))
         grid = grid_indices(space)
         means, cov = model.predict_joint(space.to_unit(space.rows(grid)))
         n = 20_000
@@ -418,6 +411,16 @@ class TestRunFramework:
         result = run_framework(task, config)
         assert result.exhausted
         assert result.n_samples == 3  # only 3 unobserved rows existed
+
+    def test_a_window_that_finds_the_pool_empty_scores_nothing(self):
+        # Two full windows take the 4 unobserved rows; the third finds none and ends the run unscored.
+        task = make_toy_task([0.0, 1.0, 2.0, 3.0, 4.0], n_initial=1)
+        config = RunConfig(mode=LENGTH_SCALE, m=1, K=2, R=3, seed=0)
+        result = run_framework(task, config)
+        assert result.ledger["outer"].tolist() == [1, 2]
+        assert result.ledger["start_T"].tolist() == [0, 2]
+        assert result.exhausted
+        assert result.n_samples == 4
 
     def test_best_theta_has_highest_score(self):
         task = make_toy_task(np.linspace(0, 1, 50) ** 2, n_initial=3)

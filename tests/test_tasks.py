@@ -11,7 +11,6 @@ from hyperbo.tasks import (
     ContinuousTask,
     DatasetError,
     DiscreteTask,
-    UndefinedCorrelationError,
     goldstein_price,
     goldstein_price_native,
     latin_hypercube,
@@ -363,9 +362,16 @@ class TestPearsonCorrelation:
         den = np.sqrt(n * np.sum(x * x) - np.sum(x) ** 2) * np.sqrt(n * np.sum(y * y) - np.sum(y) ** 2)
         assert pearson_correlation(x, y) == pytest.approx(num / den, abs=1e-12)
 
-    def test_constant_column_rejected(self):
-        with pytest.raises(UndefinedCorrelationError):
-            pearson_correlation(np.ones(5), np.arange(5.0))
+    def test_constant_column_is_undefined(self):
+        assert pearson_correlation(np.ones(5), np.arange(5.0)) is None
+        assert pearson_correlation(np.arange(5.0), np.ones(5)) is None
+
+    def test_one_row_is_undefined(self):
+        assert pearson_correlation([1.0], [2.0]) is None
+
+    def test_mismatched_lengths_raise(self):
+        with pytest.raises(ValueError):
+            pearson_correlation(np.arange(3.0), np.arange(4.0))
 
 
 class TestMonotonicityReport:
@@ -390,6 +396,11 @@ class TestMonotonicityReport:
         rows = monotonicity_report(thetas, correlations=[0.8, 0.5])
         assert rows[0].matches_correlation is True  # increasing vs corr > 0
         assert rows[1].matches_correlation is False  # decreasing vs corr > 0
+
+    def test_undefined_correlations_flag_nothing(self):
+        # pearson_correlation's None, and a library caller's NaN, both read as no correlation.
+        rows = monotonicity_report(np.array([(0.0, -6.0, -6.0, 0.0)]), correlations=[None, float("nan")])
+        assert [(r.correlation, r.matches_correlation) for r in rows] == [(None, None), (None, None)]
 
     def test_averages_across_trials(self):
         thetas = np.array([(-4.0, 0.0), (-2.0, 0.0)])
