@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from hyperbo import BLAS_THREAD_VARS
+from hyperbo.acquisition import ucb_beta
 from hyperbo.engine import MODES, MONOTONICITY, ModelSpace, RunConfig, RunResult, rerun_with_best_theta, run_framework
 from hyperbo.engine import _init_state
 from hyperbo.tasks import (
@@ -180,9 +181,9 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"gold_standard_theta: {exc}") from None
     if "ucb_delta" in config.engine:
         # UCB's beta is least at the first step, over the pool rows the initial design left.
-        bound = np.count_nonzero(~_init_state(task, config.run_config(config.seed)).sampled) * math.pi**2 / 6
-        if 0 < bound <= config.engine["ucb_delta"]:
-            raise ConfigError(f"engine.ucb_delta must be below {bound:.4g} here, or the first UCB beta is negative")
+        n = np.count_nonzero(~_init_state(task, config.run_config(config.seed)).sampled)
+        if n > 0 and ucb_beta(1, n, config.engine["ucb_delta"]) <= 0:
+            raise ConfigError(f"engine.ucb_delta is too large: the first UCB beta over {n} candidates is not positive")
     return config
 
 

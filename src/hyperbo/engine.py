@@ -404,10 +404,8 @@ def _init_state(task: Task, config: RunConfig) -> _RunState:
     # posterior hold this very array (an unpickled task's array would
     # otherwise be wrapped in a fresh view by each CandidateSet).
     pool = np.asarray(task.build_pool(init_rng), dtype=float)
-    # Initial-design entries that are pool members (dataset rows) are excluded
-    # from re-sampling; synthetic designs live off-pool and flag nothing.
     sampled = np.zeros(pool.shape[0], dtype=bool)
-    sampled[[i for i in indices if i >= 0]] = True
+    sampled[indices] = True
     return _RunState(
         X=np.array(X0, dtype=float),
         y=np.array(y0, dtype=float),

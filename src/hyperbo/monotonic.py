@@ -29,11 +29,10 @@ from its fixed point and converges in fewer sweeps.
 A fit does no work whose result it already knows.  A sweep keeps a site
 pair's update where the cavity precision exceeds 1e-12 and the target is
 finite: the marginal variances are never negative, and with that these two
-checks imply the others.  A fit from zero sites takes its first posterior,
-the conditioned prior, in closed form.  A prediction of f at a set of points
-takes the observations' part once per set (`_observed`) and the sites' part
-once per state of the sites (`_site_corrected`), so the convergence test of
-f(X) takes the first once per fit.
+checks imply the others.  A prediction of f at a set of points takes the
+observations' part once per set (`_observed`) and the sites' part once per
+state of the sites (`_site_corrected`), so a fit takes f(X)'s observed part
+once, before its sweeps.
 
 log_ndtr's compiled module is loaded by the first EP sweep, without the
 scipy.special package (see gp.py): a length-scale run never loads it.
@@ -273,20 +272,20 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     prior standard deviation.  That covers f(X) as well as the derivative
     latents: only the derivative sites move, but at d = 1 f(X) can still
     move by more than that in a sweep in which no derivative latent does.
-    The marginals of f(X) are the fit's own predictions at X, computed only
-    for sweeps that the derivative latents pass: the observations' part
-    (`_observed`) once, at the first such sweep, and the sites' part
-    (`_site_corrected`) for the two states each such sweep compares.
+    The marginals of f(X) are the fit's own predictions at X: the
+    observations' part (`_observed`) once per fit, and the sites' part
+    (`_site_corrected`) for the two states that a sweep the derivative
+    latents pass compares.
     Non-convergence within _MAX_SWEEPS is not fatal: the last damped iterate
     is returned with converged=False.
 
     start None begins from zero sites, whose posterior is the conditioned
-    prior itself, formed without a refresh.  Otherwise it is the `sites`
-    array of an earlier fit on this workspace (the derivative latents do not
-    change as rows are observed), and the first posterior is formed from a
-    copy of it: refitting a fit's own rows and outputs from its sites starts
-    at that fit's final posterior.  Sites of another strictness are a poor start: they
-    cost sweeps rather than save them.
+    prior itself.  Otherwise it is the `sites` array of an earlier fit on
+    this workspace (the derivative latents do not change as rows are
+    observed), and the first posterior is formed from a copy of it: refitting
+    a fit's own rows and outputs from its sites starts at that fit's final
+    posterior.  Sites of another strictness are a poor start: they cost
+    sweeps rather than save them.
     """
     posterior, locations = workspace.posterior, workspace.locations
     params = posterior.params
@@ -302,7 +301,8 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     mean_c = alpha @ W
     prior_var, prior_sd = np.diag(K), workspace.prior_sd
     sv = params.signal_variance
-    at_X = None  # f(X)'s `_observed` part, taken at the first sweep that the derivative latents pass
+    V_X = _solve_lower(chol, se_kernel_matrix(posterior.X, posterior.X, params))
+    at_X = _observed(V_X, np.einsum("ij,ij->j", V_X, V_X), K_fd.T, alpha, W, sv)  # f(X)'s observed part
 
     # One (+, -) pair of probit sites per derivative latent j*d + g: row 0
     # rewards a positive slope in dimension g, row 1 a negative one.  sites[0]
@@ -325,12 +325,7 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
         mean, var, chol_B, sqrt_s, weights = _posterior(K, prior_var, mean_c, lat[0], lat[1])
         return mean, var, np.sqrt(var), chol_B, sqrt_s, weights
 
-    if start is None:
-        # Zero sites leave the conditioned prior as it is: B = I, S^1/2 = 0 and w = 0, as `_posterior` has them.
-        var, n = np.maximum(prior_var, 0.0), len(K)
-        mean, sd, chol_B, sqrt_s, weights = mean_c, np.sqrt(var), np.eye(n), np.zeros(n), np.zeros(n)
-    else:
-        mean, var, sd, chol_B, sqrt_s, weights = refresh()
+    mean, var, sd, chol_B, sqrt_s, weights = refresh()
     converged = False
     sweeps = 0
     for sweep in range(1, _MAX_SWEEPS + 1):
@@ -359,9 +354,6 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
         mean, var, sd, chol_B, sqrt_s, weights = refresh()
         moved = np.maximum(np.abs(mean - old_mean), np.abs(sd - old_sd))
         if (moved / prior_sd).max() <= _TOL:
-            if at_X is None:
-                V_X = _solve_lower(chol, se_kernel_matrix(posterior.X, posterior.X, params))
-                at_X = _observed(V_X, np.einsum("ij,ij->j", V_X, V_X), K_fd.T, alpha, W, sv)
             old_f = _site_corrected(at_X, sv, *old_state)
             new_f = _site_corrected(at_X, sv, chol_B, sqrt_s, weights)
             f_moved = np.maximum(np.abs(new_f[0] - old_f[0]), np.abs(np.sqrt(new_f[1]) - np.sqrt(old_f[1])))

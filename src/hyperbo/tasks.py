@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,7 @@ class Task:
     optimum: float
 
     def initial_design(self, rng: np.random.Generator) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The pool rows among the design's points (none for an off-pool design), its points and their values."""
         raise NotImplementedError
 
     def build_pool(self, rng: np.random.Generator) -> np.ndarray:
@@ -120,7 +122,7 @@ class ContinuousTask(Task):
     def initial_design(self, rng: np.random.Generator):
         X = latin_hypercube(3 * self.dim, self.dim, rng)
         y = self.fn(X)
-        return [-1] * len(y), X, y
+        return [], X, y
 
     def build_pool(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 1.0, size=(self.pool_size, self.dim))
@@ -258,8 +260,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A JSON number other than a bool, NaN or an infinity (Python's json reads those too)."""
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    """A JSON number other than a bool, NaN, an infinity (Python's json reads those too) or an int past float range."""
+    return (_is_int(value) and abs(value) <= sys.float_info.max) or (isinstance(value, float) and math.isfinite(value))
 
 
 # The keys a filter object of each type takes.
@@ -297,8 +299,6 @@ def _apply_filter(spec: dict, features: list[str], X: np.ndarray, y: np.ndarray)
     col = X[:, features.index(column)]
     threshold = np.quantile(col, quantile)
     in_q = np.flatnonzero(col <= threshold)
-    if in_q.size == 0:
-        return X, y
     drop = int(in_q[np.argmax(y[in_q])])
     keep = [i for i in range(len(y)) if i != drop]
     return X[keep], y[keep]

@@ -104,6 +104,13 @@ class TestConfigValidation:
             {"task": {"kind": "gp_sample", "dim": 1, "length_scale": True}},
             {"task": {"kind": "gp_sample", "dim": 1, "length_scale": float("nan")}},
             {"engine": {"ucb_delta": float("inf")}},
+            # Integers past float range: each raised OverflowError where it became a float.
+            pytest.param(
+                {"strategies": ["standard_bo", "gold_standard_theta"], "gold_standard_theta": [10**400]},
+                id="gold_standard_theta [10**400]",
+            ),
+            pytest.param({"task": {"kind": "gp_sample", "dim": 1, "length_scale": 10**400}}, id="length_scale 10**400"),
+            pytest.param({"engine": {"ucb_delta": 10**400}}, id="ucb_delta 10**400"),
             # 17 first-step UCB candidates (20 rows less 3 initial): beta_1 < 0 from 17 pi^2 / 6 = 27.96 on.
             {"engine": {"ucb_delta": 28.0}},
             {"engine": {"ucb_delta": 100.0}},

@@ -317,24 +317,11 @@ def assert_matches_joint_posterior(model, y, candidates):
 
 
 def recorded_refreshes(monkeypatch) -> list:
-    """From now on, the site totals (precisions, natural means) of every posterior of a fit, in order.
-
-    A fit started cold (start None) forms its first posterior, at zero sites,
-    in closed form without a `_posterior` call: zero totals stand for it, in
-    front of that fit's first refresh.
-    """
+    """From now on, the site totals (precisions, natural means) of every posterior of a fit, in order."""
     refreshes = []
     refresh = monotonic._posterior
-    fits = []  # the fit_monotonic_gp frames seen, so a fit's first refresh is known
 
     def recording(K, prior_var, prior_mean, tau_lat, nat_lat):
-        fit = sys._getframe(1)
-        while fit.f_code is not monotonic.fit_monotonic_gp.__code__:
-            fit = fit.f_back
-        if not any(fit is seen for seen in fits):
-            fits.append(fit)
-            if fit.f_locals["start"] is None:
-                refreshes.append((np.zeros_like(tau_lat), np.zeros_like(nat_lat)))
         refreshes.append((tau_lat.copy(), nat_lat.copy()))
         return refresh(K, prior_var, prior_mean, tau_lat, nat_lat)
 
@@ -697,9 +684,12 @@ class TestWarmStart:
         monkeypatch.setattr(monotonic, "_posterior", recording_posterior)
         workspace = workspace_over(X, None, params, locations)
         model = fit_monotonic_gp(workspace, y, strictness)
+        # Every fit, cold or started, takes its first posterior from one refresh and one more per sweep.
+        assert len(posteriors) == model.sweeps + 1
         final, sites = posteriors[-1], model.sites.copy()
         posteriors.clear()
         refit = fit_monotonic_gp(workspace, y, strictness, start=model.sites)
+        assert len(posteriors) == refit.sweeps + 1
         for ours, want in zip(posteriors[0], final):
             assert np.array_equal(ours, want)
         assert np.array_equal(model.sites, sites) and refit.sites is not model.sites

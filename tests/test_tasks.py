@@ -125,7 +125,7 @@ class TestContinuousTask:
         for task in tasks:
             for seed in range(5):
                 indices, X, y = task.initial_design(np.random.default_rng(seed))
-                assert indices == [-1] * 3 * dim and X.shape == (3 * dim, dim)
+                assert indices == [] and X.shape == (3 * dim, dim)
                 assert np.array_equal(y, [task.fn(x) for x in X])
 
 
