@@ -736,8 +736,14 @@ class TestWarmStart:
         assert warm_sweeps < cold_sweeps
 
 
-def ep_panel_digest() -> str:
-    """sha256 of a fixed panel of fits: sweeps, convergence, sites, derivative means, weights, chol_B and predictions.
+# The largest gap between a fit's predict_candidates and its predict_batch at
+# the same rows, in units of max(1, max |EP weights|): the two take the sites'
+# part from different solves, so they may differ by rounding alone.
+PREDICTION_PATHS_TOL = 1e-12
+
+
+def ep_panel() -> tuple[str, float, float]:
+    """A fixed panel of fits: the sha256 of its arrays, and its largest predict_candidates gaps.
 
     At d = 1, 2 and 3 and at two strictnesses (one drawn from the grid, one
     strict both ways in every dimension, whose sites reach the precision
@@ -745,14 +751,24 @@ def ep_panel_digest() -> str:
     own sites; after the workspace grows by the remaining rows (outputs
     re-standardized) a fit starts cold and another warm from the earlier warm
     fit's sites.  Each fit predicts as soon as it is made, while it answers.
+    The digest covers sweeps, convergence, sites, derivative means, weights,
+    chol_B and predict_batch over a grid.  The gaps are predict_candidates'
+    means and variances against predict_batch at the active pool rows, in
+    units of max(1, max |weights|).
     """
     digest = hashlib.sha256()
+    gaps = [0.0, 0.0]
 
     def record(model, candidates, grid):
         digest.update(f"{model.sweeps} {model.converged};".encode())
         arrays = (model.sites, model.derivative_means, model._weights, model._chol_B)
-        for array in arrays + model.predict_candidates(candidates) + model.predict_batch(grid):
+        for array in arrays + model.predict_batch(grid):
             digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+        unit = max(1.0, np.abs(model._weights).max())
+        got = model.predict_candidates(candidates)
+        want = model.predict_batch(candidates.points[candidates.active_indices])
+        for k in range(2):
+            gaps[k] = max(gaps[k], np.abs(got[k] - want[k]).max() / unit)
 
     for d in (1, 2, 3):
         params, X, locations, pool, r = growing_case(d, 90 + d)
@@ -769,11 +785,14 @@ def ep_panel_digest() -> str:
                 record(cold, candidates, grid)
                 warm = fit_monotonic_gp(workspace, y, strictness, start=(cold if warm is None else warm).sites)
                 record(warm, candidates, grid)
-    return digest.hexdigest()
+    return digest.hexdigest(), gaps[0], gaps[1]
 
 
 def test_ep_panel_bits_are_pinned():
-    # Recorded from this test body on the code before the sweep's validity
-    # rule, the closed-form cold start and the split prediction formula: a
-    # change that keeps EP's arithmetic keeps this digest.
-    assert ep_panel_digest() == "645fbecaae7c067fa2d1ff152fb898316f183a1650556cb6aacc1b6e467ac747"
+    # Recorded from this test body on the code before the whole-pool
+    # prediction block: a change that keeps EP's arithmetic and predict_batch
+    # keeps this digest.  predict_candidates is held to predict_batch instead.
+    digest, mean_gap, var_gap = ep_panel()
+    print(f"EP PANEL: predict_candidates gaps {mean_gap:.3g} (means), {var_gap:.3g} (variances) x max(1, max|w|)")
+    assert digest == "28b5ee66436328b6e404adddd2871a8bd299f204888b1eb44cfe1e07d68128eb"
+    assert mean_gap <= PREDICTION_PATHS_TOL and var_gap <= PREDICTION_PATHS_TOL
