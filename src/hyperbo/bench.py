@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import reprlib
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
@@ -91,9 +92,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {reprlib.repr(self.mode)}")
         if not (isinstance(self.output_dir, str) and self.output_dir):
-            raise ConfigError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
+            raise ConfigError(f"output_dir must be a non-empty string, got {reprlib.repr(self.output_dir)}")
         ints = {k: getattr(self, k) for k in _INT_KEYS}
         if self.discovery_budget is None:
             del ints["discovery_budget"]  # unset: hyperbo samples `budget`
@@ -103,9 +104,9 @@ class ExperimentConfig:
         self.strategies = tuple(self.strategies)
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
-            raise ConfigError(f"unknown strategies {unknown}; valid: {list(STRATEGIES)}")
+            raise ConfigError(f"unknown strategies {reprlib.repr(unknown)}; valid: {list(STRATEGIES)}")
         if len(set(self.strategies)) < len(self.strategies):
-            raise ConfigError(f"strategies {list(self.strategies)} name one strategy more than once")
+            raise ConfigError(f"strategies {reprlib.repr(list(self.strategies))} name one strategy more than once")
         if "best_theta_rerun" in self.strategies and "hyperbo" not in self.strategies:
             raise ConfigError("best_theta_rerun requires the hyperbo strategy in the same experiment")
         if "hyperbo" in self.strategies:
@@ -115,7 +116,7 @@ class ExperimentConfig:
                 raise ConfigError("hyperbo budget / K must be >= m so the random phase fits")
         theta = self.gold_standard_theta
         if theta is not None and not (isinstance(theta, (list, tuple)) and all(map(_is_number, theta))):
-            raise ConfigError(f"gold_standard_theta must be a list of numbers, got {theta!r}")
+            raise ConfigError(f"gold_standard_theta must be a list of numbers, got {reprlib.repr(theta)}")
         if "gold_standard_theta" in self.strategies:
             if self.gold_standard_theta is None:
                 raise ConfigError("gold_standard_theta strategy needs a gold_standard_theta value")
@@ -124,10 +125,10 @@ class ExperimentConfig:
             raise ConfigError("engine must be an object")
         bad_engine = [k for k in self.engine if k not in _ENGINE_KEYS]
         if bad_engine:
-            raise ConfigError(f"unknown engine overrides {bad_engine}; valid: {list(_ENGINE_KEYS)}")
+            raise ConfigError(f"unknown engine overrides {reprlib.repr(bad_engine)}; valid: {list(_ENGINE_KEYS)}")
         delta = self.engine.get("ucb_delta")
         if "ucb_delta" in self.engine and not (_is_number(delta) and delta > 0):
-            raise ConfigError(f"engine.ucb_delta must be a positive number, got {delta!r}")
+            raise ConfigError(f"engine.ucb_delta must be a positive number, got {reprlib.repr(delta)}")
         if not isinstance(self.task, dict):
             raise ConfigError("task must be an object")
 
@@ -164,7 +165,7 @@ def load_config(path: str) -> ExperimentConfig:
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = [k for k in raw if k not in known]
     if unknown:
-        raise ConfigError(f"unknown config keys {unknown}")
+        raise ConfigError(f"unknown config keys {reprlib.repr(unknown)}")
     missing = [k for k in ("task", "mode", "budget", "output_dir") if k not in raw]
     if missing:
         raise ConfigError(f"missing required config keys {missing}")
@@ -180,10 +181,18 @@ def load_config(path: str) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"gold_standard_theta: {exc}") from None
     if "ucb_delta" in config.engine:
-        # UCB's beta is least at the first step, over the pool rows the initial design left.
+        # UCB's beta grows with the step t and the candidate count: over a run it
+        # is least at the first step, over the pool rows the initial design
+        # left, and at most its value at the last step's t over those rows.
         n = np.count_nonzero(~_init_state(task, config.run_config(config.seed)).sampled)
-        if n > 0 and ucb_beta(1, n, config.engine["ucb_delta"]) <= 0:
-            raise ConfigError(f"engine.ucb_delta is too large: the first UCB beta over {n} candidates is not positive")
+        delta, last = config.engine["ucb_delta"], max(config.budget, config.hyperbo_budget)
+        if n > 0:
+            with np.errstate(over="ignore"):  # a beta past float range reads inf, rejected below
+                first, largest = ucb_beta(1, n, delta), ucb_beta(last, n, delta)
+            if first <= 0:
+                raise ConfigError(f"engine.ucb_delta is too large: the first UCB beta over {n} candidates is not positive")
+            if not np.isfinite(largest):
+                raise ConfigError(f"engine.ucb_delta is too small: the UCB beta at step {last} over {n} candidates overflows")
     return config
 
 
@@ -196,13 +205,13 @@ def build_task(spec: dict) -> Task:
     args = dict(spec)
     kind = args.pop("kind", None)
     if not isinstance(kind, str) or kind not in _TASK_BUILDERS:
-        raise ConfigError(f"unknown task kind {kind!r}; valid: {list(_TASK_BUILDERS)}")
+        raise ConfigError(f"unknown task kind {reprlib.repr(kind)}; valid: {list(_TASK_BUILDERS)}")
     _check_ints(args, _TASK_INT_KEYS, where="task ")
     if "length_scale" in args and not _is_number(args["length_scale"]):
-        raise ConfigError(f"task length_scale must be a finite number, got {args['length_scale']!r}")
+        raise ConfigError(f"task length_scale must be a finite number, got {reprlib.repr(args['length_scale'])}")
     path = args.get("path")
     if kind == "dataset" and not (isinstance(path, str) and os.path.isfile(path)):
-        raise ConfigError(f"dataset file {path!r} does not exist")
+        raise ConfigError(f"dataset file {reprlib.repr(path)} does not exist")
     try:
         return _TASK_BUILDERS[kind](**args)
     except (KeyError, TypeError, ValueError) as exc:  # DatasetError is a ValueError

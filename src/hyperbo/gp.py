@@ -13,8 +13,10 @@ the few-dozen-row matrices of an EP sweep the fixed cost of scipy.linalg's
 wrappers outweighs the arithmetic.  They make the same LAPACK calls as those
 wrappers, so results are bit for bit the same, and keep their errors:
 ValueError on a non-finite matrix, LinAlgError on one that is not positive
-definite or is singular.  Only the pool posterior's whole-pool solve calls
-BLAS (`dtrsm`) instead, on a factor that `_cholesky_lower` has just made.
+definite or is singular.  Only the whole-pool solves call BLAS (`dtrsm`,
+through `_solve_lower_in_place`) instead, each on a factor that
+`_cholesky_lower` has made: the pool posterior's V and the monotonic fit's
+sites' part L_B^-1 S^1/2 C.
 
 `lapack` and `blas` are scipy's compiled f2py modules scipy.linalg._flapack
 and scipy.linalg._fblas themselves, and monotonic.py's log_ndtr is the ufunc
@@ -101,6 +103,15 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
+
+
+def _solve_lower_in_place(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """chol^-1 b for a lower Cholesky factor, written over a C-ordered b: BLAS solves b^T chol^-T.
+
+    The transpose of a row-major b is the column-major array BLAS takes, so
+    nothing is copied (a left-side solve copies b: twice as long on 500 columns).
+    """
+    return blas.dtrsm(1.0, chol, b.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
 
 
 def _cho_solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,8 +300,10 @@ class PoolPosterior:
     the (t, N) kernel and solves it whole.  The jitter of the first
     factorization is added to every later pivot, so L stays the factor of one
     regularized Gram matrix; a pivot that is not safely positive refactors
-    from scratch.  Means answer for the outputs last given to `set_outputs`,
-    at the active rows of a CandidateSet whose points are the pool array itself.
+    from scratch.  `factorizations` counts the factorizations from scratch,
+    each of which rebuilds every row of V.  Means answer for the outputs last
+    given to `set_outputs`, at the active rows of a CandidateSet whose points
+    are the pool array itself.
     The pool and each observed row are divided by the length scales once, and
     every kernel block goes through `_scaled_se`, so it is bit for bit
     se_kernel_matrix's.
@@ -304,6 +317,7 @@ class PoolPosterior:
         # scales, one column each: a new row's kernel against the pool and the
         # observed rows is one `_scaled_se` call.
         self._points = (self.pool / self._scales).T
+        self.factorizations = 0
         self._factor(np.array(X, dtype=float, ndmin=2))
 
     def _factor(self, X: np.ndarray) -> None:
@@ -312,13 +326,11 @@ class PoolPosterior:
         Xs = (X / self._scales).T
         self._points = np.concatenate((self._points[:, :N], Xs), axis=1)
         self.chol, self.jitter = _factor_gram(_scaled_se(Xs, Xs, sv), self.params)
-        # V = L^-1 K(X, pool), solved in place as K^T L^-T: the transpose of the
-        # row-major kernel is the column-major array BLAS takes, so nothing is
-        # copied (a left-side solve copies it and takes twice as long).
-        # `extend` writes V's later rows and the later observed points into
-        # spare rows and columns, doubled when full.
-        kernel_t = _scaled_se(Xs, self._points[:, :N], sv).T
-        self._rows = blas.dtrsm(1.0, self.chol, kernel_t, side=1, lower=1, trans_a=1, overwrite_b=1).T
+        # V = L^-1 K(X, pool), solved in place.  `extend` writes V's later rows
+        # and the later observed points into spare rows and columns, doubled
+        # when full.
+        self._rows = _solve_lower_in_place(self.chol, _scaled_se(Xs, self._points[:, :N], sv))
+        self.factorizations += 1
         self._col_sums = np.einsum("ij,ij->j", self._rows, self._rows)
         self._alpha = None
 

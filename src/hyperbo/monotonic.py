@@ -16,10 +16,11 @@ A `MonotonicWorkspace` holds the derivative latents' kernel blocks beside the
 run's one plain GP posterior over the candidate pool, and every fit is made
 from one: in a monotonicity run the locations, the candidate pool and the
 kernel are fixed and only the strictness changes, so each observed row
-extends the pool posterior and adds one row of K_fd, and nothing is
-recomputed.  A fit is its probit sites over that posterior: it predicts a
-candidate set over the pool array as the pool posterior's prediction plus
-the sites' correction, while the posterior holds the fit's rows and outputs.
+extends the pool posterior, adds one row of K_fd and takes one rank-one term
+from the pool's cross block C, and nothing is recomputed.  A fit is its
+probit sites over that posterior: it predicts a candidate set over the pool
+array as the pool posterior's prediction plus the sites' correction, while
+the posterior holds the fit's rows and outputs.
 
 A fit may start from the probit sites of an earlier fit on the same workspace
 instead of from zero sites.  The engine passes them when a step keeps the
@@ -32,7 +33,10 @@ finite: the marginal variances are never negative, and with that these two
 checks imply the others.  A prediction of f at a set of points takes the
 observations' part once per set (`_observed`) and the sites' part once per
 state of the sites (`_site_corrected`), so a fit takes f(X)'s observed part
-once, before its sweeps.
+once, before its sweeps.  The pool's observed part is the pool posterior's
+own V and column sums beside the workspace's kept C, so a fit predicts the
+whole pool from them and gathers only the two result vectors at the active
+rows.
 
 log_ndtr's compiled module is loaded by the first EP sweep, without the
 scipy.special package (see gp.py): a length-scale run never loads it.
@@ -46,7 +50,7 @@ from functools import cache
 import numpy as np
 
 from hyperbo.gp import KernelParams, PoolPosterior, _cho_solve_lower, _cholesky_lower, _solve_lower, se_kernel_matrix
-from hyperbo.gp import _scipy_compiled_module
+from hyperbo.gp import _scipy_compiled_module, _solve_lower_in_place
 
 __all__ = [
     "FittedMonotonicGP",
@@ -126,7 +130,10 @@ class MonotonicWorkspace:
     adds the derivative-derivative block K_dd and the pool's derivative
     cross-covariances K_pd at the virtual locations (rows of d coordinates),
     computed once, the derivative latents' prior standard deviations
-    prior_sd, and the observed rows' cross-covariances K_fd.
+    prior_sd, and the observed rows' cross-covariances K_fd.  It keeps the
+    pool's cross block C = K_pd - W^T V (W = L^-1 K_fd, V the posterior's
+    L^-1 K(X, pool)) for `pool_cross`, which takes the rows observed since its
+    last call and computes C whole again after the posterior refactors.
     """
 
     def __init__(self, posterior: PoolPosterior, locations):
@@ -137,9 +144,11 @@ class MonotonicWorkspace:
             raise ValueError("kernel and location dimensions must agree")
         self.K_dd = gradient_gram_matrix(self.locations, params)
         self.prior_sd = np.sqrt(np.diag(self.K_dd))
-        # (m, N), C order: the layout in which a fit gathers the active columns.
+        # (m, N), C order, so C and S^1/2 C are too and `_solve_lower_in_place` copies neither.
         self.K_pd = np.ascontiguousarray(value_gradient_cross_matrix(posterior.pool, self.locations, params).T)
         self._K_fd = np.empty((0, len(self.K_dd)))
+        # C and the posterior's factorization count and observed rows that it covers.
+        self._C, self._C_at = self.K_pd, (posterior.factorizations, 0)
 
     @property
     def K_fd(self) -> np.ndarray:
@@ -149,6 +158,21 @@ class MonotonicWorkspace:
             rows = value_gradient_cross_matrix(self.posterior.X[seen:], self.locations, self.posterior.params)
             self._K_fd = np.vstack((self._K_fd, rows))
         return self._K_fd
+
+    def pool_cross(self, W: np.ndarray) -> np.ndarray:
+        """C = K_pd - W^T V over the whole pool, for a fit's W = L^-1 K_fd at every observed row.
+
+        The kept C takes W[seen:]^T V[seen:] for the rows observed since the
+        last call; a refactored posterior has rebuilt every row of V (and of
+        W), so C starts again from K_pd.  A new array at each change.
+        """
+        factorizations, seen = self._C_at
+        if factorizations != self.posterior.factorizations:
+            self._C, seen = self.K_pd, 0
+        if seen < len(W):
+            self._C = self._C - W[seen:].T @ self.posterior.factors()[2][seen:]
+        self._C_at = (self.posterior.factorizations, len(W))
+        return self._C
 
 
 def _observed(v, explained, K_dx, alpha, W, sv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,14 +185,15 @@ def _observed(v, explained, K_dx, alpha, W, sv) -> tuple[np.ndarray, np.ndarray,
     return alpha @ v, sv - explained, K_dx - W.T @ v
 
 
-def _site_corrected(observed, sv, chol_B, sqrt_s, weights) -> tuple[np.ndarray, np.ndarray]:
+def _site_corrected(observed, sv, chol_B, sqrt_s, weights, solve=_solve_lower) -> tuple[np.ndarray, np.ndarray]:
     """f's means and variances at the points of an `_observed` part, under sites with factor chol_B, S^1/2 and w.
 
     The sites add c^T w to the mean and take |L_B^-1 S^1/2 c|^2 from the
-    variance (GPML Alg. 3.5 and 3.6 on the conditioned derivative prior).
+    variance (GPML Alg. 3.5 and 3.6 on the conditioned derivative prior),
+    with L_B^-1 from solve: the whole pool's prediction solves in place.
     """
     mean, var, C = observed
-    u = _solve_lower(chol_B, sqrt_s[:, None] * C)
+    u = solve(chol_B, sqrt_s[:, None] * C)
     # einsum, not (u * u).sum(0): the two round differently.
     return mean + weights @ C, np.clip(var - np.einsum("ij,ij->j", u, u), 0.0, sv)
 
@@ -181,7 +206,7 @@ class FittedMonotonicGP:
     outputs of the fit, whose L^-1 y array it keeps, and raises ValueError
     once the posterior has gained a row or been given other outputs.
     W = L^-1 K_fd; S and w are the derivative sites' precisions and the EP
-    weights.
+    weights; C is the workspace's pool cross block at the fit.
     """
 
     converged: bool
@@ -193,6 +218,7 @@ class FittedMonotonicGP:
     _weights: np.ndarray = field(repr=False)
     _chol_B: np.ndarray = field(repr=False)
     _sqrt_S: np.ndarray = field(repr=False)
+    _C: np.ndarray = field(repr=False)
     _workspace: MonotonicWorkspace = field(repr=False)
 
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -201,25 +227,25 @@ class FittedMonotonicGP:
             raise ValueError("the pool posterior's rows or outputs have changed since this fit")
         return factors
 
-    def _predict(self, v: np.ndarray, explained: np.ndarray, K_dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sv = self._workspace.posterior.params.signal_variance
-        observed = _observed(v, explained, K_dx, self._alpha, self._W, sv)
-        return _site_corrected(observed, sv, self._chol_B, self._sqrt_S, self._weights)
-
     def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         chol = self._factors()[0]
         posterior, X = self._workspace.posterior, np.atleast_2d(np.asarray(X, dtype=float))
+        sv = posterior.params.signal_variance
         v = _solve_lower(chol, se_kernel_matrix(posterior.X, X, posterior.params))
         K_dx = value_gradient_cross_matrix(X, self._workspace.locations, posterior.params).T
-        return self._predict(v, np.einsum("ij,ij->j", v, v), K_dx)
+        observed = _observed(v, np.einsum("ij,ij->j", v, v), K_dx, self._alpha, self._W, sv)
+        return _site_corrected(observed, sv, self._chol_B, self._sqrt_S, self._weights)
 
     def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
-        """predict_batch at the active rows of a CandidateSet over the pool: from the active columns of V and K_pd."""
+        """predict_batch at the active rows of a CandidateSet over the pool: the whole pool's, from V and C, gathered."""
         _, _, V, col_sums = self._factors()
         if candidates.points is not self._workspace.posterior.pool:
             raise ValueError("the candidates are not the workspace's pool")
+        sv = self._workspace.posterior.params.signal_variance
+        observed = (self._alpha @ V, sv - col_sums, self._C)
+        means, variances = _site_corrected(observed, sv, self._chol_B, self._sqrt_S, self._weights, _solve_lower_in_place)
         active = candidates.active_indices
-        return self._predict(V[:, active], col_sums[active], self._workspace.K_pd[:, active])
+        return means[active], variances[active]
 
 
 def _posterior(K, prior_var, prior_mean, tau_lat, nat_lat):
@@ -371,5 +397,6 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
         _weights=weights,
         _chol_B=chol_B,
         _sqrt_S=sqrt_s,
+        _C=workspace.pool_cross(W),
         _workspace=workspace,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -211,7 +212,7 @@ def make_gp_sample_task(
 def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray, np.ndarray]:
     names = isinstance(features, (list, tuple)) and all(isinstance(f, str) for f in features)
     if features is not None and not names:
-        raise DatasetError(f"features must be a list of column names, got {features!r}")
+        raise DatasetError(f"features must be a list of column names, got {reprlib.repr(features)}")
     # utf-8-sig drops the byte-order mark that a spreadsheet's "CSV UTF-8" export starts with.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -221,20 +222,20 @@ def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray
             raise DatasetError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         if target not in header:
-            raise DatasetError(f"{path}: target column {target!r} not in header {header}")
+            raise DatasetError(f"{path}: target column {reprlib.repr(target)} not in header {reprlib.repr(header)}")
         if features is None:
             features = [h for h in header if h != target]
         missing = [f for f in features if f not in header]
         if missing:
-            raise DatasetError(f"{path}: missing feature columns {missing}")
+            raise DatasetError(f"{path}: missing feature columns {reprlib.repr(missing)}")
         if not features:
-            raise DatasetError(f"{path}: no feature columns besides the target {target!r}")
+            raise DatasetError(f"{path}: no feature columns besides the target {reprlib.repr(target)}")
         columns = [*features, target]
         # A column loaded twice would be one search dimension twice, or the target a search input.
         for column in columns:
             if columns.count(column) > 1 or header.count(column) > 1:
                 where = "header" if header.count(column) > 1 else "features and target"
-                raise DatasetError(f"{path}: column {column!r} is named more than once in the {where}")
+                raise DatasetError(f"{path}: column {reprlib.repr(column)} is named more than once in the {where}")
         col_idx = [header.index(c) for c in columns]
         X_rows, y_rows = [], []
         for line_no, row in enumerate(reader, start=2):
@@ -247,7 +248,8 @@ def _parse_rows(path: str, target: str, features) -> tuple[list[str], np.ndarray
             # float() also reads nan and inf, which no kernel or regret takes.
             for column, i, value in zip(columns, col_idx, values):
                 if not math.isfinite(value):
-                    raise DatasetError(f"{path}: line {line_no}: column {column!r} holds {row[i]!r}, not a finite number")
+                    cell = reprlib.repr(row[i])
+                    raise DatasetError(f"{path}: line {line_no}: column {reprlib.repr(column)} holds {cell}, not a finite number")
             X_rows.append(values[:-1])
             y_rows.append(values[-1])
     if not X_rows:
@@ -273,13 +275,13 @@ _FILTER_KEYS = {
 
 def _apply_filter(spec: dict, features: list[str], X: np.ndarray, y: np.ndarray):
     if not isinstance(spec, dict):
-        raise DatasetError(f"a filter must be an object, got {spec!r}")
+        raise DatasetError(f"a filter must be an object, got {reprlib.repr(spec)}")
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _FILTER_KEYS:
-        raise DatasetError(f"unknown filter type {kind!r}; valid: {list(_FILTER_KEYS)}")
+        raise DatasetError(f"unknown filter type {reprlib.repr(kind)}; valid: {list(_FILTER_KEYS)}")
     unknown = [k for k in spec if k not in _FILTER_KEYS[kind]]
     if unknown:
-        raise DatasetError(f"unknown keys {unknown} in a {kind!r} filter; it takes {list(_FILTER_KEYS[kind])}")
+        raise DatasetError(f"unknown keys {reprlib.repr(unknown)} in a {kind!r} filter; it takes {list(_FILTER_KEYS[kind])}")
     if kind == "keep_first_max_only":
         # Multiple rows attaining the maximum target: keep the first occurrence.
         at_max = np.flatnonzero(y == y.max())
@@ -293,9 +295,9 @@ def _apply_filter(spec: dict, features: list[str], X: np.ndarray, y: np.ndarray)
     column = spec["column"]
     quantile = spec.get("quantile", 0.1)
     if not (_is_number(quantile) and 0 <= quantile <= 1):
-        raise DatasetError(f"filter quantile must be a number in [0, 1], got {quantile!r}")
+        raise DatasetError(f"filter quantile must be a number in [0, 1], got {reprlib.repr(quantile)}")
     if column not in features:
-        raise DatasetError(f"filter column {column!r} is not a loaded feature")
+        raise DatasetError(f"filter column {reprlib.repr(column)} is not a loaded feature")
     col = X[:, features.index(column)]
     threshold = np.quantile(col, quantile)
     in_q = np.flatnonzero(col <= threshold)

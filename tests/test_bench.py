@@ -111,6 +111,10 @@ class TestConfigValidation:
             ),
             pytest.param({"task": {"kind": "gp_sample", "dim": 1, "length_scale": 10**400}}, id="length_scale 10**400"),
             pytest.param({"engine": {"ucb_delta": 10**400}}, id="ucb_delta 10**400"),
+            # A beta that overflows to inf: at the first step from 17 pi^2 / (6 delta),
+            # and at the last step (t = 4) only from 17 * 16 pi^2 / (6 delta).
+            {"engine": {"ucb_delta": 1e-308}},
+            {"engine": {"ucb_delta": 1e-306}},
             # 17 first-step UCB candidates (20 rows less 3 initial): beta_1 < 0 from 17 pi^2 / 6 = 27.96 on.
             {"engine": {"ucb_delta": 28.0}},
             {"engine": {"ucb_delta": 100.0}},
@@ -146,6 +150,49 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error:")
         path.write_text(json.dumps(raw))
         assert cli_main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"engine": {"ucb_delta": -(10**300)}},
+            {"task": {"kind": "gp_sample", "dim": 1, "length_scale": 10**400}},
+            {"strategies": ["standard_bo", "gold_standard_theta"], "gold_standard_theta": [10**400] * 50},
+            {"strategies": ["standard_bo"] * 500},
+            {"mode": "x" * 5000},
+            {"engine": {"y" * 5000: 1}},
+            {"z" * 5000: 1},
+            {"task": {"kind": "dataset", "path": "data.csv", "target": "y", "features": ["a" * 5000]}},
+            {"task": {"kind": "dataset", "path": "data.csv", "target": "y" * 5000}},
+            {"task": {"kind": "dataset", "path": "data.csv", "target": "y", "filters": [{"type": "x" * 5000}]}},
+            {
+                "task": {
+                    "kind": "dataset",
+                    "path": "data.csv",
+                    "target": "y",
+                    "filters": [{"type": "drop_max_target_in_low_quantile", "column": "a", "quantile": -(10**300)}],
+                }
+            },
+        ],
+        ids=lambda override: json.dumps(override)[:60],
+    )
+    def test_a_config_error_echoes_a_huge_value_in_short(self, tmp_path, capsys, monkeypatch, override):
+        # Echoed in full, a -10**300 ucb_delta made a 365-character message.  A
+        # shortened echo shows at most six list items of at most 40 characters.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("a,y\n1,2\n3,4\n")
+        raw = {
+            "task": {"kind": "gp_sample", "dim": 1, "length_scale": 0.3, "n_points": 20, "seed": 1},
+            "mode": "length_scale",
+            "trials": 1,
+            "m": 1,
+            "K": 2,
+            "budget": 4,
+            "output_dir": "run",
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps({**raw, **override}))
+        assert cli_main(["validate", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err) <= 350
 
     @pytest.mark.parametrize("below", ["", "run"], ids=["the-file", "under-the-file"])
     def test_output_dir_over_an_existing_file_is_a_config_error(self, tmp_path, capsys, monkeypatch, below):

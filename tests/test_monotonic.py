@@ -484,6 +484,24 @@ def growing_case(d, seed):
     return params, X, virtual_locations(d, r), pool, r
 
 
+# The largest gap between a fit's predict_candidates and its predict_batch at
+# the same rows, in units of max(1, max |EP weights|): the two take the sites'
+# part from different solves, so they may differ by rounding alone.  The
+# kept pool cross block is held to C computed whole within the same bound.
+PREDICTION_PATHS_TOL = 1e-12
+
+
+def assert_cross_block_is_whole(model):
+    """The fit's kept pool cross block is K_pd - W^T V computed whole, and its whole-pool prediction predict_batch's."""
+    workspace = model._workspace
+    atol = PREDICTION_PATHS_TOL * max(1.0, np.abs(model._weights).max())
+    whole = workspace.K_pd - model._W.T @ workspace.posterior.factors()[2]
+    np.testing.assert_allclose(model._C, whole, rtol=0, atol=atol)
+    pool = workspace.posterior.pool
+    for got, want in zip(model.predict_candidates(CandidateSet(pool)), model.predict_batch(pool)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
 class TestWorkspace:
     """One workspace grown row by row against kernels computed whole and the joint oracle."""
 
@@ -500,7 +518,7 @@ class TestWorkspace:
                 workspace.posterior.extend(X[t])
         assert workspace.posterior.pool is pool and workspace.posterior.params == params
         assert np.array_equal(workspace.K_dd, gradient_gram_matrix(locations, params))
-        # The pool's derivative cross-covariances, in the layout the fits gather columns from.
+        # The pool's derivative cross-covariances, in the C order that the kept cross block's solve takes in place.
         assert workspace.K_pd.flags.c_contiguous
         assert np.array_equal(workspace.K_pd, value_gradient_cross_matrix(pool, locations, params).T)
 
@@ -576,6 +594,35 @@ class TestWorkspace:
         model = fit_rows(X[:9], y, params, np.array((-5.0, -5.0)), locations)
         assert model.sweeps > 3
         assert_stops_where_the_joint_rule_does(model, y, refreshes)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_kept_cross_block_equals_the_whole_one(self, d):
+        params, X, locations, pool, r = growing_case(d, 40 + d)
+        f = X @ np.linspace(1.0, -1.0, d) + np.cos(4.0 * X[:, -1])
+        strictness = r.choice(np.arange(-6.0, 1.0), size=2 * d)
+        workspace = workspace_over(X[:1], pool, params, locations)
+        for t in range(1, len(X) + 1):
+            workspace.posterior.extend(X[workspace.posterior.n : t])
+            assert_cross_block_is_whole(fit_monotonic_gp(workspace, f[:t], strictness))
+        # Every row was taken as a rank-one term: the posterior never refactored.
+        assert workspace.posterior.factorizations == 1
+
+    def test_the_kept_cross_block_is_whole_again_after_a_refactor(self):
+        # A repeated row at zero noise leaves the pivot 1 - 1 * 1 = 0 exactly:
+        # the posterior refactors with jitter, which moves every row of V and W.
+        r = np.random.default_rng(4)
+        params = KernelParams(1.0, (0.3, 0.45))
+        X = r.uniform(0, 1, size=(5, 2))
+        X[1] = X[0]
+        pool = r.uniform(0, 1, size=(60, 2))
+        workspace = workspace_over(X[:1], pool, params, virtual_locations(2, r))
+        y = X[:, 0] - np.sin(3.0 * X[:, 1])
+        strictness = np.array((0.0, -3.0, -3.0, 0.0))
+        for t in range(1, len(X) + 1):
+            workspace.posterior.extend(X[workspace.posterior.n : t])
+            assert_cross_block_is_whole(fit_monotonic_gp(workspace, y[:t], strictness))
+            assert workspace.posterior.factorizations == (1 if t == 1 else 2)
+        assert workspace.posterior.jitter > 0
 
     def test_candidates_over_another_array_are_refused(self):
         # Same shape and values, but not the workspace's pool array.
@@ -734,12 +781,6 @@ class TestWarmStart:
         print(f"WARM START: largest deviation {worst:.2f} x _TOL x prior sd; sweeps {cold_sweeps} cold, {warm_sweeps} warm")
         assert worst <= self.DEVIATION_BOUND
         assert warm_sweeps < cold_sweeps
-
-
-# The largest gap between a fit's predict_candidates and its predict_batch at
-# the same rows, in units of max(1, max |EP weights|): the two take the sites'
-# part from different solves, so they may differ by rounding alone.
-PREDICTION_PATHS_TOL = 1e-12
 
 
 def ep_panel() -> tuple[str, float, float]:
