@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 _THOMPSON_JITTER = 1e-9
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass
@@ -52,14 +53,24 @@ class CandidateSet:
 
 
 def ucb_beta(t: int, n_candidates: int, delta: float) -> float:
-    """Confidence-width schedule beta_t = 2 * ln(n * t^2 * pi^2 / (6 * delta))."""
+    """Confidence-width schedule beta_t = 2 * ln(n * t^2 * pi^2 / (6 * delta)).
+
+    ValueError unless delta is a positive finite float and beta comes out
+    finite: a tiny delta takes the ratio to inf, a huge one to 0.  beta is at
+    or below 0 from delta = n * t^2 * pi^2 / 6 on; ucb_select rejects a
+    negative one.
+    """
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
     if n_candidates < 1:
         raise ValueError("candidate count must be positive")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return 2.0 * np.log(n_candidates * t * t * np.pi**2 / (6.0 * delta))
+    if not 0 < delta <= _FLOAT_MAX:  # exact for a Python int past float range too
+        raise ValueError(f"delta must be a positive finite float, got {delta}")
+    # In Python floats, which overflow to inf and underflow to 0 without a warning.
+    ratio = float(n_candidates * t * t) * np.pi**2 / (6.0 * float(delta))
+    if not 0.0 < ratio < np.inf:
+        raise ValueError(f"the UCB beta at step {t} over {n_candidates} candidates is not finite for delta {delta}")
+    return 2.0 * np.log(ratio)
 
 
 def ucb_select(model, candidates: CandidateSet, beta: float) -> tuple[int, np.ndarray]:

@@ -187,12 +187,12 @@ def load_config(path: str) -> ExperimentConfig:
         n = np.count_nonzero(~_init_state(task, config.run_config(config.seed)).sampled)
         delta, last = config.engine["ucb_delta"], max(config.budget, config.hyperbo_budget)
         if n > 0:
-            with np.errstate(over="ignore"):  # a beta past float range reads inf, rejected below
-                first, largest = ucb_beta(1, n, delta), ucb_beta(last, n, delta)
+            try:
+                first, _ = ucb_beta(1, n, delta), ucb_beta(last, n, delta)
+            except ValueError as exc:
+                raise ConfigError(f"engine.ucb_delta: {exc}") from None
             if first <= 0:
                 raise ConfigError(f"engine.ucb_delta is too large: the first UCB beta over {n} candidates is not positive")
-            if not np.isfinite(largest):
-                raise ConfigError(f"engine.ucb_delta is too small: the UCB beta at step {last} over {n} candidates overflows")
     return config
 
 

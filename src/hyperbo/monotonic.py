@@ -16,11 +16,11 @@ A `MonotonicWorkspace` holds the derivative latents' kernel blocks beside the
 run's one plain GP posterior over the candidate pool, and every fit is made
 from one: in a monotonicity run the locations, the candidate pool and the
 kernel are fixed and only the strictness changes, so each observed row
-extends the pool posterior, adds one row of K_fd and takes one rank-one term
-from the pool's cross block C, and nothing is recomputed.  A fit is its
-probit sites over that posterior: it predicts a candidate set over the pool
-array as the pool posterior's prediction plus the sites' correction, while
-the posterior holds the fit's rows and outputs.
+extends the pool posterior and takes one rank-one term from the pool's cross
+block C, and nothing is recomputed.  A fit is its probit sites over that
+posterior: it predicts a candidate set over the pool array as the pool
+posterior's prediction plus the sites' part, while the posterior holds the
+fit's rows and outputs.
 
 A fit may start from the probit sites of an earlier fit on the same workspace
 instead of from zero sites.  The engine passes them when a step keeps the
@@ -34,9 +34,8 @@ checks imply the others.  A prediction of f at a set of points takes the
 observations' part once per set (`_observed`) and the sites' part once per
 state of the sites (`_site_corrected`), so a fit takes f(X)'s observed part
 once, before its sweeps.  The pool's observed part is the pool posterior's
-own V and column sums beside the workspace's kept C, so a fit predicts the
-whole pool from them and gathers only the two result vectors at the active
-rows.
+own prediction, so a fit adds the sites' part over the whole pool from the
+workspace's kept C and gathers it at the active rows.
 
 log_ndtr's compiled module is loaded by the first EP sweep, without the
 scipy.special package (see gp.py): a length-scale run never loads it.
@@ -129,9 +128,9 @@ class MonotonicWorkspace:
     workspace answers until it gains a row or other outputs.  The workspace
     adds the derivative-derivative block K_dd and the pool's derivative
     cross-covariances K_pd at the virtual locations (rows of d coordinates),
-    computed once, the derivative latents' prior standard deviations
-    prior_sd, and the observed rows' cross-covariances K_fd.  It keeps the
-    pool's cross block C = K_pd - W^T V (W = L^-1 K_fd, V the posterior's
+    computed once, and the derivative latents' prior standard deviations
+    prior_sd.  It keeps the pool's cross block C = K_pd - W^T V (W = L^-1 K_fd,
+    K_fd the observed rows' cross-covariances, V the posterior's
     L^-1 K(X, pool)) for `pool_cross`, which takes the rows observed since its
     last call and computes C whole again after the posterior refactors.
     """
@@ -146,18 +145,8 @@ class MonotonicWorkspace:
         self.prior_sd = np.sqrt(np.diag(self.K_dd))
         # (m, N), C order, so C and S^1/2 C are too and `_solve_lower_in_place` copies neither.
         self.K_pd = np.ascontiguousarray(value_gradient_cross_matrix(posterior.pool, self.locations, params).T)
-        self._K_fd = np.empty((0, len(self.K_dd)))
         # C and the posterior's factorization count and observed rows that it covers.
         self._C, self._C_at = self.K_pd, (posterior.factorizations, 0)
-
-    @property
-    def K_fd(self) -> np.ndarray:
-        """K_fd at every row of the posterior; the rows it gained since the last read take one kernel call."""
-        seen = len(self._K_fd)
-        if seen < self.posterior.n:
-            rows = value_gradient_cross_matrix(self.posterior.X[seen:], self.locations, self.posterior.params)
-            self._K_fd = np.vstack((self._K_fd, rows))
-        return self._K_fd
 
     def pool_cross(self, W: np.ndarray) -> np.ndarray:
         """C = K_pd - W^T V over the whole pool, for a fit's W = L^-1 K_fd at every observed row.
@@ -175,25 +164,26 @@ class MonotonicWorkspace:
         return self._C
 
 
-def _observed(v, explained, K_dx, alpha, W, sv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The observations' part of f's means and variances at points with V columns v, their squared sums and K_dx.
+def _observed(posterior: PoolPosterior, X, K_dx, alpha, W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The observations' part of f's means and variances at rows X, given K_dx = k_d(X), one column per row.
 
-    The pool posterior's mean alpha^T v and variance sv - explained, and the
-    derivative latents' cross-covariances C = k_d(x) - W^T v (K_dx holds
-    k_d(x), one column per point).  None of them depends on the sites.
+    With v = L^-1 k(X_obs, x): the pool posterior's mean alpha^T v and
+    variance sv - |v|^2, and the derivative latents' cross-covariances
+    C = k_d(x) - W^T v.  None of them depends on the sites.
     """
-    return alpha @ v, sv - explained, K_dx - W.T @ v
+    v = _solve_lower(posterior.chol, se_kernel_matrix(posterior.X, X, posterior.params))
+    # einsum, not (v * v).sum(0): the two round differently.
+    return alpha @ v, posterior.params.signal_variance - np.einsum("ij,ij->j", v, v), K_dx - W.T @ v
 
 
-def _site_corrected(observed, sv, chol_B, sqrt_s, weights, solve=_solve_lower) -> tuple[np.ndarray, np.ndarray]:
+def _site_corrected(observed, sv, chol_B, sqrt_s, weights) -> tuple[np.ndarray, np.ndarray]:
     """f's means and variances at the points of an `_observed` part, under sites with factor chol_B, S^1/2 and w.
 
     The sites add c^T w to the mean and take |L_B^-1 S^1/2 c|^2 from the
-    variance (GPML Alg. 3.5 and 3.6 on the conditioned derivative prior),
-    with L_B^-1 from solve: the whole pool's prediction solves in place.
+    variance (GPML Alg. 3.5 and 3.6 on the conditioned derivative prior).
     """
     mean, var, C = observed
-    u = solve(chol_B, sqrt_s[:, None] * C)
+    u = _solve_lower(chol_B, sqrt_s[:, None] * C)
     # einsum, not (u * u).sum(0): the two round differently.
     return mean + weights @ C, np.clip(var - np.einsum("ij,ij->j", u, u), 0.0, sv)
 
@@ -221,31 +211,30 @@ class FittedMonotonicGP:
     _C: np.ndarray = field(repr=False)
     _workspace: MonotonicWorkspace = field(repr=False)
 
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        factors = self._workspace.posterior.factors()
-        if factors[1] is not self._alpha:
+    def _fitted_posterior(self) -> PoolPosterior:
+        posterior = self._workspace.posterior
+        if posterior.factors()[1] is not self._alpha:
             raise ValueError("the pool posterior's rows or outputs have changed since this fit")
-        return factors
+        return posterior
 
     def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        chol = self._factors()[0]
-        posterior, X = self._workspace.posterior, np.atleast_2d(np.asarray(X, dtype=float))
-        sv = posterior.params.signal_variance
-        v = _solve_lower(chol, se_kernel_matrix(posterior.X, X, posterior.params))
+        posterior, X = self._fitted_posterior(), np.atleast_2d(np.asarray(X, dtype=float))
         K_dx = value_gradient_cross_matrix(X, self._workspace.locations, posterior.params).T
-        observed = _observed(v, np.einsum("ij,ij->j", v, v), K_dx, self._alpha, self._W, sv)
-        return _site_corrected(observed, sv, self._chol_B, self._sqrt_S, self._weights)
+        observed = _observed(posterior, X, K_dx, self._alpha, self._W)
+        return _site_corrected(observed, posterior.params.signal_variance, self._chol_B, self._sqrt_S, self._weights)
 
     def predict_candidates(self, candidates) -> tuple[np.ndarray, np.ndarray]:
-        """predict_batch at the active rows of a CandidateSet over the pool: the whole pool's, from V and C, gathered."""
-        _, _, V, col_sums = self._factors()
-        if candidates.points is not self._workspace.posterior.pool:
-            raise ValueError("the candidates are not the workspace's pool")
-        sv = self._workspace.posterior.params.signal_variance
-        observed = (self._alpha @ V, sv - col_sums, self._C)
-        means, variances = _site_corrected(observed, sv, self._chol_B, self._sqrt_S, self._weights, _solve_lower_in_place)
-        active = candidates.active_indices
-        return means[active], variances[active]
+        """predict_batch at the active rows of a CandidateSet over the pool: the pool posterior's plus the sites' part.
+
+        The sites' part of `_site_corrected` is taken over the whole pool from
+        C, solved in place, and gathered at the active rows.
+        """
+        posterior, active = self._fitted_posterior(), candidates.active_indices
+        means, variances = posterior.predict_candidates(candidates)
+        u = _solve_lower_in_place(self._chol_B, self._sqrt_S[:, None] * self._C)
+        explained = np.einsum("ij,ij->j", u, u)[active]
+        sv = posterior.params.signal_variance
+        return means + (self._weights @ self._C)[active], np.clip(variances - explained, 0.0, sv)
 
 
 def _posterior(K, prior_var, prior_mean, tau_lat, nat_lat):
@@ -321,14 +310,13 @@ def fit_monotonic_gp(workspace: MonotonicWorkspace, y, strictness, start=None) -
     posterior.set_outputs(y)
 
     chol, alpha, _, _ = posterior.factors()
-    K_fd = workspace.K_fd
+    K_fd = value_gradient_cross_matrix(posterior.X, locations, params)
     W = _solve_lower(chol, K_fd)
     K = workspace.K_dd - W.T @ W
     mean_c = alpha @ W
     prior_var, prior_sd = np.diag(K), workspace.prior_sd
     sv = params.signal_variance
-    V_X = _solve_lower(chol, se_kernel_matrix(posterior.X, posterior.X, params))
-    at_X = _observed(V_X, np.einsum("ij,ij->j", V_X, V_X), K_fd.T, alpha, W, sv)  # f(X)'s observed part
+    at_X = _observed(posterior, posterior.X, K_fd.T, alpha, W)  # f(X)'s observed part
 
     # One (+, -) pair of probit sites per derivative latent j*d + g: row 0
     # rewards a positive slope in dimension g, row 1 a negative one.  sites[0]

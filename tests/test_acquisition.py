@@ -59,6 +59,20 @@ class TestUcbBeta:
         with pytest.raises(ValueError):
             ucb_beta(1, 10, delta=0.0)
 
+    # Each of these returned nan or inf (at delta = inf with a divide-by-zero
+    # RuntimeWarning, which the test settings turn into a failure) or raised
+    # OverflowError (10**400, a Python int past float range).
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "10**400"])
+    def test_rejects_a_delta_that_is_not_finite(self, delta):
+        with pytest.raises(ValueError, match="positive finite float"):
+            ucb_beta(1, 10, delta)
+
+    @pytest.mark.parametrize("t, n, delta", [(1, 10, 1e-308), (4, 17, 1e-306), (1, 1, 1.7e308)])
+    def test_rejects_a_beta_past_float_range(self, t, n, delta):
+        # The ratio reaches inf, or at the largest delta 0 (6 * delta overflows).
+        with pytest.raises(ValueError, match="not finite"):
+            ucb_beta(t, n, delta)
+
 
 class TestUcbSelect:
     def test_hand_computed_scores(self):

@@ -32,7 +32,7 @@ from hyperbo.engine import (
 from hyperbo.acquisition import CandidateSet, ucb_select
 from hyperbo.bench import ExperimentConfig, run_experiment
 from hyperbo.gp import KernelParams, PoolPosterior, gp_fit, se_kernel_matrix, standardize
-from hyperbo.monotonic import FittedMonotonicGP, MonotonicWorkspace, fit_monotonic_gp, value_gradient_cross_matrix
+from hyperbo.monotonic import FittedMonotonicGP, MonotonicWorkspace, fit_monotonic_gp
 from hyperbo.tasks import ContinuousTask, DiscreteTask, make_goldstein_price_task, make_gp_sample_task
 
 from ep_oracle import joint_ep_fit
@@ -530,6 +530,14 @@ class TestRerunWithBestTheta:
         run_b = rerun_with_best_theta(task, None, 2, config)
         assert run_a.best_values[0] == run_b.best_values[0]
 
+    @pytest.mark.parametrize("delta", [1e-308, float("nan")])
+    def test_a_ucb_delta_without_a_finite_beta_is_refused(self, delta):
+        # Run as is, UCB took beta nan or inf, and with it the lowest active index, for every sample.
+        task = make_gp_sample_task(dim=1, length_scale=0.3, n_points=20, seed=1)
+        config = RunConfig(mode=LENGTH_SCALE, m=1, K=2, R=2, seed=0, ucb_delta=delta)
+        with pytest.raises(ValueError, match="finite"):
+            rerun_with_best_theta(task, None, 4, config)
+
     def test_monotonicity_rerun_on_goldstein(self):
         task = make_goldstein_price_task(pool_size=100)
         config = RunConfig(mode=MONOTONICITY, seed=2)
@@ -617,8 +625,6 @@ class TestPoolPosteriorInTheEngine:
             if theta is not None:
                 workspace = state.monotonic
                 assert workspace.posterior is state.posterior
-                want = value_gradient_cross_matrix(state.X[:-1], workspace.locations, state.posterior.params)
-                assert np.array_equal(workspace.K_fd, want)
         assert builds == [state.posterior] and state.ep_fits == 3
 
     def test_exhaustion_ends_a_plain_bo_run(self):
