@@ -29,10 +29,11 @@ _FLOAT_MAX = float(np.finfo(float).max)
 class CandidateSet:
     """Candidate points with an exclusion mask for already-sampled entries.
 
-    A 2-D float array of points is held as is, not copied or viewed, so a set
-    over a pool array holds that very object.  The active indices are
-    computed once, at first use: change the mask before that or build a new
-    set.
+    A 2-D float array of points and a 1-D bool mask are held as they are, not
+    copied or viewed, so a set over a pool array holds that very object and
+    a caller's mask stays the set's own.  The active indices are computed
+    once, at first use; change the mask only through `exclude`, which keeps
+    them current.
     """
 
     points: np.ndarray
@@ -43,13 +44,29 @@ class CandidateSet:
         if self.excluded is None:
             self.excluded = np.zeros(self.points.shape[0], dtype=bool)
         else:
-            self.excluded = np.asarray(self.excluded, dtype=bool).reshape(-1)
-            if self.excluded.shape[0] != self.points.shape[0]:
+            self.excluded = np.asarray(self.excluded, dtype=bool)
+            if self.excluded.shape != self.points.shape[:1]:
                 raise ValueError("exclusion mask length does not match candidate count")
 
     @cached_property
     def active_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.excluded)
+
+    def exclude(self, index: int) -> None:
+        """Exclude the active candidate at index: set its mask entry and drop it from the active indices.
+
+        The active indices become a new array, so one read before stays as it
+        was.  ValueError for a candidate already excluded, IndexError for an
+        index outside the points.
+        """
+        index = range(len(self.excluded))[index]
+        if self.excluded[index]:
+            raise ValueError(f"candidate {index} is already excluded")
+        self.excluded[index] = True
+        active = self.__dict__.get("active_indices")
+        if active is not None:
+            at = active.searchsorted(index)
+            self.active_indices = np.concatenate((active[:at], active[at + 1 :]))
 
 
 def ucb_beta(t: int, n_candidates: int, delta: float) -> float:
@@ -78,7 +95,8 @@ def ucb_select(model, candidates: CandidateSet, beta: float) -> tuple[int, np.nd
 
     Ties break toward the lowest candidate index.  The model only needs a
     predict_candidates(candidates) -> (means, variances) method that answers
-    for the rows of candidates.active_indices.  The engine's models (a
+    for the rows of candidates.active_indices with two new float arrays: the
+    scores are formed in them, in place.  The engine's models (a
     gp.PoolPosterior or a monotonic fit) answer only for sets whose points are
     their own pool array, and raise ValueError for any other.
     """
@@ -86,8 +104,9 @@ def ucb_select(model, candidates: CandidateSet, beta: float) -> tuple[int, np.nd
         raise ValueError(f"beta must be non-negative, got {beta}")
     active = candidates.active_indices
     means, variances = model.predict_candidates(candidates)
-    scores = means + np.sqrt(beta) * np.sqrt(np.maximum(variances, 0.0))
-    best = active[int(np.argmax(scores))]
+    spread = np.sqrt(np.maximum(variances, 0.0, out=variances), out=variances)
+    spread *= np.sqrt(beta)
+    best = active[int(np.argmax(np.add(means, spread, out=means)))]
     return best, candidates.points[best]
 
 

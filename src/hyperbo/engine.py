@@ -9,8 +9,9 @@ at T samples, times a norm regularizer.  An outer Thompson-sampling loop over
 the model grid proposes the next theta from a GP fit to the ledger of scores,
 after m windows of uniformly random thetas.  Proposals are index rows of the
 grid, and the ledger is one structured array with a row per window.  The
-inner steps of a run share one pool array and one pool posterior over it;
-strictness steps add a workspace of derivative blocks beside it.
+inner steps of a run share one pool array, one candidate set and one pool
+posterior over it, and write each sample into buffers sized to the run;
+strictness steps add a workspace of derivative blocks beside the posterior.
 """
 
 from __future__ import annotations
@@ -247,11 +248,14 @@ class RunResult:
 
 @dataclass
 class _RunState:
-    X: np.ndarray  # observed inputs, one row per sample; the first n0 are the initial design
-    y: np.ndarray
+    X: np.ndarray  # observed inputs, one row per sample, a view of `inputs`; the first n0 are the initial design
+    y: np.ndarray  # their outputs, a view of `outputs`
+    inputs: np.ndarray  # a row for every sample the run can take
+    outputs: np.ndarray
     n0: int
     pool: np.ndarray
     sampled: np.ndarray  # pool rows already observed
+    candidates: CandidateSet  # the run's one set over pool, whose mask is `sampled` itself
     rng: np.random.Generator
     space: ModelSpace  # the run's model grid, the only reader of its mode's table entry
     virtual_seed: np.random.SeedSequence  # draws the virtual derivative locations of the workspace
@@ -269,19 +273,21 @@ def _fit_window_model(state: _RunState, theta: np.ndarray | None):
 
     The run's space says what theta sets: the kernel's length scales, and an
     EP strictness or None.  The run's pool posterior is rebuilt when the
-    length scales change, then extended by the rows observed since it last saw
-    them.  Without a strictness it is the model.  With one, the model is an EP
-    fit over it, whose health is counted here.  The first such step builds the
-    run's one workspace, at 5d virtual derivative locations drawn from the
-    run's virtual seed.  A fit at the previous fit's strictness starts EP from
-    that fit's sites, any other from zero sites.  UCB selection is invariant to
-    the output standardization, so predictions are consumed standardized.
+    length scales change, or else extended by the rows observed since it last
+    saw them, if any.  Without a strictness it is the model.  With one, the
+    model is an EP fit over it, whose health is counted here.  The first such
+    step builds the run's one workspace, at 5d virtual derivative locations
+    drawn from the run's virtual seed.  A fit at the previous fit's strictness
+    starts EP from that fit's sites, any other from zero sites.  UCB selection
+    is invariant to the output standardization, so predictions are consumed
+    standardized.
     """
     z, _ = standardize(state.y)
     scales, strictness = state.space.sets(theta)
     if state.posterior is None or state.posterior.params.length_scales != scales:
         state.posterior = PoolPosterior(state.X, state.pool, KernelParams(SIGNAL_VARIANCE, scales, NOISE_VARIANCE))
-    state.posterior.extend(state.X[state.posterior.n :])
+    elif state.posterior.n < len(state.y):
+        state.posterior.extend(state.X[state.posterior.n :])
     if strictness is None:
         state.posterior.set_outputs(z)
         return state.posterior
@@ -299,18 +305,19 @@ def _fit_window_model(state: _RunState, theta: np.ndarray | None):
 
 
 def _inner_step(task: Task, state: _RunState, config: RunConfig, theta: np.ndarray | None) -> bool:
-    """One UCB acquisition; returns False when the pool is exhausted."""
-    candidates = CandidateSet(state.pool, excluded=state.sampled)
+    """One UCB acquisition, written into the run's buffers; returns False when the pool is exhausted."""
+    candidates = state.candidates
     n_active = candidates.active_indices.size
     if n_active == 0:
         return False
     model = _fit_window_model(state, theta)
-    beta = ucb_beta(len(state.y) - state.n0 + 1, n_active, config.ucb_delta)
+    t = len(state.y)
+    beta = ucb_beta(t - state.n0 + 1, n_active, config.ucb_delta)
     index, x = ucb_select(model, candidates, beta)
-    y = task.observe(index, x)
-    state.X = np.vstack((state.X, x))
-    state.y = np.append(state.y, y)
-    state.sampled[index] = True
+    state.outputs[t] = task.observe(index, x)
+    state.inputs[t] = x
+    state.X, state.y = state.inputs[: t + 1], state.outputs[: t + 1]
+    candidates.exclude(index)
     return True
 
 
@@ -395,23 +402,35 @@ def _pathwise_argmax(model: FittedGP, space: ModelSpace, ledger: np.ndarray, rng
     return np.array(np.unravel_index(int(np.argmax(f)), (per_dim,) * dim))
 
 
-def _init_state(task: Task, config: RunConfig) -> _RunState:
+def _init_state(task: Task, config: RunConfig, budget: int | None = None) -> _RunState:
+    """A run's state after its initial design, with room for `budget` inner samples (None: R windows of K).
+
+    Every inner sample observes a pool row not yet observed, so the buffers
+    hold no more samples than the pool has such rows.
+    """
     seq = np.random.SeedSequence(config.seed)
     init_child, virtual_child, run_child = seq.spawn(3)
     init_rng = np.random.default_rng(init_child)
     indices, X0, y0 = task.initial_design(init_rng)
-    # The one pool object of the run: every CandidateSet over it and the pool
-    # posterior hold this very array (an unpickled task's array would
-    # otherwise be wrapped in a fresh view by each CandidateSet).
+    # The one pool object of the run: its CandidateSet and the pool posterior
+    # hold this very array (an unpickled task's array would otherwise be
+    # wrapped in a fresh view by a CandidateSet).
     pool = np.asarray(task.build_pool(init_rng), dtype=float)
     sampled = np.zeros(pool.shape[0], dtype=bool)
     sampled[indices] = True
+    n0 = len(y0)
+    size = n0 + min(config.R * config.K if budget is None else budget, pool.shape[0] - np.count_nonzero(sampled))
+    inputs, outputs = np.empty((size, pool.shape[1])), np.empty(size)
+    inputs[:n0], outputs[:n0] = X0, y0
     return _RunState(
-        X=np.array(X0, dtype=float),
-        y=np.array(y0, dtype=float),
-        n0=len(y0),
+        X=inputs[:n0],
+        y=outputs[:n0],
+        inputs=inputs,
+        outputs=outputs,
+        n0=n0,
         pool=pool,
         sampled=sampled,
+        candidates=CandidateSet(pool, excluded=sampled),
         rng=np.random.default_rng(run_child),
         space=ModelSpace(config.mode, task.dim),
         virtual_seed=virtual_child,
@@ -474,6 +493,6 @@ def rerun_with_best_theta(task: Task, theta: np.ndarray | None, budget: int, con
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    state = _init_state(task, config)
+    state = _init_state(task, config, budget)
     exhausted = not _steps(task, state, config, theta, budget)
     return _result_from_state(task, state, theta, None, exhausted)

@@ -306,7 +306,9 @@ class PoolPosterior:
     are the pool array itself.
     The pool and each observed row are divided by the length scales once, and
     every kernel block goes through `_scaled_se`, so it is bit for bit
-    se_kernel_matrix's.
+    se_kernel_matrix's.  The observed rows, V's rows and the scaled points
+    live in buffers with spare room, so `extend` writes each row once and
+    copies none; zero rows return at once.
     """
 
     def __init__(self, X, pool, params: KernelParams):
@@ -321,57 +323,63 @@ class PoolPosterior:
         self._factor(np.array(X, dtype=float, ndmin=2))
 
     def _factor(self, X: np.ndarray) -> None:
-        self.X = X
+        self._X, self.n = X, len(X)  # the buffer of observed rows, full after a factorization, and their number
         N, sv = self.pool.shape[0], self.params.signal_variance
         Xs = (X / self._scales).T
         self._points = np.concatenate((self._points[:, :N], Xs), axis=1)
         self.chol, self.jitter = _factor_gram(_scaled_se(Xs, Xs, sv), self.params)
-        # V = L^-1 K(X, pool), solved in place.  `extend` writes V's later rows
-        # and the later observed points into spare rows and columns, doubled
-        # when full.
+        # V = L^-1 K(X, pool), solved in place.  `extend` writes V's later rows,
+        # the later observed rows and their scaled points into spare rows and
+        # columns, doubled when full.
         self._rows = _solve_lower_in_place(self.chol, _scaled_se(Xs, self._points[:, :N], sv))
         self.factorizations += 1
         self._col_sums = np.einsum("ij,ij->j", self._rows, self._rows)
         self._alpha = None
 
     @property
-    def n(self) -> int:
-        """The number of observed rows."""
-        return self.X.shape[0]
+    def X(self) -> np.ndarray:
+        """The observed rows, in order: a view of the posterior's own buffer, to read and not to write."""
+        return self._X[: self.n]
 
     def extend(self, rows) -> None:
         """Condition on more observed rows, in order: one row x, or a (k, d) array of them."""
         rows = np.array(rows, dtype=float, ndmin=2)
+        if not len(rows):
+            return
         if self.n == 0:
             # No factor to update yet: factor the rows whole, as the constructor does.
             self._factor(rows)
             return
-        N = self.pool.shape[0]
-        for x, xs in zip(rows[:, None], rows / self._scales):
-            t, params = self.n, self.params
+        N, params = self.pool.shape[0], self.params
+        for x, xs in zip(rows, rows / self._scales):
+            t = self.n
+            if t == len(self._rows):
+                self._rows = np.concatenate((self._rows, np.empty_like(self._rows)))
+                self._X = np.concatenate((self._X, np.empty_like(self._X)))
+                self._points = np.concatenate((self._points, np.empty((len(xs), t))), axis=1)
+            self._X[t] = x
+            self._points[:, N + t] = xs
             k = _scaled_se(xs[:, None], self._points[:, : N + t], params.signal_variance)[0]  # k(x, pool) then k(x, X)
             l = _solve_lower(self.chol, k[N:])
             # The new pivot squared is x's posterior variance plus noise and
             # jitter, so at or below the noise it holds only rounding error.
             pivot = params.signal_variance + params.noise_variance + self.jitter - l @ l
             if not (np.isfinite(pivot) and pivot > params.noise_variance):
-                self._factor(np.vstack((self.X, x)))
+                self._factor(self._X[: t + 1])
                 continue
             pivot = np.sqrt(pivot)
-            if t == len(self._rows):
-                self._rows = np.concatenate((self._rows, np.empty_like(self._rows)))
-                self._points = np.concatenate((self._points, np.empty((len(xs), t))), axis=1)
-            self._points[:, N + t] = xs
             row = self._rows[t]
             np.subtract(k[:N], l @ self._rows[:t], out=row)
             row /= pivot
             self._col_sums += row * row
-            chol = np.zeros((t + 1, t + 1), order="F")
+            # Every entry written once: L's old columns, a zero column above the pivot, the new row.
+            chol = np.empty((t + 1, t + 1), order="F")
             chol[:t, :t] = self.chol
+            chol[:t, t] = 0.0
             chol[t, :t] = l
             chol[t, t] = pivot
             self.chol = chol
-            self.X = np.vstack((self.X, x))
+            self.n = t + 1
             self._alpha = None
 
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -397,5 +405,5 @@ class PoolPosterior:
         active = candidates.active_indices
         sv = self.params.signal_variance
         means = (self._alpha @ self._rows[: self.n])[active]
-        variances = np.clip(sv - self._col_sums[active], 0.0, sv)
-        return means, variances
+        variances = sv - self._col_sums[active]
+        return means, np.clip(variances, 0.0, sv, out=variances)

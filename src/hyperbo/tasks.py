@@ -88,7 +88,7 @@ class DiscreteTask(Task):
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("row/target count mismatch")
-        if np.any(self.X < 0.0) or np.any(self.X > 1.0):
+        if not np.all((self.X >= 0.0) & (self.X <= 1.0)):  # NaN is refused too
             raise ValueError("task rows must lie in the unit hypercube")
 
     @property
@@ -326,7 +326,11 @@ def load_dataset(
         if len(y) == 0:
             raise DatasetError(f"{path}: no rows left after filter {spec.get('type')!r}")
     mins = X.min(axis=0)
-    ranges = X.max(axis=0) - mins
+    with np.errstate(over="ignore"):  # a range past float range is refused below
+        ranges = X.max(axis=0) - mins
+    for column, span in zip(features, ranges):
+        if not np.isfinite(span):
+            raise DatasetError(f"{path}: column {reprlib.repr(column)} has a range past float range, so it cannot be normalized")
     ranges = np.where(ranges > 0, ranges, 1.0)  # constant columns map to 0
     X01 = (X - mins) / ranges
     return DiscreteTask(

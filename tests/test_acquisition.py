@@ -40,6 +40,43 @@ def index_candidates(n, excluded=None):
     return CandidateSet(np.arange(n, dtype=float).reshape(-1, 1), excluded=excluded)
 
 
+class TestCandidateSet:
+    def test_the_mask_is_held_as_is(self):
+        mask = np.zeros(4, dtype=bool)
+        candidates = index_candidates(4, excluded=mask)
+        assert candidates.excluded is mask
+        candidates.exclude(2)
+        assert mask.tolist() == [False, False, True, False]
+        with pytest.raises(ValueError, match="mask length"):
+            index_candidates(4, excluded=np.zeros((4, 1), dtype=bool))
+
+    @pytest.mark.parametrize("read_first", [True, False], ids=["indices-read", "indices-unread"])
+    def test_each_exclusion_keeps_the_active_indices_current(self, rng, read_first):
+        n = 40
+        candidates = index_candidates(n, excluded=rng.uniform(size=n) < 0.3)
+        if read_first:
+            before = candidates.active_indices
+            kept = before.copy()
+        for index in rng.permutation(candidates.active_indices if read_first else np.flatnonzero(~candidates.excluded)):
+            candidates.exclude(index)
+            assert candidates.excluded[index]
+            assert np.array_equal(candidates.active_indices, np.flatnonzero(~candidates.excluded))
+        assert candidates.active_indices.size == 0 and candidates.excluded.all()
+        if read_first:
+            assert np.array_equal(before, kept)  # an exclusion makes a new array
+
+    def test_excluding_an_excluded_or_missing_row_is_refused(self):
+        candidates = index_candidates(5, excluded=np.array([False, True, False, False, False]))
+        active = candidates.active_indices
+        for index, error in ((1, ValueError), (5, IndexError)):
+            with pytest.raises(error):
+                candidates.exclude(index)
+            assert candidates.active_indices is active
+        assert candidates.excluded.tolist() == [False, True, False, False, False]
+        candidates.exclude(-1)  # a negative index counts from the end, as in the mask
+        assert candidates.active_indices.tolist() == [0, 2, 3]
+
+
 class TestUcbBeta:
     def test_constructed_cancellation(self):
         assert ucb_beta(1, 1, delta=np.pi**2 / 6) == pytest.approx(0.0, abs=1e-12)
@@ -92,6 +129,21 @@ class TestUcbSelect:
             model = StubModel(means=means, variances=rng.uniform(0, 1, size=10))
             idx, _ = ucb_select(model, index_candidates(10), beta=0.0)
             assert idx == int(np.argmax(means))
+
+    def test_scores_are_formed_in_the_model_arrays(self, rng):
+        # The pick of the out-of-place formula, negative variances clipped to 0.
+        class Returned(StubModel):
+            def predict_candidates(self, candidates):
+                self.returned = super().predict_candidates(candidates)
+                return self.returned
+
+        for _ in range(50):
+            means, variances, beta = rng.normal(size=12), rng.normal(size=12), rng.uniform(0.0, 9.0)
+            model = Returned(means=means, variances=variances)
+            idx, _ = ucb_select(model, index_candidates(12), beta=beta)
+            scores = means + np.sqrt(beta) * np.sqrt(np.maximum(variances, 0.0))
+            assert idx == int(np.argmax(scores))
+            assert np.array_equal(model.returned[0], scores)
 
     def test_never_returns_excluded(self, rng):
         means = rng.normal(size=6)

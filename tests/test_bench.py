@@ -360,6 +360,19 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "run").exists()
 
+    def test_a_dataset_column_whose_range_overflows_is_a_config_error(self, tmp_path, capsys):
+        # Unchecked, validate printed ok and run reported every trial a success over a NaN pool coordinate.
+        data = tmp_path / "data.csv"
+        data.write_text("x,z,y\n1e308,0.5,1\n-1e308,0.2,2\n0,0.1,3\n5,0.9,4\n")
+        path = tmp_path / "cfg.json"
+        task = {"kind": "dataset", "path": str(data), "target": "y", "n_initial": 1}
+        raw = {"task": task, "mode": "monotonicity", "budget": 1, "strategies": ["standard_bo"], "output_dir": str(tmp_path / "run")}
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert "column 'x' has a range past float range" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("features", ["ab", ["a", 1]], ids=json.dumps)
     def test_features_must_be_a_list_of_column_names(self, tmp_path, capsys, features):
         # A string would otherwise be read as its characters: "ab" as the columns a and b.

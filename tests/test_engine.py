@@ -635,6 +635,76 @@ class TestPoolPosteriorInTheEngine:
         assert result.best_y == 4.0
 
 
+class TestRunBuffers:
+    """A run writes its samples into buffers, excludes them from its one candidate set and grows its posterior in place."""
+
+    def test_the_buffers_hold_the_run_and_no_more_than_the_pool(self):
+        task = make_toy_task(np.arange(6.0), n_initial=2)
+        config = RunConfig(mode=LENGTH_SCALE, m=1, K=3, R=1, seed=0)
+        assert _init_state(task, config).inputs.shape == (2 + 3, 1)  # R windows of K
+        assert _init_state(task, config, 2).outputs.shape == (2 + 2,)
+        assert _init_state(task, config, 10**12).inputs.shape == (6, 1)  # 4 pool rows left to sample
+        result = rerun_with_best_theta(task, None, 10**12, config)
+        assert result.exhausted and result.n_samples == 4
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("mode", [LENGTH_SCALE, MONOTONICITY])
+    def test_every_step_equals_the_copying_forms(self, monkeypatch, mode, dim):
+        # The references are the stacked, appended and recomputed forms of
+        # the run's rows, its mask's active indices and its posterior's factor.
+        task = make_gp_sample_task(dim, 0.2, n_points=80, seed=dim)
+        config = RunConfig(mode=mode, m=1, K=12, R=1, seed=dim)
+        theta = np.full(dim, 0.2) if mode == LENGTH_SCALE else np.tile([-6.0, 0.0], dim)
+        observed, extended = [], []
+        observe, extend = task.observe, PoolPosterior.extend
+
+        def recording_observe(index, x):
+            observed.append((index, x.copy(), observe(index, x)))
+            return observed[-1][2]
+
+        def recording_extend(posterior, rows):
+            extended.append(len(np.array(rows, ndmin=2)))
+            return extend(posterior, rows)
+
+        monkeypatch.setattr(task, "observe", recording_observe)
+        monkeypatch.setattr(PoolPosterior, "extend", recording_extend)
+        state = _init_state(task, config)
+        X, y, sampled, previous = state.X.copy(), state.y.copy(), state.sampled.copy(), None
+        for step in range(12):
+            if step == 6:
+                # A negative jitter fails the next pivot, so that extend refactors from scratch.
+                state.posterior.jitter = -1.0
+            factorizations = state.posterior.factorizations if state.posterior else 1
+            assert _inner_step(task, state, config, theta)
+            index, x, value = observed[-1]
+            X, y = np.vstack((X, x)), np.append(y, value)
+            sampled[index] = True
+            assert np.array_equal(state.X, X) and np.array_equal(state.y, y)
+            assert state.candidates.excluded is state.sampled and np.array_equal(state.sampled, sampled)
+            assert np.array_equal(state.candidates.active_indices, np.flatnonzero(~sampled))
+            assert all(extended) and len(extended) == min(step, 1)  # a new posterior, then one row a step
+            extended.clear()
+            posterior = state.posterior
+            L, alpha, V, sums = posterior.factors()
+            assert np.array_equal(posterior.X, X[:-1]) and np.array_equal(np.triu(L, 1), np.zeros_like(L))
+            if step == 6:
+                assert posterior.factorizations == factorizations + 1
+                whole = PoolPosterior(X[:-1], state.pool, posterior.params)
+                whole.set_outputs(standardize(y[:-1])[0])
+                assert posterior.jitter == whole.jitter >= 0.0
+                assert all(map(np.array_equal, posterior.factors(), whole.factors()))
+            else:
+                assert posterior.factorizations == factorizations
+            if previous is not None and step != 6:
+                t = len(previous[0])
+                assert np.array_equal(L[:t, :t], previous[0]) and np.array_equal(V[:t], previous[1])
+            previous = L.copy(), V.copy()
+            extend(posterior, X[:0])
+            after = posterior.factors()
+            assert after[0] is L and after[1] is alpha and after[3] is sums and np.array_equal(after[2], V)
+            assert posterior.factorizations == factorizations + (step == 6)
+
+
 class TestMonotonicWorkspaceInTheEngine:
     """The monotonic inner steps of a run share one workspace over its pool."""
 

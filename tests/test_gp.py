@@ -319,6 +319,34 @@ class TestPoolPosterior:
         candidates = CandidateSet(self.POOL, excluded=np.arange(len(self.POOL)) % 3 == 0)
         assert all(map(np.array_equal, grown.predict_candidates(candidates), whole.predict_candidates(candidates)))
 
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_zero_rows_change_nothing(self, first):
+        params = KernelParams(1.0, (0.3, 0.3), 1e-6)
+        rows = np.random.default_rng(7).uniform(0.0, 1.0, size=(3, 2))
+        posterior = PoolPosterior(rows[:first], self.POOL, params)
+        if first:
+            posterior.set_outputs(np.arange(float(first)))
+        before = (posterior.X.copy(), posterior.factorizations, posterior.jitter)
+        held = posterior.factors()
+        copies = [None if a is None else a.copy() for a in held]
+        for empty in (rows[:0], np.empty((0, 2))):
+            posterior.extend(empty)
+        after = posterior.factors()
+        assert all(held[i] is after[i] for i in (0, 1, 3))  # L, L^-1 z (no new set_outputs needed), column sums
+        assert all(a is None if b is None else np.array_equal(a, b) for a, b in zip(after, copies))
+        assert np.array_equal(posterior.X, before[0]) and (posterior.factorizations, posterior.jitter) == before[1:]
+
+    def test_rows_read_before_an_extend_stay_as_they_were(self):
+        params = KernelParams(1.0, (0.3, 0.3), 1e-6)
+        rows = np.random.default_rng(8).uniform(0.0, 1.0, size=(9, 2))
+        posterior = PoolPosterior(rows[:1], self.POOL, params)
+        views = []
+        for t in range(1, len(rows)):
+            views.append(posterior.X)
+            posterior.extend(rows[t])  # fills spare rows, then doubles the buffer at t = 1, 2, 4 and 8
+        assert all(np.array_equal(view, rows[: len(view)]) for view in views)
+        assert np.array_equal(posterior.X, rows) and posterior.factorizations == 1
+
     def test_a_batch_of_rows_extends_as_one_row_at_a_time(self):
         params = KernelParams(1.0, (0.3, 0.3), 1e-6)
         rows = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 2))

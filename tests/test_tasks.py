@@ -136,6 +136,12 @@ class TestDiscreteTask:
                 DiscreteTask(name="t", dim=2, optimum=1.0, X=[[bad, 0.0], [0.5, 0.5]], y=[0.0, 1.0])
         DiscreteTask(name="t", dim=2, optimum=1.0, X=[[0.0, 1.0], [0.5, 0.5]], y=[0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        # NaN compares false both ways, so "< 0 or > 1" let a NaN row through.
+        with pytest.raises(ValueError, match="unit hypercube"):
+            DiscreteTask(name="t", dim=2, optimum=1.0, X=[[0.5, bad], [0.5, 0.5]], y=[0.0, 1.0])
+
 
 class TestLatinHypercube:
     def test_stratification(self, rng):
@@ -188,6 +194,17 @@ class TestLoadDataset:
     def test_lookup_is_pure(self, simple_csv):
         task = load_dataset(simple_csv, target="target")
         assert task.observe(1, task.X[1]) == task.observe(1, task.X[1]) == 5.0
+
+    def test_a_column_whose_range_overflows_is_refused(self, tmp_path):
+        # max - min overflowed to inf with a RuntimeWarning, and the column
+        # normalized to NaN and 0.0, which the task then accepted.
+        path = tmp_path / "huge.csv"
+        write_csv(path, ["x", "z", "y"], [[1e308, 0.5, 1.0], [-1e308, 0.2, 2.0], [0.0, 0.1, 3.0], [5.0, 0.9, 4.0]])
+        with pytest.raises(DatasetError, match="column 'x' has a range past float range"):
+            load_dataset(str(path), target="y")
+        # Each extreme alone leaves a finite range, which normalizes.
+        write_csv(path, ["x", "z", "y"], [[1e308, 0.5, 1.0], [0.0, 0.2, 2.0]])
+        assert np.array_equal(load_dataset(str(path), target="y").X[:, 0], [1.0, 0.0])
 
     def test_missing_target_column(self, simple_csv):
         with pytest.raises(DatasetError, match="not in header"):
